@@ -18,8 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coeffs import CoeffSpec, NoiseMoments, ParamSpace, Theta, deriv_weights
-from .errors import DomainError, HistoryError, SingularityError
+from .coeffs import CoeffSpec, NoiseMoments, ParamSpace, Theta
+from .errors import DomainError, SingularityError
+from .likelihood import LossSpec, PathEvaluator
 from .simulate import Sample, SimConfig, simulate
 
 __all__ = ["SandwichResult", "LimitH0Result", "RatePrediction",
@@ -76,29 +77,16 @@ def sigma_and_gradient(spec: CoeffSpec, theta: Theta, sample: Sample,
                        J: int | None = None):
     """sigma_t(theta) and its theta-gradient over the analysis window.
 
-    Both are reconstructed from the truncated full history (J lags into
-    the pre-sample), so the sample's burn-in must be at least J.
+    Both are built from the full-history lag sums of
+    :class:`~larchpmle.likelihood.PathEvaluator` (J lags into the
+    pre-sample; J defaults to the sample's simulation truncation), so the
+    sample's burn-in must be at least J.
     Returns (sigma, S) with S of shape (n, 3) in (d, c, a) order.
     """
-    if J is None:
-        J = sample.config.J if sample.config.J is not None else sample.spec.J
-    if sample.first_retained < J:
-        raise HistoryError(f"burn-in {sample.first_retained} shorter than J = {J}")
-    n = sample.n
-    x = sample.x
-    nfft = 1 << (len(x) + J).bit_length()
-    rx = np.fft.rfft(x, nfft)
-
-    def conv(kernel):
-        full = np.fft.irfft(rx * np.fft.rfft(kernel, nfft), nfft)
-        lo = sample.first_retained - 1
-        return full[lo: lo + n]
-
-    unit = Theta(theta.d, 1.0, theta.a)
-    v0 = conv(deriv_weights(spec, unit, J, order_c=1))
-    v1 = conv(deriv_weights(spec, unit, J, order_d=1))
+    ev = PathEvaluator(LossSpec("full", 0.0, J=J), spec, sample)
+    v0, v1, _ = ev.lag_sums(theta, derivatives=1)
     sig = theta.a + theta.c * v0
-    S = np.stack([theta.c * v1, v0, np.ones(n)], axis=1)
+    S = np.stack([theta.c * v1, v0, np.ones(sample.n)], axis=1)
     return sig, S
 
 

@@ -1,9 +1,16 @@
 """Command-line interface: simulate, estimate, replicate, and diagnose.
 
+Every input is resolved in one step, into one namespace.  The lines of a
+``--config FILE`` (or ``--config=FILE``) are read as flags placed before
+the command line's own, so argparse types and checks them and explicit
+flags win.  ``--case 1|2`` then fills each of ``--d --c --a --eps --beta``
+left unset from :func:`~larchpmle.montecarlo.case_study`.  Malformed
+values and conflicting flags are usage errors, raised before any work.
+
 Every subcommand writes CSV files whose first line is a ``#`` comment
-recording the resolved seed and parameters, plus a ``<command>_meta.txt``
-sidecar with the full configuration.  Numbers are printed with 17
-significant digits so files round-trip losslessly.
+recording the values that ran, plus a ``<command>_meta.txt`` sidecar with
+the same values.  Numbers are printed with 17 significant digits so files
+round-trip losslessly.
 
 Exit codes: 0 success, 1 usage error, 2 numeric/domain/data error.
 """
@@ -15,24 +22,22 @@ from pathlib import Path
 
 import numpy as np
 
-from .asymptotics import limit_h0, predicted_rate, sandwich
-from .coeffs import (
-    CoeffSpec,
-    ParamSpace,
-    Theta,
-    check_moment_conditions,
-    gaussian_moments,
-)
+from .asymptotics import predicted_rate, sandwich
+from .coeffs import CoeffSpec, Theta, check_moment_conditions, gaussian_moments
 from .diagnostics import fit_decay, score_gap, write_decay_csv
 from .errors import DataError, LarchError
 from .estimator import estimate
 from .likelihood import LossSpec, landscape
-from .montecarlo import acf, case_study, normal_plot_data, run_study
+from .montecarlo import (
+    StudyConfig,
+    acf,
+    case_study,
+    normal_plot_data,
+    run_study,
+)
 from .simulate import SimConfig, simulate
 
 __all__ = ["main", "load_series"]
-
-_CASES = {1: (Theta(0.1, 0.2, 1.0), 0.799), 2: (Theta(0.2, 0.2, 1.0), 0.599)}
 
 
 class _UsageError(Exception):
@@ -40,6 +45,11 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, **kwargs):
+        # no abbreviations: "--conf FILE" must not slip past the --config
+        # pre-pass as an abbreviation the full parser would accept
+        super().__init__(allow_abbrev=False, **kwargs)
+
     def error(self, message):
         raise _UsageError(message)
 
@@ -51,6 +61,8 @@ def _fmt(v) -> str:
         return str(int(v))
     if isinstance(v, float) or isinstance(v, np.floating):
         return f"{float(v):.17g}"
+    if isinstance(v, tuple):
+        return ",".join(_fmt(u) for u in v)
     return str(v)
 
 
@@ -108,25 +120,209 @@ def _is_number(s: str) -> bool:
         return False
 
 
-def _read_config(path) -> dict:
-    """Parse ``key = value`` lines; keys use long-flag spelling."""
-    out = {}
-    p = Path(path)
-    if not p.exists():
-        raise DataError(f"config file {p} does not exist")
-    for lineno, line in enumerate(open(p), start=1):
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise DataError(f"{p}:{lineno}: expected 'key = value'")
-        key, value = (part.strip() for part in line.split("=", 1))
-        out[key.replace("-", "_")] = value
-    return out
+def _with_config(argv: list) -> list:
+    """argv with ``--config FILE`` replaced by the file's lines read as
+    flags, ``key = value`` as ``--key=value`` and a bare ``key`` as
+    ``--key``, placed right after the command so that the command line's
+    own flags win."""
+    pre = _Parser(add_help=False)
+    pre.add_argument("--config")
+    known, rest = pre.parse_known_args(argv)
+    if known.config is None:
+        return rest
+    path = Path(known.config)
+    if not path.exists():
+        raise DataError(f"config file {path} does not exist")
+    flags = []
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.split("#", 1)[0].strip()
+            if not line:
+                continue
+            key, sep, value = (part.strip() for part in line.partition("="))
+            key = key.replace("_", "-")
+            if key in ("", "config"):
+                raise _UsageError(f"{path}:{lineno}: expected 'key = value' "
+                                  f"with a key other than config")
+            flags.append(f"--{key}={value}" if sep else f"--{key}")
+    return rest[:1] + flags + rest[1:]
 
 
-def _write_meta(outdir: Path, command: str, resolved: dict) -> None:
-    with open(outdir / f"{command}_meta.txt", "w") as fh:
+def _int_from(lowest: int):
+    """argparse type: an integer no smaller than ``lowest``."""
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < lowest:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer >= {lowest}, got {text!r}")
+        return value
+    return parse
+
+
+def _switch(text):
+    """argparse type of a switch given a value, as a config file gives
+    it: 1/true/yes turn it on and 0/false/no turn it off."""
+    value = {"1": True, "true": True, "yes": True,
+             "0": False, "false": False, "no": False}.get(text.lower())
+    if value is None:
+        raise argparse.ArgumentTypeError(
+            f"expected 1/0, true/false or yes/no, got {text!r}")
+    return value
+
+
+# a switch is on when given bare and takes an explicit value too
+_SWITCH = dict(nargs="?", const=True, default=False, type=_switch,
+               metavar="1|0")
+
+
+def _csv(*kinds):
+    """argparse type: comma-separated values, one per entry of ``kinds``,
+    or any number of them when a single kind is given."""
+    def parse(text):
+        items = text.split(",")
+        types = kinds * len(items) if len(kinds) == 1 else kinds
+        if len(items) != len(types):
+            raise argparse.ArgumentTypeError(
+                f"expected {len(types)} comma-separated values, got {text!r}")
+        try:
+            return tuple(kind(item) for kind, item in zip(types, items))
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"not a comma-separated list of numbers: {text!r}")
+    return parse
+
+
+_FLAGS = {
+    "d": dict(type=float, help="long-memory exponent d"),
+    "c": dict(type=float, help="weight scale c"),
+    "a": dict(type=float, help="intercept a"),
+    "eps": dict(type=float, help="regularization epsilon"),
+    "beta": dict(type=float, help="window exponent beta"),
+    "n": dict(type=int, default=1000, help="sample size"),
+    "burn-in": dict(type=int, default=10_000, help="pre-sample length"),
+    "trunc": dict(type=int, default=2000, help="lag truncation order J"),
+    "seed": dict(type=int, default=0, help="base seed"),
+    "out": dict(default=".", help="output directory"),
+    "case": dict(type=int, choices=(1, 2),
+                 help="preset for the d, c, a, eps and beta not given"),
+    "family": dict(default="power", choices=("power", "farima"),
+                   help="coefficient family"),
+}
+
+
+def _build_parser() -> _Parser:
+    parser = _Parser(prog="larchpmle",
+                     description="LARCH volatility simulation and estimation")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def command(name, run, help, *shared):
+        p = sub.add_parser(name, help=help)
+        for flag in shared:
+            p.add_argument(f"--{flag}", **_FLAGS[flag])
+        p.add_argument("--config", metavar="FILE",
+                       help="file of 'key = value' lines read as flags "
+                            "(explicit flags win)")
+        p.set_defaults(run=run)
+        return p
+
+    command("simulate", _cmd_simulate, "simulate a path and write CSV",
+            "d", "c", "a", "n", "burn-in", "trunc", "seed", "out", "case",
+            "family")
+
+    p = command("estimate", _cmd_estimate,
+                "estimate parameters from a series",
+                "eps", "beta", "out", "family")
+    p.add_argument("--input", required=True,
+                   help="input CSV of observations")
+    p.add_argument("--variant", choices=("trunc", "bar"), default="trunc")
+    p.add_argument("--fix-d", type=float)
+    p.add_argument("--fix-c", type=float)
+    p.add_argument("--fix-a", type=float)
+
+    p = command("mc", _cmd_mc, "replication study (rows + summary CSVs)",
+                "case", "seed", "out", "eps", "beta", "d", "c", "a",
+                "burn-in", "trunc")
+    p.add_argument("--n", type=_csv(int), default=(1000,),
+                   help="sample sizes, comma separated")
+    p.add_argument("--replicates", type=_int_from(1), default=100,
+                   help="Monte-Carlo replicates per sample size")
+    p.add_argument("--trim", type=_int_from(0), default=10,
+                   help="smallest estimates dropped in the trimmed summary")
+    p.add_argument("--threads", type=_int_from(1), default=1,
+                   help="worker processes")
+    p.add_argument("--estimate-all", **_SWITCH,
+                   help="estimate (d, c, a) jointly instead of d only")
+
+    p = command("landscape", _cmd_landscape, "loss profile in d per epsilon",
+                "a", "c", "n", "seed", "out", "beta", "burn-in", "trunc")
+    p.set_defaults(n=2000, c=0.1, a=1.0, beta=0.599)
+    p.add_argument("--true-d", type=float, default=0.4,
+                   help="d used to simulate the evaluated path")
+    p.add_argument("--eps-list", type=_csv(float),
+                   default=(0.01, 0.001, 0.0001, 0.0),
+                   help="comma-separated epsilons")
+    p.add_argument("--d-grid", type=_csv(float, float, _int_from(1)),
+                   default=(0.0, 0.45, 91), metavar="MIN,MAX,POINTS",
+                   help="the d grid")
+
+    p = command("acf", _cmd_acf, "sample autocorrelations of x or x^2",
+                "d", "c", "a", "n", "burn-in", "trunc", "seed", "out", "case")
+    p.add_argument("--max-lag", type=int, default=50)
+    p.add_argument("--raw", **_SWITCH, help="ACF of x instead of x^2")
+    p.add_argument("--fit", type=_csv(float, float), metavar="KMIN,KMAX",
+                   help="also write a log-log decay fit over this lag range")
+
+    p = command("asymcov", _cmd_asymcov, "sandwich covariance by simulation",
+                "d", "c", "a", "eps", "burn-in", "trunc", "seed", "out",
+                "case")
+    p.add_argument("--path-length", type=int, default=500_000)
+
+    p = command("check-moments", _cmd_check_moments,
+                "moment-condition report", "d", "c", "a", "case", "family")
+    p.add_argument("--orders", type=_csv(int), default=(4, 5),
+                   help="orders p for the higher-moment conditions")
+
+    p = command("rates", _cmd_rates,
+                "predicted rates and score-gap estimate",
+                "d", "c", "a", "n", "beta", "eps", "seed", "burn-in", "out",
+                "case")
+    p.add_argument("--replicates", type=_int_from(0), default=0,
+                   help="score-gap replicates (0: predictions only)")
+    return parser
+
+
+def _apply_preset(args) -> None:
+    """Fill each of d, c, a, eps and beta that the command takes but was
+    not given from the ``--case`` preset.  Without ``--case`` the preset is
+    case 1's theta and epsilon, and beta stays unset."""
+    case = getattr(args, "case", None)
+    cfg = case_study(case or 1)
+    preset = dict(d=cfg.theta0.d, c=cfg.theta0.c, a=cfg.theta0.a,
+                  eps=cfg.epsilon, beta=cfg.beta if case else None)
+    for flag, value in preset.items():
+        if flag in vars(args) and getattr(args, flag) is None:
+            setattr(args, flag, value)
+
+
+def _resolved(args, **extra) -> dict:
+    """The values a run used: every flag but where output goes and how
+    many workers ran, plus ``extra``."""
+    skip = ("run", "out", "threads")
+    return {k: v for k, v in vars(args).items()
+            if k not in skip and v is not None} | extra
+
+
+def _outdir(args) -> Path:
+    outdir = Path(args.out)
+    outdir.mkdir(parents=True, exist_ok=True)
+    return outdir
+
+
+def _write_meta(outdir: Path, resolved: dict) -> None:
+    with open(outdir / f"{resolved['command']}_meta.txt", "w") as fh:
         for k in sorted(resolved):
             fh.write(f"{k} = {_fmt(resolved[k])}\n")
 
@@ -143,193 +339,40 @@ def _write_csv(path: Path, header: str, rows, resolved: dict) -> None:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def _add_common(p, *names):
-    specs = {
-        "d": dict(type=float, default=None, help="long-memory exponent d"),
-        "c": dict(type=float, default=None, help="weight scale c"),
-        "a": dict(type=float, default=None, help="intercept a"),
-        "eps": dict(type=float, default=0.01, help="regularization epsilon"),
-        "beta": dict(type=float, default=None, help="window exponent beta"),
-        "n": dict(type=str, default="1000", help="sample size(s), comma separated"),
-        "burn-in": dict(type=int, default=10_000, help="pre-sample length"),
-        "trunc": dict(type=int, default=2000, help="lag truncation order J"),
-        "seed": dict(type=int, default=0, help="base seed"),
-        "replicates": dict(type=int, default=0, help="Monte-Carlo replicates"),
-        "trim": dict(type=int, default=10, help="summary trim count"),
-        "threads": dict(type=int, default=1, help="worker processes"),
-        "out": dict(type=str, default=".", help="output directory"),
-        "case": dict(type=int, default=None, choices=(1, 2), help="preset case"),
-        "input": dict(type=str, default=None, help="input CSV of observations"),
-        "family": dict(type=str, default="power", choices=("power", "farima"),
-                       help="coefficient family"),
-    }
-    for name in names:
-        p.add_argument(f"--{name}", **specs[name])
-    p.add_argument("--config", type=str, default=None,
-                   help="file of 'key = value' defaults (flags override)")
-
-
-def _resolve_case(args, default=None):
-    """Theta and beta from --case preset, overridden by explicit flags."""
-    theta = default or Theta(0.1, 0.2, 1.0)
-    beta = None
-    if args.case is not None:
-        theta, beta = _CASES[args.case]
-    d = theta.d if args.d is None else args.d
-    c = theta.c if args.c is None else args.c
-    a = theta.a if args.a is None else args.a
-    if getattr(args, "beta", None) is not None:
-        beta = args.beta
-    return Theta(d, c, a), beta
-
-
-def _n_list(arg) -> list:
-    try:
-        return [int(v) for v in str(arg).split(",") if v != ""]
-    except ValueError:
-        raise _UsageError(f"bad --n list: {arg!r}")
-
-
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="larchpmle",
-                     description="LARCH volatility simulation and estimation")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("simulate", help="simulate a path and write CSV")
-    _add_common(p, "d", "c", "a", "n", "burn-in", "trunc", "seed", "out",
-                "case", "family")
-
-    p = sub.add_parser("estimate", help="estimate parameters from a series")
-    _add_common(p, "input", "eps", "beta", "out", "family", "trunc")
-    p.add_argument("--variant", choices=("trunc", "bar"), default="trunc")
-    p.add_argument("--fix-d", type=float, default=None)
-    p.add_argument("--fix-c", type=float, default=None)
-    p.add_argument("--fix-a", type=float, default=None)
-
-    p = sub.add_parser("mc", help="replication study (rows + summary CSVs)")
-    _add_common(p, "case", "n", "replicates", "seed", "trim", "threads",
-                "out", "eps", "beta", "d", "c", "a", "burn-in", "trunc")
-    p.add_argument("--estimate-all", action="store_true",
-                   help="estimate (d, c, a) jointly instead of d only")
-
-    p = sub.add_parser("landscape", help="loss profile in d per epsilon")
-    _add_common(p, "a", "c", "n", "seed", "out", "beta", "burn-in", "trunc")
-    p.set_defaults(n="2000")
-    p.add_argument("--true-d", type=float, default=0.4,
-                   help="d used to simulate the evaluated path")
-    p.add_argument("--eps-list", type=str, default="0.01,0.001,0.0001,0",
-                   help="comma-separated epsilons")
-    p.add_argument("--d-grid", type=str, default="0,0.45,91",
-                   help="min,max,points for the d grid")
-
-    p = sub.add_parser("acf", help="sample autocorrelations of x or x^2")
-    _add_common(p, "d", "c", "a", "n", "burn-in", "trunc", "seed", "out",
-                "case")
-    p.add_argument("--max-lag", type=int, default=50)
-    p.add_argument("--raw", action="store_true",
-                   help="ACF of x instead of x^2")
-    p.add_argument("--fit", type=str, default=None, metavar="KMIN,KMAX",
-                   help="also write a log-log decay fit over this lag range")
-
-    p = sub.add_parser("asymcov", help="sandwich covariance by simulation")
-    _add_common(p, "d", "c", "a", "eps", "burn-in", "trunc", "seed", "out",
-                "case")
-    p.add_argument("--path-length", type=int, default=500_000)
-
-    p = sub.add_parser("check-moments", help="moment-condition report")
-    _add_common(p, "d", "c", "a", "case", "family")
-    p.add_argument("--orders", type=str, default="4,5",
-                   help="orders p for the higher-moment conditions")
-
-    p = sub.add_parser("rates", help="predicted rates and score-gap estimate")
-    _add_common(p, "d", "c", "a", "n", "beta", "eps", "seed", "replicates",
-                "burn-in", "out", "case")
-    return parser
-
-
-def _apply_config(parser, argv):
-    """Pre-parse --config and install its values as parser defaults."""
-    if "--config" not in argv:
-        return argv
-    idx = argv.index("--config")
-    if idx + 1 >= len(argv):
-        raise _UsageError("--config needs a file path")
-    values = _read_config(argv[idx + 1])
-    known = set()
-    for action in parser._subparsers._group_actions[0].choices[argv[0]]._actions:
-        for opt in action.option_strings:
-            known.add(opt.lstrip("-").replace("-", "_"))
-    unknown = set(values) - known
-    if unknown:
-        raise _UsageError(f"unknown config keys: {sorted(unknown)}")
-    sub = parser._subparsers._group_actions[0].choices[argv[0]]
-    sub.set_defaults(**{k: _coerce_default(sub, k, v)
-                        for k, v in values.items()})
-    return argv
-
-
-def _coerce_default(subparser, key, value):
-    for action in subparser._actions:
-        if action.dest == key:
-            if action.const is not None and not value:
-                return action.default
-            if isinstance(action, argparse._StoreTrueAction):
-                return value.lower() in ("1", "true", "yes")
-            if action.type is not None:
-                return action.type(value)
-            return value
-    return value
-
-
 def _cmd_simulate(args) -> int:
-    theta, _ = _resolve_case(args)
-    n = _n_list(args.n)[0]
-    spec = CoeffSpec(args.family, args.trunc)
-    cfg = SimConfig(n=n, burn_in=args.burn_in, J=args.trunc, seed=args.seed)
-    sample = simulate(spec, theta, cfg)
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    resolved = dict(command="simulate", d=theta.d, c=theta.c, a=theta.a,
-                    n=n, burn_in=args.burn_in, trunc=args.trunc,
-                    seed=args.seed, family=args.family)
+    sample = simulate(CoeffSpec(args.family, args.trunc),
+                      Theta(args.d, args.c, args.a),
+                      SimConfig(n=args.n, burn_in=args.burn_in, J=args.trunc,
+                                seed=args.seed))
+    outdir = _outdir(args)
+    resolved = _resolved(args)
     with open(outdir / "simulate.csv", "w") as fh:
         sample.to_csv(fh, comment=_comment(resolved))
-    _write_meta(outdir, "simulate", resolved)
+    _write_meta(outdir, resolved)
     print(f"wrote {outdir / 'simulate.csv'}")
     return 0
 
 
 def _cmd_estimate(args) -> int:
-    if args.input is None:
-        raise _UsageError("estimate requires --input")
-    x = load_series(args.input)
-    spec = CoeffSpec(args.family, args.trunc)
-    if args.variant == "trunc":
-        beta = args.beta if args.beta is not None else 0.799
-        lspec = LossSpec("trunc", args.eps, beta=beta)
-    else:
-        beta = None
+    if args.variant == "bar":
+        if args.beta is not None:
+            raise _UsageError("--beta applies only to --variant trunc")
         lspec = LossSpec("bar", args.eps)
-    fix = {}
-    if args.fix_d is not None:
-        fix["d"] = args.fix_d
-    if args.fix_c is not None:
-        fix["c"] = args.fix_c
-    if args.fix_a is not None:
-        fix["a"] = args.fix_a
-    res = estimate(lspec, spec, x, fix=fix or None)
+    else:
+        args.beta = 0.799 if args.beta is None else args.beta
+        lspec = LossSpec("trunc", args.eps, beta=args.beta)
+    x = load_series(args.input)
+    fix = {k: getattr(args, f"fix_{k}") for k in "dca"
+           if getattr(args, f"fix_{k}") is not None}
+    res = estimate(lspec, CoeffSpec(args.family), x, fix=fix or None)
     th = res.theta_hat
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    resolved = dict(command="estimate", input=args.input, eps=args.eps,
-                    variant=args.variant, family=args.family, n=len(x),
-                    **({"beta": beta} if beta is not None else {}),
-                    **{f"fix_{k}": v for k, v in fix.items()})
+    outdir = _outdir(args)
+    resolved = _resolved(args, n=len(x))
     _write_csv(outdir / "estimate.csv",
                "d_hat,c_hat,a_hat,loss,converged,at_boundary",
                [(th.d, th.c, th.a, res.loss_at_opt, res.converged,
                  res.at_boundary)], resolved)
-    _write_meta(outdir, "estimate", resolved)
+    _write_meta(outdir, resolved)
     print(f"d_hat={_fmt(th.d)} c_hat={_fmt(th.c)} a_hat={_fmt(th.a)} "
           f"loss={_fmt(res.loss_at_opt)} converged={res.converged} "
           f"at_boundary={res.at_boundary}")
@@ -337,40 +380,28 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_mc(args) -> int:
-    n_values = tuple(_n_list(args.n))
-    reps = args.replicates or 100
-    if args.case is not None:
-        cfg = case_study(args.case, n_values=n_values, replicates=reps,
-                         base_seed=args.seed, trim=args.trim,
-                         burn_in=args.burn_in,
-                         estimate_params="dca" if args.estimate_all else "d")
-        label = cfg.label
-    else:
-        theta, beta = _resolve_case(args)
-        if beta is None:
-            raise _UsageError("mc without --case requires --beta")
-        from .montecarlo import StudyConfig
-        label = "custom"
-        cfg = StudyConfig(label=label, theta0=theta, epsilon=args.eps,
-                          beta=beta, n_values=n_values, replicates=reps,
-                          base_seed=args.seed, trim=args.trim,
-                          burn_in=args.burn_in,
-                          estimate_params="dca" if args.estimate_all else "d")
-    report = run_study(cfg, workers=max(1, args.threads))
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    resolved = dict(command="mc", case=label, n=",".join(map(str, n_values)),
-                    replicates=reps, seed=args.seed, trim=args.trim,
-                    eps=cfg.epsilon, beta=cfg.beta, d=cfg.theta0.d,
-                    c=cfg.theta0.c, a=cfg.theta0.a, burn_in=cfg.burn_in,
-                    estimate=cfg.estimate_params)
+    if args.beta is None:
+        raise _UsageError("mc without --case requires --beta")
+    # the trimmed normal plot needs at least two estimates per n
+    if args.trim > args.replicates - 2:
+        raise _UsageError(f"--trim {args.trim} must be at most --replicates "
+                          f"{args.replicates} minus 2")
+    label = f"case{args.case}" if args.case else "custom"
+    cfg = StudyConfig(label=label, theta0=Theta(args.d, args.c, args.a),
+                      epsilon=args.eps, beta=args.beta, n_values=args.n,
+                      replicates=args.replicates, base_seed=args.seed,
+                      trim=args.trim, burn_in=args.burn_in, J=args.trunc,
+                      estimate_params="dca" if args.estimate_all else "d")
+    report = run_study(cfg, workers=args.threads)
+    outdir = _outdir(args)
+    resolved = _resolved(args, case=label)
     _write_csv(outdir / "rows.csv",
                "case,n,replicate,seed,d_hat,c_hat,a_hat,loss,converged,at_boundary",
                [(label, r.n, r.replicate, r.seed, r.d_hat, r.c_hat, r.a_hat,
                  r.loss, r.converged, r.at_boundary) for r in report.rows],
                resolved)
     stat_rows = []
-    for n in n_values:
+    for n in cfg.n_values:
         summ = report.summaries[n]
         if summ is None:
             continue
@@ -381,7 +412,7 @@ def _cmd_mc(args) -> int:
                 stat_rows.append((label, n, trimmed, stat, getattr(sr, stat)))
     _write_csv(outdir / "summary.csv", "case,n,trimmed,stat,value",
                stat_rows, resolved)
-    for n in n_values:
+    for n in cfg.n_values:
         d_hats = [r.d_hat for r in report.rows if r.n == n]
         pairs = normal_plot_data(d_hats)
         _write_csv(outdir / f"normplot_all_n{n}.csv", "q_theoretical,value",
@@ -390,85 +421,65 @@ def _cmd_mc(args) -> int:
         pairs = normal_plot_data(trimmed)
         _write_csv(outdir / f"normplot_trimmed_n{n}.csv",
                    "q_theoretical,value", pairs, resolved)
-    _write_meta(outdir, "mc", resolved)
+    _write_meta(outdir, resolved)
     print(f"wrote rows.csv and summary.csv to {outdir}")
     return 0
 
 
 def _cmd_landscape(args) -> int:
-    theta0 = Theta(args.true_d, args.c if args.c is not None else 0.1,
-                   args.a if args.a is not None else 1.0)
-    n = _n_list(args.n)[0]
     spec = CoeffSpec("power", args.trunc)
-    sample = simulate(spec, theta0,
-                      SimConfig(n=n, burn_in=args.burn_in, J=args.trunc,
+    sample = simulate(spec, Theta(args.true_d, args.c, args.a),
+                      SimConfig(n=args.n, burn_in=args.burn_in, J=args.trunc,
                                 seed=args.seed))
-    beta = args.beta if args.beta is not None else 0.599
-    lspec = LossSpec("trunc", 0.01, beta=beta)
-    lo, hi, count = (float(v) for v in args.d_grid.split(","))
-    d_grid = np.linspace(lo, hi, int(count))
-    eps_list = [float(v) for v in args.eps_list.split(",")]
-    rows = landscape(lspec, spec, theta0.c, theta0.a, sample.x_obs,
-                     d_grid, eps_list)
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    resolved = dict(command="landscape", true_d=theta0.d, c=theta0.c,
-                    a=theta0.a, n=n, beta=beta, seed=args.seed,
-                    burn_in=args.burn_in, trunc=args.trunc,
-                    eps_list=args.eps_list)
+    lo, hi, count = args.d_grid
+    rows = landscape(LossSpec("trunc", 0.01, beta=args.beta), spec, args.c,
+                     args.a, sample.x_obs, np.linspace(lo, hi, count),
+                     args.eps_list)
+    outdir = _outdir(args)
+    resolved = _resolved(args)
     _write_csv(outdir / "landscape.csv", "epsilon,d,loss", rows, resolved)
-    _write_meta(outdir, "landscape", resolved)
+    _write_meta(outdir, resolved)
     print(f"wrote {outdir / 'landscape.csv'}")
     return 0
 
 
 def _cmd_acf(args) -> int:
-    theta, _ = _resolve_case(args)
-    n = _n_list(args.n)[0]
-    spec = CoeffSpec("power", args.trunc)
-    sample = simulate(spec, theta,
-                      SimConfig(n=n, burn_in=args.burn_in, J=args.trunc,
+    sample = simulate(CoeffSpec("power", args.trunc),
+                      Theta(args.d, args.c, args.a),
+                      SimConfig(n=args.n, burn_in=args.burn_in, J=args.trunc,
                                 seed=args.seed))
     rho = acf(sample.x_obs, args.max_lag, on_squares=not args.raw)
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    resolved = dict(command="acf", d=theta.d, c=theta.c, a=theta.a, n=n,
-                    seed=args.seed, burn_in=args.burn_in,
-                    max_lag=args.max_lag, squares=not args.raw)
+    outdir = _outdir(args)
+    resolved = _resolved(args)
     _write_csv(outdir / "acf.csv", "lag,acf",
                list(enumerate(rho)), resolved)
     if args.fit is not None:
-        k_min, k_max = (float(v) for v in args.fit.split(","))
         pairs = [(k, rho[k]) for k in range(1, args.max_lag + 1)]
-        fit = fit_decay(pairs, k_min, k_max)
+        fit = fit_decay(pairs, *args.fit)
         with open(outdir / "acf_decay.csv", "w") as fh:
             write_decay_csv(fh, pairs, fit, comment=_comment(resolved))
         print(f"decay fit: slope={_fmt(fit.slope)} r2={_fmt(fit.r2)}")
-    _write_meta(outdir, "acf", resolved)
+    _write_meta(outdir, resolved)
     print(f"wrote {outdir / 'acf.csv'}")
     return 0
 
 
 def _cmd_asymcov(args) -> int:
-    theta, _ = _resolve_case(args)
-    spec = CoeffSpec("power", args.trunc)
-    res = sandwich(spec, theta, args.eps, gaussian_moments(8),
-                   path_length=args.path_length, burn_in=args.burn_in,
-                   J=args.trunc, seed=args.seed)
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    resolved = dict(command="asymcov", d=theta.d, c=theta.c, a=theta.a,
-                    eps=args.eps, path_length=args.path_length,
-                    seed=args.seed, burn_in=args.burn_in, trunc=args.trunc)
+    res = sandwich(CoeffSpec("power", args.trunc),
+                   Theta(args.d, args.c, args.a), args.eps,
+                   gaussian_moments(8), path_length=args.path_length,
+                   burn_in=args.burn_in, J=args.trunc, seed=args.seed)
+    outdir = _outdir(args)
     names = ("d", "c", "a")
     rows = [(names[i], names[j], res.G[i, j], res.H[i, j], res.cov[i, j])
             for i in range(3) for j in range(3)]
     path = outdir / "asymcov.csv"
+    resolved = _resolved(args)
     _write_csv(path, "entry_i,entry_j,G,H,cov", rows, resolved)
     with open(path, "a") as fh:
         fh.write(f"# sd_d={_fmt(res.sd[0])},sd_c={_fmt(res.sd[1])},"
                  f"sd_a={_fmt(res.sd[2])}\n")
-    _write_meta(outdir, "asymcov", resolved)
+    _write_meta(outdir, resolved)
     print(f"sd_d={_fmt(res.sd[0])} sd_c={_fmt(res.sd[1])} "
           f"sd_a={_fmt(res.sd[2])} (joint: "
           f"{','.join(_fmt(v) for v in res.sd_joint)})")
@@ -476,11 +487,10 @@ def _cmd_asymcov(args) -> int:
 
 
 def _cmd_check_moments(args) -> int:
-    theta, _ = _resolve_case(args)
-    spec = CoeffSpec(args.family, 2000)
-    orders = [int(v) for v in args.orders.split(",")]
-    report = check_moment_conditions(spec, theta, gaussian_moments(
-        max(orders + [3])), ps=orders)
+    theta = Theta(args.d, args.c, args.a)
+    report = check_moment_conditions(
+        CoeffSpec(args.family, 2000), theta,
+        gaussian_moments(max(args.orders + (3,))), ps=args.orders)
     print(f"theta = (d={_fmt(theta.d)}, c={_fmt(theta.c)}, a={_fmt(theta.a)})")
     print(f"M3      : lhs={_fmt(report.m3.lhs)} holds={report.m3.holds}")
     for p, chk in sorted(report.mp_prime.items()):
@@ -491,53 +501,35 @@ def _cmd_check_moments(args) -> int:
 
 
 def _cmd_rates(args) -> int:
-    theta, beta = _resolve_case(args)
-    if beta is None:
+    if args.beta is None:
         raise _UsageError("rates requires --beta or --case")
-    n = _n_list(args.n)[0]
-    pred = predicted_rate(n, beta, theta.d)
+    theta = Theta(args.d, args.c, args.a)
+    pred = predicted_rate(args.n, args.beta, args.d)
     print(f"score_gap_order={_fmt(pred.score_gap_order)} "
           f"rate_exponent={_fmt(pred.rate_exponent)} regime={pred.regime}")
     if args.replicates > 0:
-        spec = CoeffSpec("power", 2000)
-        gap = score_gap(spec, theta, args.eps, n, beta, args.replicates,
-                        base_seed=args.seed, burn_in=args.burn_in)
+        gap = score_gap(CoeffSpec("power", 2000), theta, args.eps, args.n,
+                        args.beta, args.replicates, base_seed=args.seed,
+                        burn_in=args.burn_in)
         print(f"empirical_gap={_fmt(gap.empirical)} "
               f"(replicates={args.replicates})")
-        outdir = Path(args.out)
-        outdir.mkdir(parents=True, exist_ok=True)
-        resolved = dict(command="rates", d=theta.d, c=theta.c, a=theta.a,
-                        n=n, beta=beta, eps=args.eps, seed=args.seed,
-                        replicates=args.replicates)
+        outdir = _outdir(args)
+        resolved = _resolved(args)
         _write_csv(outdir / "rates.csv",
                    "n,beta,d,score_gap_order,rate_exponent,regime,empirical_gap",
-                   [(n, beta, theta.d, pred.score_gap_order,
+                   [(args.n, args.beta, args.d, pred.score_gap_order,
                      pred.rate_exponent, pred.regime, gap.empirical)],
                    resolved)
-        _write_meta(outdir, "rates", resolved)
+        _write_meta(outdir, resolved)
     return 0
-
-
-_COMMANDS = {
-    "simulate": _cmd_simulate,
-    "estimate": _cmd_estimate,
-    "mc": _cmd_mc,
-    "landscape": _cmd_landscape,
-    "acf": _cmd_acf,
-    "asymcov": _cmd_asymcov,
-    "check-moments": _cmd_check_moments,
-    "rates": _cmd_rates,
-}
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = _build_parser()
     try:
-        if argv and argv[0] in _COMMANDS:
-            argv = _apply_config(parser, argv)
-        args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args)
+        args = _build_parser().parse_args(_with_config(argv))
+        _apply_preset(args)
+        return args.run(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

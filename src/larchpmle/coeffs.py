@@ -169,17 +169,14 @@ def _farima_pi(d: float, J: int) -> np.ndarray:
 
 
 def _farima_pi_deriv(d: float, J: int) -> np.ndarray:
-    """d/dd of pi_j, by differentiating the recurrence (exact at d = 0)."""
-    pi = np.empty(J)
-    dpi = np.empty(J)
-    pi_prev, dpi_prev = 1.0, 0.0         # pi_0 = 1 has zero derivative
-    for j in range(1, J + 1):
-        f = (j - 1.0 + d) / j
-        pi_j = pi_prev * f
-        dpi_j = dpi_prev * f + pi_prev / j
-        pi[j - 1], dpi[j - 1] = pi_j, dpi_j
-        pi_prev, dpi_prev = pi_j, dpi_j
-    return dpi
+    """d/dd of pi_j by the log-derivative identity, factored to stay exact
+    at d = 0: pi'_j = (pi_j / d) (1 + d sum_{i=2..j} 1 / (i - 1 + d))."""
+    j = np.arange(1, J + 1, dtype=float)
+    factors = (j - 1.0 + d) / j
+    factors[0] = 1.0                     # pi_j / d omits the first factor d
+    sums = np.zeros(J)                   # sum_{i=2..j} 1 / (i - 1 + d)
+    sums[1:] = np.cumsum(1.0 / (j[1:] - 1.0 + d))
+    return np.cumprod(factors) * (1.0 + d * sums)
 
 
 def _farima_sum_sq_unit(d: float) -> float:

@@ -209,8 +209,10 @@ class PathEvaluator:
             out[:] = conv[lo: lo + self.w]
         return out
 
-    def _lag_sums(self, theta: Theta, derivatives: int):
-        """Convolutions of the data with the kernel and its d-derivatives."""
+    def lag_sums(self, theta: Theta, derivatives: int):
+        """Window lag sums (v0, v1, v2) of the data against the unit-scale
+        kernel b_j / c and its first and second d-derivatives; entries
+        beyond ``derivatives`` are None."""
         if self.spec.family == "power":
             k0 = np.exp((theta.d - 1.0) * self.logj)
             v0 = self._convolve(k0)
@@ -234,7 +236,7 @@ class PathEvaluator:
     def __call__(self, theta: Theta, epsilon: float | None = None,
                  derivatives: int = 2) -> LossEval:
         eps = self.lspec.epsilon if epsilon is None else float(epsilon)
-        v0, v1, v2 = self._lag_sums(theta, derivatives)
+        v0, v1, v2 = self.lag_sums(theta, derivatives)
         sig = theta.a + theta.c * v0
         s2e = sig * sig + eps
         with np.errstate(divide="ignore", invalid="ignore"):

@@ -116,10 +116,13 @@ class TestConfigFile:
     def test_defaults_from_file(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("n = 32\nseed = 13\nburn-in = 40\n")
-        rc = run_cli("simulate", "--case", "1", "--config", str(cfg),
-                     "--out", str(tmp_path))
-        assert rc == 0
-        assert "n = 32" in (tmp_path / "simulate_meta.txt").read_text()
+        for i, spelling in enumerate((["--config", str(cfg)],
+                                      [f"--config={cfg}"])):
+            out = tmp_path / str(i)
+            rc = run_cli("simulate", "--case", "1", *spelling,
+                         "--out", str(out))
+            assert rc == 0
+            assert "n = 32" in (out / "simulate_meta.txt").read_text()
 
     def test_flags_override_file(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -133,6 +136,20 @@ class TestConfigFile:
         cfg = tmp_path / "run.cfg"
         cfg.write_text("frobnicate = 3\n")
         assert run_cli("simulate", "--config", str(cfg)) == 1
+
+    @pytest.mark.parametrize("line,raw", [("raw", 1), ("raw = yes", 1),
+                                          ("raw = 0", 0), ("raw = maybe", None)])
+    def test_switch_from_file(self, tmp_path, line, raw):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{line}\n")
+        rc = run_cli("acf", "--config", str(cfg), "--n", "200", "--burn-in",
+                     "10", "--max-lag", "3", "--out", str(tmp_path / "o"))
+        if raw is None:
+            assert rc == 1 and not (tmp_path / "o").exists()
+        else:
+            assert rc == 0
+            meta = (tmp_path / "o" / "acf_meta.txt").read_text()
+            assert f"raw = {raw}" in meta.splitlines()
 
 
 class TestOtherCommands:
@@ -193,3 +210,87 @@ class TestOtherCommands:
         assert lines[1] == "case,n,trimmed,stat,value"
         assert (tmp_path / "normplot_all_n300.csv").exists()
         assert (tmp_path / "normplot_trimmed_n300.csv").exists()
+
+
+@pytest.fixture(scope="module")
+def series(tmp_path_factory):
+    out = tmp_path_factory.mktemp("series")
+    assert run_cli("simulate", "--case", "1", "--n", "400", "--burn-in", "100",
+                   "--seed", "7", "--out", str(out)) == 0
+    return out / "simulate.csv"
+
+
+REJECTED = [
+    "mc --case 1 --replicates 0 --out {out}",
+    "mc --case 1 --n 300 --replicates 4 --out {out}",      # default --trim 10
+    "mc --case 1 --n 300 --replicates 5 --trim 4 --out {out}",
+    "mc --n 300 --replicates 5 --trim 1 --out {out}",      # no --case, --beta
+    "mc --case 1 --n 300,x --out {out}",
+    "mc --case 1 --threads 0 --out {out}",
+    "simulate --n 50,60 --out {out}",
+    "simulate --n , --out {out}",
+    "simulate --case 1 --conf x --out {out}",
+    "estimate --input {input} --variant bar --beta 0.3 --out {out}",
+    "estimate --input {input} --trunc 50 --out {out}",
+    "landscape --d-grid 0,1 --out {out}",
+    "landscape --d-grid 0,0.4,0 --out {out}",
+    "landscape --eps-list 0.01, --out {out}",
+    "acf --fit 2 --out {out}",
+    "check-moments --orders 4,x",
+    "rates --n 300 --replicates 2 --out {out}",             # no --case, --beta
+    "rates --case 1 --replicates -1 --out {out}",
+]
+
+
+@pytest.mark.parametrize("argv", REJECTED)
+def test_rejected_before_any_work(argv, tmp_path, series, capsys):
+    out = tmp_path / "out"
+    args = argv.format(out=out, input=series).split()
+    assert run_cli(*args) == 1
+    err = capsys.readouterr().err
+    assert "usage error" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def meta_line(key, value):
+    return f"{key} = {value:.17g}" if isinstance(value, float) else \
+        f"{key} = {value}"
+
+
+# (command line, overriding flags, output file, meta values of the override)
+HONOURED = [
+    ("simulate --case 2 --n 16 --burn-in 10", "--d 0.3 --a 1.5",
+     "simulate.csv", dict(d=0.3, c=0.2, a=1.5)),
+    ("mc --case 1 --n 300 --replicates 4 --trim 1 --burn-in 100",
+     "--eps 0.5 --beta 0.5 --d 0.3 --trunc 50", "rows.csv",
+     dict(eps=0.5, beta=0.5, d=0.3, c=0.2, trunc=50, replicates=4)),
+    ("estimate --input {input} --fix-c 0.2 --fix-a 1.0", "--beta 0.5",
+     "estimate.csv", dict(beta=0.5, variant="trunc", eps=0.01)),
+    ("acf --case 2 --n 500 --burn-in 200 --max-lag 7", "--trunc 100 --c 0.3",
+     "acf.csv", dict(trunc=100, c=0.3, d=0.2)),
+    ("landscape --n 300 --burn-in 200 --eps-list 0.01 --d-grid 0,0.4,3",
+     "--d-grid 0,0.25,3 --beta 0.5", "landscape.csv",
+     dict(d_grid="0,0.25,3", beta=0.5)),
+    ("asymcov --case 1 --path-length 4000 --burn-in 2100",
+     "--eps 0.05 --d 0.2", "asymcov.csv", dict(eps=0.05, d=0.2, trunc=2000)),
+    ("rates --case 2 --n 300 --replicates 2 --burn-in 100",
+     "--beta 0.5 --eps 0.1", "rates.csv", dict(beta=0.5, eps=0.1, d=0.2)),
+]
+
+
+@pytest.mark.parametrize("base,flags,output,expected", HONOURED,
+                         ids=[row[0].split()[0] for row in HONOURED])
+def test_explicit_flags_honoured(base, flags, output, expected, tmp_path,
+                                 series):
+    results = []
+    for i, extra in enumerate(("", flags)):
+        out = tmp_path / str(i)
+        args = f"{base} {extra} --out {out}".format(input=series).split()
+        assert run_cli(*args) == 0
+        results.append((out / output).read_text().splitlines()[1:])
+    command = base.split()[0]
+    meta = (out / f"{command}_meta.txt").read_text().splitlines()
+    for key, value in expected.items():
+        assert meta_line(key, value) in meta
+    assert results[0] != results[1]

@@ -31,6 +31,18 @@ from larchpmle.errors import (
 from conftest import brute_zeta_tail
 
 
+def farima_pi_deriv_loop(d, J):
+    """Reference: d/dd of pi_j by differentiating the recurrence
+    pi_j = pi_{j-1} (j - 1 + d) / j one lag at a time."""
+    dpi = np.empty(J)
+    pi_prev, dpi_prev = 1.0, 0.0         # pi_0 = 1 has zero derivative
+    for j in range(1, J + 1):
+        f = (j - 1.0 + d) / j
+        dpi[j - 1] = dpi_prev * f + pi_prev / j
+        pi_prev, dpi_prev = pi_prev * f, dpi[j - 1]
+    return dpi
+
+
 class TestPowerCoeff:
     def test_j1_equals_c(self, spec):
         assert coeff(spec, Theta(0.4, 0.1, 1.0), 1) == 0.1
@@ -131,6 +143,13 @@ class TestFarima:
                 got = coeff_deriv(farima_spec, Theta(d, 1.0, 1.0), j,
                                   order_d=1)
                 assert got == pytest.approx(fd, rel=1e-4, abs=1e-8)
+
+    @pytest.mark.parametrize("d", [0.0, 1e-9, 0.1, 0.25, 0.449])
+    def test_deriv_weights_match_recurrence_loop(self, farima_spec, d):
+        got = deriv_weights(farima_spec, Theta(d, 1.0, 1.0), 20_000,
+                            order_d=1)
+        want = farima_pi_deriv_loop(d, 20_000)
+        assert np.max(np.abs(got - want) / np.abs(want)) < 1e-12
 
     def test_high_order_unsupported(self, farima_spec):
         with pytest.raises(UnsupportedError):
