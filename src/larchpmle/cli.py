@@ -4,8 +4,9 @@ Every input is resolved in one step, into one namespace.  The lines of a
 ``--config FILE`` (or ``--config=FILE``) are read as flags placed before
 the command line's own, so argparse types and checks them and explicit
 flags win.  ``--case 1|2`` then fills each of ``--d --c --a --eps --beta``
-left unset from :func:`~larchpmle.montecarlo.case_study`.  Malformed
-values and conflicting flags are usage errors, raised before any work.
+left unset from :func:`~larchpmle.montecarlo.case_study`.  Malformed or
+out-of-range values and conflicting flags are usage errors, raised before
+any work.
 
 Every subcommand writes CSV files whose first line is a ``#`` comment
 recording the values that ran, plus a ``<command>_meta.txt`` sidecar with
@@ -201,8 +202,9 @@ _FLAGS = {
     "a": dict(type=float, help="intercept a"),
     "eps": dict(type=float, help="regularization epsilon"),
     "beta": dict(type=float, help="window exponent beta"),
-    "n": dict(type=int, default=1000, help="sample size"),
-    "burn-in": dict(type=int, default=10_000, help="pre-sample length"),
+    "n": dict(type=_int_from(2), default=1000, help="sample size"),
+    "burn-in": dict(type=_int_from(0), default=10_000,
+                    help="pre-sample length"),
     "trunc": dict(type=int, default=2000, help="lag truncation order J"),
     "seed": dict(type=int, default=0, help="base seed"),
     "out": dict(default=".", help="output directory"),
@@ -245,7 +247,7 @@ def _build_parser() -> _Parser:
     p = command("mc", _cmd_mc, "replication study (rows + summary CSVs)",
                 "case", "seed", "out", "eps", "beta", "d", "c", "a",
                 "burn-in", "trunc")
-    p.add_argument("--n", type=_csv(int), default=(1000,),
+    p.add_argument("--n", type=_csv(_int_from(2)), default=(1000,),
                    help="sample sizes, comma separated")
     p.add_argument("--replicates", type=_int_from(1), default=100,
                    help="Monte-Carlo replicates per sample size")
@@ -270,7 +272,7 @@ def _build_parser() -> _Parser:
 
     p = command("acf", _cmd_acf, "sample autocorrelations of x or x^2",
                 "d", "c", "a", "n", "burn-in", "trunc", "seed", "out", "case")
-    p.add_argument("--max-lag", type=int, default=50)
+    p.add_argument("--max-lag", type=_int_from(0), default=50)
     p.add_argument("--raw", **_SWITCH, help="ACF of x instead of x^2")
     p.add_argument("--fit", type=_csv(float, float), metavar="KMIN,KMAX",
                    help="also write a log-log decay fit over this lag range")
@@ -278,7 +280,7 @@ def _build_parser() -> _Parser:
     p = command("asymcov", _cmd_asymcov, "sandwich covariance by simulation",
                 "d", "c", "a", "eps", "burn-in", "trunc", "seed", "out",
                 "case")
-    p.add_argument("--path-length", type=int, default=500_000)
+    p.add_argument("--path-length", type=_int_from(1), default=500_000)
 
     p = command("check-moments", _cmd_check_moments,
                 "moment-condition report", "d", "c", "a", "case", "family")
@@ -444,18 +446,23 @@ def _cmd_landscape(args) -> int:
 
 
 def _cmd_acf(args) -> int:
+    if args.max_lag >= args.n:
+        raise _UsageError(f"--max-lag {args.max_lag} must be below --n "
+                          f"{args.n}")
     sample = simulate(CoeffSpec("power", args.trunc),
                       Theta(args.d, args.c, args.a),
                       SimConfig(n=args.n, burn_in=args.burn_in, J=args.trunc,
                                 seed=args.seed))
     rho = acf(sample.x_obs, args.max_lag, on_squares=not args.raw)
+    # fit before writing anything, so a failed fit leaves no output
+    if args.fit is not None:
+        pairs = [(k, rho[k]) for k in range(1, args.max_lag + 1)]
+        fit = fit_decay(pairs, *args.fit)
     outdir = _outdir(args)
     resolved = _resolved(args)
     _write_csv(outdir / "acf.csv", "lag,acf",
                list(enumerate(rho)), resolved)
     if args.fit is not None:
-        pairs = [(k, rho[k]) for k in range(1, args.max_lag + 1)]
-        fit = fit_decay(pairs, *args.fit)
         with open(outdir / "acf_decay.csv", "w") as fh:
             write_decay_csv(fh, pairs, fit, comment=_comment(resolved))
         print(f"decay fit: slope={_fmt(fit.slope)} r2={_fmt(fit.r2)}")
@@ -465,6 +472,9 @@ def _cmd_acf(args) -> int:
 
 
 def _cmd_asymcov(args) -> int:
+    if args.burn_in < args.trunc:
+        raise _UsageError(f"--burn-in {args.burn_in} must be at least "
+                          f"--trunc {args.trunc}")
     res = sandwich(CoeffSpec("power", args.trunc),
                    Theta(args.d, args.c, args.a), args.eps,
                    gaussian_moments(8), path_length=args.path_length,

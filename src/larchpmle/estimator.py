@@ -48,7 +48,11 @@ class OptimOptions:
 
 @dataclass(frozen=True)
 class EstimationResult:
-    """Minimizer, its loss, and convergence/boundary diagnostics."""
+    """Minimizer, its loss, and convergence/boundary diagnostics.
+
+    ``evaluations`` counts the objective calls of the whole search, coarse
+    grid included.
+    """
 
     theta_hat: Theta
     loss_at_opt: float
@@ -56,6 +60,7 @@ class EstimationResult:
     converged: bool
     at_boundary: bool
     start_used: int
+    evaluations: int
     variant: str | None = None
 
 
@@ -166,7 +171,11 @@ def minimize_box(objective, space: ParamSpace, opts: OptimOptions | None = None,
             raise ValidationError("fixed (d, c) violates the scale bound")
 
     raw = objective
+    evaluations = 0
+
     def fval(theta):
+        nonlocal evaluations
+        evaluations += 1
         out = raw(theta)
         v = out[0] if isinstance(out, tuple) else out
         v = float(v)
@@ -221,7 +230,7 @@ def minimize_box(objective, space: ParamSpace, opts: OptimOptions | None = None,
     _, theta, v, iters, conv, at_bnd, rank = best
     return EstimationResult(theta_hat=theta, loss_at_opt=v, iterations=iters,
                             converged=conv, at_boundary=at_bnd,
-                            start_used=rank)
+                            start_used=rank, evaluations=evaluations)
 
 
 def estimate(lspec: LossSpec, spec: CoeffSpec, data,
@@ -232,12 +241,15 @@ def estimate(lspec: LossSpec, spec: CoeffSpec, data,
     ``data`` follows the same conventions as :func:`larchpmle.likelihood.loss`.
     ``fix`` freezes parameters at known values (profile estimation).
     Estimation requires a strictly positive regularization epsilon and a
-    window of at least 10 points.
+    window of at least 10 points.  With d free, the evaluator tabulates the
+    lag sums over [0, d_u] once, so each loss value the search takes costs
+    a table lookup rather than a transform.
     """
     space = space or ParamSpace()
     if lspec.epsilon <= 0.0:
         raise ValidationError("estimation requires epsilon > 0")
-    ev = PathEvaluator(lspec, spec, data)
+    d_range = None if fix and "d" in fix else (0.0, space.d_u)
+    ev = PathEvaluator(lspec, spec, data, d_range=d_range)
     if ev.w < 10:
         raise WindowError(f"window of {ev.w} points is too small to estimate")
     objective = lambda theta: ev(theta, derivatives=0).value

@@ -126,7 +126,8 @@ def simulate(spec: CoeffSpec, theta0: Theta, cfg: SimConfig,
 
     sigma_1 = a, then sigma_t = a + sum_{j=1}^{min(J, t-1)} b_j x_{t-j} and
     x_t = eps_t sigma_t.  Deterministic given cfg.seed.  theta0 must lie in
-    the parameter space and satisfy sum b_j^2 < 1.
+    the parameter space and satisfy sum b_j^2 < 1.  A path that overflows
+    raises :class:`NumericError` naming the first non-finite step.
     """
     space = space or ParamSpace()
     space.validate(theta0, spec)
@@ -144,6 +145,10 @@ def simulate(spec: CoeffSpec, theta0: Theta, cfg: SimConfig,
         s = a + (b_rev[J - k:] @ x[t - k:t]) if k else a
         sig[t] = s
         x[t] = eps[t] * s
+    if not np.all(np.isfinite(x)):
+        bad = int(np.flatnonzero(~np.isfinite(x))[0]) + 1
+        raise NumericError(f"path is non-finite from step t = {bad} of "
+                           f"{total} (burn-in included)")
     return Sample(x=x, sigma=sig, eps=eps, config=cfg, theta=theta0,
                   spec=spec, first_retained=cfg.burn_in)
 

@@ -230,12 +230,16 @@ REJECTED = [
     "simulate --n 50,60 --out {out}",
     "simulate --n , --out {out}",
     "simulate --case 1 --conf x --out {out}",
+    "simulate --n -5 --out {out}",
     "estimate --input {input} --variant bar --beta 0.3 --out {out}",
     "estimate --input {input} --trunc 50 --out {out}",
     "landscape --d-grid 0,1 --out {out}",
     "landscape --d-grid 0,0.4,0 --out {out}",
     "landscape --eps-list 0.01, --out {out}",
     "acf --fit 2 --out {out}",
+    "acf --max-lag -1 --out {out}",
+    "acf --n 500 --max-lag 500 --out {out}",
+    "asymcov --burn-in 100 --out {out}",                     # below --trunc
     "check-moments --orders 4,x",
     "rates --n 300 --replicates 2 --out {out}",             # no --case, --beta
     "rates --case 1 --replicates -1 --out {out}",
@@ -251,6 +255,16 @@ def test_rejected_before_any_work(argv, tmp_path, series, capsys):
     assert "usage error" in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+def test_failed_acf_fit_leaves_no_output(tmp_path, capsys):
+    # the decay fit has too few positive pairs in 1..7 on this path
+    out = tmp_path / "out"
+    rc = run_cli("acf", "--case", "2", "--n", "500", "--burn-in", "200",
+                 "--max-lag", "7", "--fit", "1,7", "--out", str(out))
+    assert rc != 0
+    assert "Traceback" not in capsys.readouterr().err
+    assert not (out / "acf.csv").exists()
 
 
 def meta_line(key, value):

@@ -71,6 +71,15 @@ class TestMinimizeBox:
                     th = Theta(d, u * space.c_max(d, spec), a)
                     assert res.loss_at_opt <= f(th) + 1e-12
 
+    @pytest.mark.parametrize("fix", [None, {"c": 0.2, "a": 1.0}])
+    def test_evaluations_counted(self, spec, space, fix):
+        f = quadratic_about(Theta(0.2, 0.3, 1.5))
+        calls = []
+        res = minimize_box(lambda th: calls.append(th) or f(th), space,
+                           spec=spec, fix=fix)
+        grid = 9 if fix else 9 ** 3
+        assert res.evaluations == len(calls) > grid
+
     def test_fix_everything_rejected(self, spec, space):
         with pytest.raises(DomainError):
             minimize_box(lambda th: 0.0, space, spec=spec,

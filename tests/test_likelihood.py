@@ -9,14 +9,17 @@ from larchpmle import (
     SimConfig,
     Theta,
     derive_seed,
+    estimate,
     landscape,
     loss,
     m_of_n,
+    minimize_box,
     sigma_bar,
     sigma_full,
     simulate,
     tail_variance,
 )
+from larchpmle.coeffs import coeff_weights
 from larchpmle.errors import (
     DomainError,
     HistoryError,
@@ -278,3 +281,94 @@ class TestLossSpecValidation:
             LossSpec("bar", -0.5)
         with pytest.raises(DomainError):
             LossSpec("full", 0.01, J=0)
+
+
+TABLE_SPECS = [LossSpec("trunc", 0.01, beta=0.799),
+               LossSpec("trunc", 0.01, beta=0.599),
+               LossSpec("bar", 0.01)]
+TABLE_IDS = ["trunc0.799", "trunc0.599", "bar"]
+
+
+@pytest.fixture(scope="module")
+def table_paths(spec):
+    return {n: simulate(spec, CASE1, SimConfig(n=n, burn_in=10_000, J=2000,
+                                               seed=2024)).x_obs
+            for n in (1000, 10_000)}
+
+
+class TestChebyshevTable:
+    """The d-interval lag-sum table against the FFT path as oracle."""
+
+    @pytest.mark.parametrize("n", [1000, 10_000])
+    @pytest.mark.parametrize("lspec", TABLE_SPECS, ids=TABLE_IDS)
+    @pytest.mark.parametrize("family", ["power", "farima"])
+    def test_agrees_with_fft(self, family, lspec, n, table_paths):
+        spec = CoeffSpec(family, 2000)
+        x = table_paths[n]
+        table = PathEvaluator(lspec, spec, x, d_range=(0.0, 0.45))
+        fft = PathEvaluator(lspec, spec, x)
+        pairs = [(table.lag_sums(Theta(d, 0.2, 1.0), 0)[0],
+                  fft.lag_sums(Theta(d, 0.2, 1.0), 0)[0])
+                 for d in np.linspace(0.0, 0.45, 41)]
+        scale = max(np.linalg.norm(ref) for _, ref in pairs)
+        for got, ref in pairs:
+            # farima weights vanish at d = 0, where the FFT sums are exactly
+            # zero; there the error is measured against the largest sums
+            norm = np.linalg.norm(ref) or scale
+            assert np.linalg.norm(got - ref) <= 1e-12 * norm
+
+    def test_value_inside_range_runs_no_transform(self, spec, table_paths):
+        ev = PathEvaluator(TABLE_SPECS[0], spec, table_paths[1000],
+                           d_range=(0.0, 0.45))
+
+        def no_transform(kernel):
+            raise AssertionError("FFT path used inside the table range")
+
+        ev._convolve = no_transform
+        for d in (0.0, 0.1, 0.45):
+            assert np.isfinite(ev(Theta(d, 0.2, 1.0), derivatives=0).value)
+
+    @pytest.mark.parametrize("family", ["power", "farima"])
+    def test_fft_path_unchanged_elsewhere(self, family, table_paths):
+        # derivative orders, d outside the range, and evaluators without a
+        # range all return exactly what the FFT path returns
+        spec = CoeffSpec(family, 2000)
+        x = table_paths[1000]
+        lspec = TABLE_SPECS[0]
+        table = PathEvaluator(lspec, spec, x, d_range=(0.05, 0.3))
+        fft = PathEvaluator(lspec, spec, x)
+        orders = (1, 2) if family == "power" else (1,)
+        cases = [(0.1, k) for k in orders] + [(0.0, 0), (0.4, 0)]
+        for d, order in cases:
+            th = Theta(d, 0.2, 1.0)
+            for got, ref in zip(table.lag_sums(th, order),
+                                fft.lag_sums(th, order)):
+                assert (got is None) == (ref is None)
+                assert got is None or np.array_equal(got, ref)
+        for d in (0.0, 0.1, 0.3):
+            if family == "power":
+                kernel = np.exp((d - 1.0) * fft.logj)
+            else:
+                kernel = coeff_weights(spec, Theta(d, 1.0, 1.0), fft.J)
+            assert np.array_equal(fft.lag_sums(Theta(d, 0.2, 1.0), 0)[0],
+                                  fft._convolve(kernel))
+
+    def test_invalid_range_rejected(self, spec, case1_path):
+        for bad in ((0.3, 0.3), (0.4, 0.1), (0.0, math.inf)):
+            with pytest.raises(DomainError):
+                PathEvaluator(LossSpec("bar", 0.01), spec, case1_path.x_obs,
+                              d_range=bad)
+
+    @pytest.mark.parametrize("r", range(5))
+    def test_estimate_matches_fft_objective(self, spec, space, r):
+        # the study's profile fit of d, with the table, against the same
+        # search on an FFT-only objective
+        s = simulate(spec, CASE1, SimConfig(n=10_000, burn_in=10_000, J=2000,
+                                            seed=derive_seed(42, r)))
+        lspec = LossSpec("trunc", 0.01, beta=CASE1_BETA)
+        fix = {"c": CASE1.c, "a": CASE1.a}
+        res = estimate(lspec, spec, s.x_obs, space=space, fix=fix)
+        fft = PathEvaluator(lspec, spec, s.x_obs)
+        ref = minimize_box(lambda th: fft(th, derivatives=0).value, space,
+                           spec=spec, fix=fix)
+        assert abs(res.theta_hat.d - ref.theta_hat.d) <= 1e-4

@@ -13,7 +13,12 @@ from larchpmle import (
     simulate,
     volterra_sigma,
 )
-from larchpmle.errors import BudgetError, DomainError, ValidationError
+from larchpmle.errors import (
+    BudgetError,
+    DomainError,
+    NumericError,
+    ValidationError,
+)
 
 from conftest import CASE1, CASE2
 
@@ -90,6 +95,16 @@ class TestSimulate:
             SimConfig(n=10, seed=0, noise=np.array([5.0, 6.0, 7.0]))
         with pytest.raises(DomainError):
             SimConfig(n=10, seed=0, noise="uniform")
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflow_names_first_nonfinite_step(self, spec):
+        cfg = SimConfig(n=50, burn_in=0, J=2000, seed=1)
+        # SimConfig refuses this table (its variance overflows), so it is
+        # planted past validation to reach the simulator's own check;
+        # x_1 = +-1e200 is finite and x_2 = eps_2 (1 + b_1 x_1) overflows
+        object.__setattr__(cfg, "noise", np.array([1e200, -1e200]))
+        with pytest.raises(NumericError, match="t = 2 of 50"):
+            simulate(spec, CASE1, cfg)
 
     def test_csv_export_shape(self, spec):
         s = simulate(spec, CASE1, SimConfig(n=5, burn_in=3, seed=1))
