@@ -90,13 +90,18 @@ def sigma_and_gradient(spec: CoeffSpec, theta: Theta, sample: Sample,
     return sig, S
 
 
-def _block_se(weighted: np.ndarray, blocks: int) -> np.ndarray:
-    """Entrywise standard error of a (n, 3, 3) average via block means."""
-    n = weighted.shape[0]
+def _weighted_mean_se(w: np.ndarray, S: np.ndarray, blocks: int):
+    """Mean of w_t S_t S_t^T over t, and its entrywise standard error from
+    the means of ``blocks`` consecutive blocks; no (n, 3, 3) array is
+    formed."""
+    n = len(w)
+    mean = np.einsum("i,ij,ik->jk", w, S, S, optimize=True) / n
     blocks = max(2, min(blocks, n))
-    cut = (n // blocks) * blocks
-    bm = weighted[:cut].reshape(blocks, cut // blocks, 3, 3).mean(axis=1)
-    return bm.std(axis=0, ddof=1) / math.sqrt(blocks)
+    m = n // blocks
+    wb = w[:blocks * m].reshape(blocks, m)
+    Sb = S[:blocks * m].reshape(blocks, m, 3)
+    bm = np.einsum("bi,bij,bik->bjk", wb, Sb, Sb, optimize=True) / m
+    return mean, bm.std(axis=0, ddof=1) / math.sqrt(blocks)
 
 
 def sandwich(spec: CoeffSpec, theta0: Theta, epsilon: float,
@@ -123,13 +128,8 @@ def sandwich(spec: CoeffSpec, theta0: Theta, epsilon: float,
     s2e = s2 + epsilon
     wG = 4.0 * s2 ** 3 / s2e ** 4
     wH = 4.0 * s2 / s2e ** 2
-    outer = S[:, :, None] * S[:, None, :]
-    G_terms = (mu4 - 1.0) * wG[:, None, None] * outer
-    H_terms = wH[:, None, None] * outer
-    G = G_terms.mean(axis=0)
-    H = H_terms.mean(axis=0)
-    se_G = _block_se(G_terms, blocks)
-    se_H = _block_se(H_terms, blocks)
+    G, se_G = _weighted_mean_se((mu4 - 1.0) * wG, S, blocks)
+    H, se_H = _weighted_mean_se(wH, S, blocks)
 
     eigH = np.linalg.eigvalsh(H)
     try:

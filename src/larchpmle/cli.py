@@ -398,9 +398,11 @@ def _cmd_mc(args) -> int:
     outdir = _outdir(args)
     resolved = _resolved(args, case=label)
     _write_csv(outdir / "rows.csv",
-               "case,n,replicate,seed,d_hat,c_hat,a_hat,loss,converged,at_boundary",
+               "case,n,replicate,seed,d_hat,c_hat,a_hat,loss,converged,"
+               "at_boundary,evals",
                [(label, r.n, r.replicate, r.seed, r.d_hat, r.c_hat, r.a_hat,
-                 r.loss, r.converged, r.at_boundary) for r in report.rows],
+                 r.loss, r.converged, r.at_boundary, r.evals)
+                for r in report.rows],
                resolved)
     stat_rows = []
     for n in cfg.n_values:

@@ -10,6 +10,7 @@ what makes the non-robust columns informative).
 """
 
 import math
+import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -82,7 +83,12 @@ def case_study(case: int, n_values=(1000, 2500, 5000, 10_000),
 
 @dataclass(frozen=True)
 class ReplicateRow:
-    """One simulate/estimate run."""
+    """One simulate/estimate run.
+
+    ``evals`` counts the fit's loss evaluations; ``sim_s`` and ``fit_s``
+    are the wall times of simulation and fit, left out of comparisons so
+    that rows of identical runs compare equal.
+    """
 
     n: int
     replicate: int
@@ -93,6 +99,9 @@ class ReplicateRow:
     loss: float
     converged: bool
     at_boundary: bool
+    evals: int
+    sim_s: float = field(compare=False)
+    fit_s: float = field(compare=False)
 
 
 @dataclass(frozen=True)
@@ -203,17 +212,21 @@ def _run_replicate(cfg: StudyConfig, n: int, r: int) -> ReplicateRow:
     seed = derive_seed(cfg.base_seed, r)
     sim = SimConfig(n=n, burn_in=cfg.burn_in,
                     J=cfg.J if cfg.J is not None else cfg.spec.J, seed=seed)
+    t0 = time.perf_counter()
     sample = simulate(cfg.spec, cfg.theta0, sim, space=cfg.space)
+    t1 = time.perf_counter()
     lspec = LossSpec("trunc", cfg.epsilon, beta=cfg.beta)
     fix = None
     if cfg.estimate_params == "d":
         fix = {"c": cfg.theta0.c, "a": cfg.theta0.a}
     res = estimate(lspec, cfg.spec, sample.x_obs, space=cfg.space,
                    opts=cfg.opts, fix=fix)
+    t2 = time.perf_counter()
     th = res.theta_hat
     return ReplicateRow(n=n, replicate=r, seed=seed, d_hat=th.d, c_hat=th.c,
                         a_hat=th.a, loss=res.loss_at_opt,
-                        converged=res.converged, at_boundary=res.at_boundary)
+                        converged=res.converged, at_boundary=res.at_boundary,
+                        evals=res.evaluations, sim_s=t1 - t0, fit_s=t2 - t1)
 
 
 def _task(args):

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from larchpmle import CoeffSpec, ParamSpace, SimConfig, Theta, simulate
+from larchpmle.coeffs import coeff_weights
+from larchpmle.simulate import Sample, _draw_innovations
 
 CASE1 = Theta(0.1, 0.2, 1.0)
 CASE2 = Theta(0.2, 0.2, 1.0)
@@ -29,6 +31,25 @@ def case1_path(spec):
     """One medium case-1 path reused by likelihood/estimator tests."""
     cfg = SimConfig(n=500, burn_in=4000, J=2000, seed=314)
     return simulate(spec, CASE1, cfg)
+
+
+def _simulate_loop(spec, theta0, cfg):
+    """The truncated recursion one step at a time: the oracle for the
+    blocked simulator (same innovations, same dot product per step)."""
+    J = cfg.J if cfg.J is not None else spec.J
+    total = cfg.burn_in + cfg.n
+    eps = _draw_innovations(cfg, total)
+    b_rev = coeff_weights(spec, theta0, J)[::-1].copy()
+    x = np.empty(total)
+    sig = np.empty(total)
+    a = theta0.a
+    for t in range(total):
+        k = min(J, t)
+        s = a + (b_rev[J - k:] @ x[t - k:t]) if k else a
+        sig[t] = s
+        x[t] = eps[t] * s
+    return Sample(x=x, sigma=sig, eps=eps, config=cfg, theta=theta0,
+                  spec=spec, first_retained=cfg.burn_in)
 
 
 def brute_zeta_tail(s, t0, terms=1_000_000):

@@ -67,6 +67,14 @@ class TestRoundTrip:
             assert rc == 0
         assert (a / "rows.csv").read_bytes() == (b / "rows.csv").read_bytes()
 
+    def test_rows_csv_counts_evaluations(self, tmp_path):
+        rc = run_cli("mc", "--case", "1", "--n", "300", "--replicates", "4",
+                     "--trim", "1", "--seed", "11", "--out", str(tmp_path))
+        assert rc == 0
+        lines = (tmp_path / "rows.csv").read_text().splitlines()
+        assert lines[1].endswith(",at_boundary,evals")
+        assert all(int(line.rsplit(",", 1)[1]) > 0 for line in lines[2:])
+
     def test_meta_sidecar_written(self, tmp_path):
         run_cli("simulate", "--case", "2", "--n", "16", "--burn-in", "10",
                 "--seed", "3", "--out", str(tmp_path))

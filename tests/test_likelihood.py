@@ -29,7 +29,7 @@ from larchpmle.errors import (
 )
 from larchpmle.likelihood import PathEvaluator
 
-from conftest import CASE1, CASE1_BETA
+from conftest import CASE1, CASE1_BETA, _simulate_loop
 
 
 class TestWindow:
@@ -64,19 +64,28 @@ class TestSigmaReconstruction:
             assert sigma_bar(spec, Theta(0.1, 0.0, 2.5), x, t) == 2.5
 
     def test_sigma_bar_equals_own_recursion(self, spec):
-        s = simulate(spec, CASE1, SimConfig(n=60, burn_in=0, J=2000, seed=6))
+        # exact against the step-by-step recursion (the same dot products);
+        # the blocked simulator sums in another order
+        cfg = SimConfig(n=60, burn_in=0, J=2000, seed=6)
+        s = _simulate_loop(spec, CASE1, cfg)
+        fast = simulate(spec, CASE1, cfg)
         for t in (1, 2, 10, 60):
             assert sigma_bar(spec, CASE1, s.x, t) == s.sigma[t - 1]
+            assert sigma_bar(spec, CASE1, fast.x, t) == pytest.approx(
+                fast.sigma[t - 1], rel=1e-13, abs=0.0)
 
     def test_sigma_bar_range(self, spec):
         with pytest.raises(DomainError):
             sigma_bar(spec, CASE1, np.zeros(5), 7)
 
     def test_sigma_full_reproduces_simulator(self, spec):
-        s = simulate(spec, CASE1, SimConfig(n=50, burn_in=3000, J=2000,
-                                            seed=7))
+        cfg = SimConfig(n=50, burn_in=3000, J=2000, seed=7)
+        s = _simulate_loop(spec, CASE1, cfg)
+        fast = simulate(spec, CASE1, cfg)
         for t in (1, 2, 25, 50):
             assert sigma_full(spec, CASE1, s, t) == s.sigma_obs[t - 1]
+            assert sigma_full(spec, CASE1, fast, t) == pytest.approx(
+                fast.sigma_obs[t - 1], rel=1e-13, abs=0.0)
 
     def test_sigma_full_zero_scale(self, spec):
         th = Theta(0.2, 0.0, 1.4)

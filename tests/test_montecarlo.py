@@ -4,13 +4,17 @@ import numpy as np
 import pytest
 
 from larchpmle import (
+    LossSpec,
     MAD_SCALE,
+    SimConfig,
     StudyConfig,
     Theta,
     acf,
     case_study,
+    estimate,
     normal_plot_data,
     run_study,
+    simulate,
     summarize,
 )
 from larchpmle.errors import DomainError
@@ -131,6 +135,19 @@ class TestRunStudy:
         r1 = run_study(tiny_cfg, workers=1)
         r2 = run_study(tiny_cfg, workers=2)
         assert r1.rows == r2.rows
+
+    def test_rows_record_evaluations_and_times(self, tiny_cfg):
+        rows = run_study(tiny_cfg).rows
+        row = rows[0]
+        cfg = tiny_cfg
+        sim = SimConfig(n=row.n, burn_in=cfg.burn_in, J=cfg.spec.J,
+                        seed=row.seed)
+        x = simulate(cfg.spec, cfg.theta0, sim).x_obs
+        res = estimate(LossSpec("trunc", cfg.epsilon, beta=cfg.beta),
+                       cfg.spec, x, fix={"c": cfg.theta0.c, "a": cfg.theta0.a})
+        assert row.evals == res.evaluations
+        assert all(r.evals > 0 and r.sim_s > 0.0 and r.fit_s > 0.0
+                   for r in rows)
 
     def test_rows_in_replicate_order(self, tiny_cfg):
         rows = run_study(tiny_cfg).rows

@@ -1,4 +1,6 @@
 import io
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -20,7 +22,7 @@ from larchpmle.errors import (
     ValidationError,
 )
 
-from conftest import CASE1, CASE2
+from conftest import CASE1, CASE2, _simulate_loop
 
 
 class TestSimulate:
@@ -96,7 +98,7 @@ class TestSimulate:
         with pytest.raises(DomainError):
             SimConfig(n=10, seed=0, noise="uniform")
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflow_names_first_nonfinite_step(self, spec):
         cfg = SimConfig(n=50, burn_in=0, J=2000, seed=1)
         # SimConfig refuses this table (its variance overflows), so it is
@@ -117,6 +119,88 @@ class TestSimulate:
         t, x, sig, eps = lines[2].split(",")
         assert int(t) == 1
         assert float(x) == s.x_obs[0]
+
+
+def _unit_table(size, seed):
+    rng = np.random.default_rng(seed)
+    table = rng.standard_normal(size)
+    return (table - table.mean()) / table.std()
+
+
+class TestBlockedKernel:
+    """The blocked simulator against the step-by-step recursion."""
+
+    @pytest.mark.parametrize("total", [1, 31, 32, 33, 20_000])
+    @pytest.mark.parametrize("J", [1, 5, 31, 32, 33, 2000])
+    @pytest.mark.parametrize("family", ["power", "farima"])
+    def test_matches_loop(self, family, J, total):
+        spec = CoeffSpec(family, 2000)
+        noises = ("gaussian", _unit_table(1000, J))
+        burn_ins = (0, total // 2) if total > 1 else (0,)
+        for burn_in in burn_ins:
+            for noise in noises:
+                cfg = SimConfig(n=total - burn_in, burn_in=burn_in, J=J,
+                                seed=derive_seed(total, J), noise=noise)
+                s = simulate(spec, CASE2, cfg)
+                ref = _simulate_loop(spec, CASE2, cfg)
+                assert np.array_equal(s.eps, ref.eps)
+                np.testing.assert_allclose(s.sigma, ref.sigma, rtol=1e-12,
+                                           atol=0.0)
+                np.testing.assert_allclose(s.x, ref.x, rtol=1e-12, atol=0.0)
+                assert np.all(s.x == s.eps * s.sigma)
+                again = simulate(spec, CASE2, cfg)
+                assert np.array_equal(again.x, s.x)
+                assert np.array_equal(again.sigma, s.sigma)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_late_overflow_names_step_of_loop(self, spec):
+        # x grows by about b_1 1e10 per step and overflows after the first
+        # block; the step named is the loop's first non-finite one
+        cfg = SimConfig(n=200, burn_in=0, J=2000, seed=3)
+        object.__setattr__(cfg, "noise", np.array([1e10, -1e10]))
+        with np.errstate(over="ignore", invalid="ignore"):
+            ref = _simulate_loop(spec, CASE1, cfg)
+        first = int(np.flatnonzero(~np.isfinite(ref.x))[0])
+        assert first > 32
+        with pytest.raises(NumericError, match=f"t = {first + 1} of 200"):
+            simulate(spec, CASE1, cfg)
+
+    # the third block's solve raises (the pass stops there) or returns
+    # nan (the pass runs on to the end on nan input); either way that
+    # block is replayed step by step and the four after it solved afresh
+    @pytest.mark.parametrize("failure, solves", [("raise", 7), ("nan", 11)])
+    def test_failed_block_solve_is_replayed(self, spec, monkeypatch,
+                                            failure, solves):
+        cfg = SimConfig(n=150, burn_in=50, J=2000, seed=12)
+        expect = simulate(spec, CASE1, cfg)
+        solve, calls = np.linalg.solve, []
+
+        def flaky(A, h):
+            calls.append(1)
+            if len(calls) == 3:
+                if failure == "raise":
+                    raise np.linalg.LinAlgError("injected")
+                return np.full(len(h), np.nan)
+            return solve(A, h)
+
+        monkeypatch.setattr(np.linalg, "solve", flaky)
+        got = simulate(spec, CASE1, cfg)
+        assert len(calls) == solves
+        ref = _simulate_loop(spec, CASE1, cfg)
+        np.testing.assert_allclose(got.sigma, ref.sigma, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(got.sigma, expect.sigma, rtol=1e-12,
+                                   atol=0.0)
+        assert np.all(got.x == got.eps * got.sigma)
+
+    def test_no_scipy_linalg_import(self):
+        code = ("import sys, larchpmle\n"
+                "larchpmle.simulate(larchpmle.CoeffSpec('power', 2000),\n"
+                "    larchpmle.Theta(0.1, 0.2, 1.0),\n"
+                "    larchpmle.SimConfig(n=100, burn_in=100, seed=1))\n"
+                "print('scipy.linalg' in sys.modules)\n")
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True)
+        assert out.stdout.strip() == "False"
 
 
 class TestVolterra:
