@@ -27,7 +27,7 @@ from .coeffs import (
 )
 from .diagnostics import DecayFit, ScoreGapResult, fit_decay, score_gap
 from .errors import LarchError
-from .estimator import EstimationResult, OptimOptions, estimate, minimize_box
+from .estimator import EstimationResult, estimate, minimize_box
 from .likelihood import (
     LossEval,
     LossSpec,
@@ -55,7 +55,7 @@ __version__ = "0.1.0"
 __all__ = [
     "CoeffSpec", "DecayFit", "EstimationResult", "LarchError",
     "LimitH0Result", "LossEval", "LossSpec", "MAD_SCALE", "McReport",
-    "MomentReport", "NoiseMoments", "OptimOptions", "ParamSpace",
+    "MomentReport", "NoiseMoments", "ParamSpace",
     "RatePrediction", "Sample", "SandwichResult", "ScoreGapResult",
     "SimConfig", "StudyConfig", "Summary", "Theta", "acf", "c_upper",
     "case_study", "check_moment_conditions", "coeff", "coeff_deriv",

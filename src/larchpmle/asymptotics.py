@@ -27,6 +27,13 @@ __all__ = ["SandwichResult", "LimitH0Result", "RatePrediction",
            "sandwich", "limit_h0", "h0_from_arrays", "predicted_rate",
            "sigma_and_gradient"]
 
+# consecutive blocks whose means give the standard errors of G and H
+_SE_BLOCKS = 32
+# divergence monitor of h0_from_arrays: largest relative span of the prefix
+# averages of the trace, and largest share of one time point in its sum
+_H0_SPAN_TOL = 0.05
+_H0_SHARE_TOL = 0.1
+
 
 @dataclass(frozen=True)
 class SandwichResult:
@@ -73,30 +80,33 @@ class RatePrediction:
     regime: str
 
 
-def sigma_and_gradient(spec: CoeffSpec, theta: Theta, sample: Sample,
-                       J: int | None = None):
+def sigma_and_gradient(spec: CoeffSpec, theta: Theta, sample: Sample):
     """sigma_t(theta) and its theta-gradient over the analysis window.
 
     Both are built from the full-history lag sums of
     :class:`~larchpmle.likelihood.PathEvaluator` (J lags into the
-    pre-sample; J defaults to the sample's simulation truncation), so the
-    sample's burn-in must be at least J.
+    pre-sample, J the sample's simulation truncation), so the sample's
+    burn-in must be at least J.
     Returns (sigma, S) with S of shape (n, 3) in (d, c, a) order.
     """
-    ev = PathEvaluator(LossSpec("full", 0.0, J=J), spec, sample)
+    ev = PathEvaluator(LossSpec("full", 0.0), spec, sample)
     v0, v1, _ = ev.lag_sums(theta, derivatives=1)
     sig = theta.a + theta.c * v0
     S = np.stack([theta.c * v1, v0, np.ones(sample.n)], axis=1)
     return sig, S
 
 
-def _weighted_mean_se(w: np.ndarray, S: np.ndarray, blocks: int):
-    """Mean of w_t S_t S_t^T over t, and its entrywise standard error from
-    the means of ``blocks`` consecutive blocks; no (n, 3, 3) array is
-    formed."""
+def _weighted_mean(w: np.ndarray, S: np.ndarray) -> np.ndarray:
+    """Mean of w_t S_t S_t^T over t; no (n, 3, 3) array is formed."""
+    return np.einsum("i,ij,ik->jk", w, S, S, optimize=True) / len(w)
+
+
+def _weighted_mean_se(w: np.ndarray, S: np.ndarray):
+    """:func:`_weighted_mean` and its entrywise standard error from the
+    means of consecutive blocks."""
     n = len(w)
-    mean = np.einsum("i,ij,ik->jk", w, S, S, optimize=True) / n
-    blocks = max(2, min(blocks, n))
+    mean = _weighted_mean(w, S)
+    blocks = max(2, min(_SE_BLOCKS, n))
     m = n // blocks
     wb = w[:blocks * m].reshape(blocks, m)
     Sb = S[:blocks * m].reshape(blocks, m, 3)
@@ -107,29 +117,29 @@ def _weighted_mean_se(w: np.ndarray, S: np.ndarray, blocks: int):
 def sandwich(spec: CoeffSpec, theta0: Theta, epsilon: float,
              nm: NoiseMoments, path_length: int = 500_000,
              burn_in: int = 10_000, J: int | None = None, seed: int = 0,
-             blocks: int = 32, space: ParamSpace | None = None,
-             ) -> SandwichResult:
+             space: ParamSpace | None = None) -> SandwichResult:
     """Estimate G, H, and the sandwich covariance at theta0 by simulation.
 
     One long stationary path is generated and the defining expectations are
-    replaced by ergodic averages.  H is factorized by Cholesky; failure
-    raises :class:`SingularityError` with eigenvalue diagnostics (this is
-    the expected outcome for degenerate parameters such as c = 0).
+    replaced by ergodic averages; ``se_G`` and ``se_H`` are the standard
+    errors of those averages from the means of 32 consecutive blocks.  H
+    is factorized by Cholesky; failure raises :class:`SingularityError`
+    with eigenvalue diagnostics (this is the expected outcome for
+    degenerate parameters such as c = 0).
     """
     if epsilon <= 0.0:
         raise DomainError("epsilon must be positive")
     mu4 = nm.moment(4)
-    Jeff = J if J is not None else spec.J
-    cfg = SimConfig(n=path_length, burn_in=burn_in, J=Jeff, seed=seed)
+    cfg = SimConfig(n=path_length, burn_in=burn_in, J=J, seed=seed)
     samp = simulate(spec, theta0, cfg, space=space)
-    sig, S = sigma_and_gradient(spec, theta0, samp, J=Jeff)
+    sig, S = sigma_and_gradient(spec, theta0, samp)
 
     s2 = sig * sig
     s2e = s2 + epsilon
     wG = 4.0 * s2 ** 3 / s2e ** 4
     wH = 4.0 * s2 / s2e ** 2
-    G, se_G = _weighted_mean_se((mu4 - 1.0) * wG, S, blocks)
-    H, se_H = _weighted_mean_se(wH, S, blocks)
+    G, se_G = _weighted_mean_se((mu4 - 1.0) * wG, S)
+    H, se_H = _weighted_mean_se(wH, S)
 
     eigH = np.linalg.eigvalsh(H)
     try:
@@ -153,15 +163,13 @@ def sandwich(spec: CoeffSpec, theta0: Theta, epsilon: float,
                           cond_H=cond)
 
 
-def h0_from_arrays(sigma: np.ndarray, S: np.ndarray,
-                   rel_tol: float = 0.05, share_tol: float = 0.1,
-                   ) -> LimitH0Result:
+def h0_from_arrays(sigma: np.ndarray, S: np.ndarray) -> LimitH0Result:
     """Running average of 4 sdot sdot^T / sigma^2 with a divergence monitor.
 
     The average is declared divergent when prefix averages of the trace
     fail a Cauchy criterion (relative span of the prefix averages above
-    ``rel_tol``), when any single time point contributes more than
-    ``share_tol`` of the trace sum, or when a term is non-finite.
+    0.05), when any single time point contributes more than 0.1 of the
+    trace sum, or when a term is non-finite.
     Divergence is a valid outcome: E(sigma^-2) need not be finite.
     """
     n = len(sigma)
@@ -175,11 +183,11 @@ def h0_from_arrays(sigma: np.ndarray, S: np.ndarray,
     span = ((max(checkpoints) - min(checkpoints))
             / max(abs(checkpoints[-1]), 1e-300))
     share = float(trace_terms.max() / max(trace_terms.sum(), 1e-300))
-    if span > rel_tol or share > share_tol:
+    if span > _H0_SPAN_TOL or share > _H0_SHARE_TOL:
         return LimitH0Result(matrix=None, diverged=True,
                              checkpoints=checkpoints)
-    H0 = np.einsum("i,ij,ik->jk", w, S, S) / n
-    return LimitH0Result(matrix=H0, diverged=False, checkpoints=checkpoints)
+    return LimitH0Result(matrix=_weighted_mean(w, S), diverged=False,
+                         checkpoints=checkpoints)
 
 
 def limit_h0(spec: CoeffSpec, theta0: Theta, path_length: int = 500_000,
@@ -190,11 +198,9 @@ def limit_h0(spec: CoeffSpec, theta0: Theta, path_length: int = 500_000,
     Returns a divergence flag instead of a matrix when the running average
     does not settle (see :func:`h0_from_arrays`).
     """
-    Jeff = J if J is not None else spec.J
-    cfg = SimConfig(n=path_length, burn_in=burn_in, J=Jeff, seed=seed)
+    cfg = SimConfig(n=path_length, burn_in=burn_in, J=J, seed=seed)
     samp = simulate(spec, theta0, cfg, space=space)
-    sig, S = sigma_and_gradient(spec, theta0, samp, J=Jeff)
-    return h0_from_arrays(sig, S)
+    return h0_from_arrays(*sigma_and_gradient(spec, theta0, samp))
 
 
 def predicted_rate(n: int, beta: float, d: float) -> RatePrediction:

@@ -189,41 +189,20 @@ def _farima_sum_sq_unit(d: float) -> float:
 
 
 def coeff(spec: CoeffSpec, theta: Theta, j: int) -> float:
-    """Lag-j weight b_j(theta) for the chosen family."""
+    """Lag-j weight b_j(theta): the last entry of :func:`coeff_weights`."""
     j = int(j)
     if j < 1:
         raise DomainError("lag index j must be >= 1")
-    if spec.family == "power":
-        return theta.c * float(j) ** (theta.d - 1.0)
-    return theta.c * float(_farima_pi(theta.d, j)[-1])
+    return float(coeff_weights(spec, theta, j)[-1])
 
 
 def coeff_deriv(spec: CoeffSpec, theta: Theta, j: int,
                 order_d: int = 0, order_c: int = 0) -> float:
-    """Partial derivative of b_j w.r.t. d (up to order 3) and/or c (order 1).
-
-    The weights are linear in c, so order_c <= 1; mixed derivatives are the
-    d-derivative of the c-derivative.
-    """
+    """Partial derivative of b_j: the last entry of :func:`deriv_weights`."""
     j = int(j)
     if j < 1:
         raise DomainError("lag index j must be >= 1")
-    if order_c not in (0, 1):
-        raise DomainError("weights are linear in c: order_c must be 0 or 1")
-    if not 0 <= order_d <= 3:
-        raise DomainError("order_d must be in 0..3")
-    if order_d + order_c < 1:
-        raise DomainError("request at least one derivative order")
-    if spec.family == "power":
-        scale = 1.0 if order_c == 1 else theta.c
-        return scale * math.log(j) ** order_d * float(j) ** (theta.d - 1.0)
-    if order_d >= 2:
-        raise UnsupportedError(
-            "farima d-derivatives beyond order 1 are not supported")
-    scale = 1.0 if order_c == 1 else theta.c
-    if order_d == 0:
-        return scale * float(_farima_pi(theta.d, j)[-1])
-    return scale * float(_farima_pi_deriv(theta.d, j)[-1])
+    return float(deriv_weights(spec, theta, j, order_d, order_c)[-1])
 
 
 def coeff_weights(spec: CoeffSpec, theta: Theta, J: int) -> np.ndarray:
@@ -238,11 +217,21 @@ def coeff_weights(spec: CoeffSpec, theta: Theta, J: int) -> np.ndarray:
 
 def deriv_weights(spec: CoeffSpec, theta: Theta, J: int,
                   order_d: int = 0, order_c: int = 0) -> np.ndarray:
-    """Vector of derivative weights, same conventions as coeff_deriv."""
+    """Partial derivatives of b_1..b_J w.r.t. d (up to order 3) and/or c
+    (order 1).
+
+    The weights are linear in c, so order_c <= 1; mixed derivatives are the
+    d-derivative of the c-derivative.  The farima family supports d-orders
+    up to 1.
+    """
     if J < 1:
         raise DomainError("J must be >= 1")
-    if order_c not in (0, 1) or not 0 <= order_d <= 3 or order_d + order_c < 1:
-        raise DomainError("unsupported derivative orders")
+    if order_c not in (0, 1):
+        raise DomainError("weights are linear in c: order_c must be 0 or 1")
+    if not 0 <= order_d <= 3:
+        raise DomainError("order_d must be in 0..3")
+    if order_d + order_c < 1:
+        raise DomainError("request at least one derivative order")
     if spec.family == "power":
         j = np.arange(1, J + 1, dtype=float)
         scale = 1.0 if order_c == 1 else theta.c

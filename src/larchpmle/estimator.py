@@ -17,33 +17,19 @@ from .coeffs import CoeffSpec, ParamSpace, Theta
 from .errors import DomainError, ValidationError, WindowError
 from .likelihood import LossSpec, PathEvaluator
 
-__all__ = ["OptimOptions", "EstimationResult", "minimize_box", "estimate"]
+__all__ = ["EstimationResult", "minimize_box", "estimate"]
 
 _AXES = ("d", "c", "a")
 
-
-@dataclass(frozen=True)
-class OptimOptions:
-    """Multi-start simplex settings.
-
-    ``grid_dims`` gives the coarse-grid resolution per axis (d, c, a);
-    the best ``starts`` grid points seed independent simplex descents.
-    """
-
-    starts: int = 5
-    grid_dims: tuple = (9, 9, 9)
-    tol_x: float = 1e-5
-    tol_f: float = 1e-9
-    max_iter: int = 2000
-    boundary_margin: float = 1e-4
-
-    def __post_init__(self):
-        if self.starts < 1:
-            raise DomainError("starts must be >= 1")
-        if len(self.grid_dims) != 3 or any(g < 1 for g in self.grid_dims):
-            raise DomainError("grid_dims must be three positive counts")
-        if self.tol_x <= 0 or self.tol_f <= 0:
-            raise DomainError("tolerances must be positive")
+# The one search recipe (see minimize_box): grid points per free axis,
+# simplex starts, simplex stopping rule in internal coordinates, and the
+# distance from the box edge that counts as at_boundary.
+_GRID = 9
+_STARTS = 5
+_TOL_X = 1e-5
+_TOL_F = 1e-9
+_MAX_ITER = 2000
+_BOUNDARY_MARGIN = 1e-4
 
 
 @dataclass(frozen=True)
@@ -56,18 +42,16 @@ class EstimationResult:
 
     theta_hat: Theta
     loss_at_opt: float
-    iterations: int
     converged: bool
     at_boundary: bool
-    start_used: int
     evaluations: int
     variant: str | None = None
 
 
-def _nelder_mead(f, x0, lo, hi, step, tol_x, tol_f, max_iter):
+def _nelder_mead(f, x0, lo, hi, step):
     """Simplex descent with box clamping; deterministic given its inputs.
 
-    Returns (x_best, f_best, iterations, converged).
+    Returns (x_best, f_best, converged).
     """
     dim = len(x0)
     clamp = lambda p: np.minimum(np.maximum(p, lo), hi)
@@ -84,15 +68,13 @@ def _nelder_mead(f, x0, lo, hi, step, tol_x, tol_f, max_iter):
         idx = sorted(range(dim + 1), key=lambda k: (vals[k], tuple(pts[k])))
         return [pts[k] for k in idx], [vals[k] for k in idx]
 
-    iters = 0
     converged = False
-    while iters < max_iter:
+    for _ in range(_MAX_ITER):
         pts, vals = order()
         diam = max(np.max(np.abs(p - pts[0])) for p in pts[1:])
-        if vals[-1] - vals[0] <= tol_f and diam <= tol_x:
+        if vals[-1] - vals[0] <= _TOL_F and diam <= _TOL_X:
             converged = True
             break
-        iters += 1
         centroid = np.mean(pts[:-1], axis=0)
         xr = clamp(centroid + (centroid - pts[-1]))
         fr = f(xr)
@@ -120,7 +102,7 @@ def _nelder_mead(f, x0, lo, hi, step, tol_x, tol_f, max_iter):
             pts[k] = clamp(pts[0] + 0.5 * (pts[k] - pts[0]))
             vals[k] = f(pts[k])
     pts, vals = order()
-    return pts[0], vals[0], iters, converged
+    return pts[0], vals[0], converged
 
 
 def _feasible_d_max(space, spec, c_fixed):
@@ -139,20 +121,20 @@ def _feasible_d_max(space, spec, c_fixed):
     return lo
 
 
-def minimize_box(objective, space: ParamSpace, opts: OptimOptions | None = None,
-                 spec: CoeffSpec | None = None, fix: dict | None = None,
-                 ) -> EstimationResult:
+def minimize_box(objective, space: ParamSpace, spec: CoeffSpec | None = None,
+                 fix: dict | None = None) -> EstimationResult:
     """Deterministic coarse-grid + simplex minimization over the box.
 
-    ``objective`` maps a Theta to a value (a (value, gradient) pair is also
-    accepted; the gradient is ignored by the simplex).  ``fix`` freezes a
-    subset of {"d", "c", "a"} at given values; the grid and the descents
-    then move in the free coordinates only.  The best ``opts.starts`` grid
-    points seed simplex runs; the lowest final value wins, with ties broken
-    by smallest d, then c, then a.  If no start converges the best point is
-    still returned with ``converged=False``.
+    ``objective`` maps a Theta to a value.  ``fix`` freezes a subset of
+    {"d", "c", "a"} at given values; the grid and the descents then move in
+    the free coordinates only.  The recipe is fixed: a 9-point grid on each
+    free axis, the best 5 grid points seeding simplex runs (tolerances 1e-5
+    in position and 1e-9 in value, at most 2000 iterations each); the lowest
+    final value wins, with ties broken by smallest d, then c, then a.  If
+    the winning run did not converge the point is still returned with
+    ``converged=False``; ``at_boundary`` marks a minimizer within 1e-4 of
+    the box edge (c measured as a fraction of c_max(d)).
     """
-    opts = opts or OptimOptions()
     fix = dict(fix or {})
     for k in fix:
         if k not in _AXES:
@@ -170,15 +152,12 @@ def minimize_box(objective, space: ParamSpace, opts: OptimOptions | None = None,
         if "d" in fix and fix["c"] > space.c_max(fix["d"], spec):
             raise ValidationError("fixed (d, c) violates the scale bound")
 
-    raw = objective
     evaluations = 0
 
     def fval(theta):
         nonlocal evaluations
         evaluations += 1
-        out = raw(theta)
-        v = out[0] if isinstance(out, tuple) else out
-        v = float(v)
+        v = float(objective(theta))
         return v if math.isfinite(v) else math.inf
 
     d_lo, d_hi = 0.0, space.d_u
@@ -204,37 +183,26 @@ def minimize_box(objective, space: ParamSpace, opts: OptimOptions | None = None,
 
     g = lambda t: fval(to_theta(t))
 
-    dims = {k: opts.grid_dims[_AXES.index(k)] for k in free}
-    axes = [np.linspace(bounds[k][0], bounds[k][1], dims[k]) for k in free]
+    axes = [np.linspace(lo_k, hi_k, _GRID) for lo_k, hi_k in zip(lo, hi)]
     mesh = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")],
                     axis=1)
     seeds = sorted(((g(p), tuple(p)) for p in mesh),
                    key=lambda s: (s[0],) + s[1])
-    starts = seeds[: min(opts.starts, len(seeds))]
 
-    steps = np.array([(bounds[k][1] - bounds[k][0]) / (2.0 * max(dims[k] - 1, 1))
-                      for k in free])
-    steps = np.maximum(steps, 10.0 * opts.tol_x)
-
-    best = None
-    for rank, (_, p0) in enumerate(starts):
-        x, v, iters, conv = _nelder_mead(
-            g, np.array(p0), lo, hi, steps, opts.tol_x, opts.tol_f,
-            opts.max_iter)
-        theta = to_theta(x)
-        key = (v, theta.d, theta.c, theta.a)
-        if best is None or key < best[0]:
-            margin = opts.boundary_margin
-            at_bnd = bool(np.any(x - lo <= margin) or np.any(hi - x <= margin))
-            best = (key, theta, v, iters, conv, at_bnd, rank)
-    _, theta, v, iters, conv, at_bnd, rank = best
-    return EstimationResult(theta_hat=theta, loss_at_opt=v, iterations=iters,
-                            converged=conv, at_boundary=at_bnd,
-                            start_used=rank, evaluations=evaluations)
+    steps = np.maximum((hi - lo) / (2.0 * (_GRID - 1)), 10.0 * _TOL_X)
+    runs = []
+    for _, p0 in seeds[:_STARTS]:
+        x, v, conv = _nelder_mead(g, np.array(p0), lo, hi, steps)
+        runs.append((v, to_theta(x), x, conv))
+    v, theta, x, conv = min(runs, key=lambda r: (r[0], r[1].d, r[1].c, r[1].a))
+    at_bnd = bool(np.any(x - lo <= _BOUNDARY_MARGIN)
+                  or np.any(hi - x <= _BOUNDARY_MARGIN))
+    return EstimationResult(theta_hat=theta, loss_at_opt=v, converged=conv,
+                            at_boundary=at_bnd, evaluations=evaluations)
 
 
 def estimate(lspec: LossSpec, spec: CoeffSpec, data,
-             space: ParamSpace | None = None, opts: OptimOptions | None = None,
+             space: ParamSpace | None = None,
              fix: dict | None = None) -> EstimationResult:
     """Minimize the selected loss variant over the parameter box.
 
@@ -253,5 +221,5 @@ def estimate(lspec: LossSpec, spec: CoeffSpec, data,
     if ev.w < 10:
         raise WindowError(f"window of {ev.w} points is too small to estimate")
     objective = lambda theta: ev(theta, derivatives=0).value
-    res = minimize_box(objective, space, opts, spec=spec, fix=fix)
+    res = minimize_box(objective, space, spec=spec, fix=fix)
     return replace(res, variant=lspec.variant)

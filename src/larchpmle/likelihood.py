@@ -122,13 +122,14 @@ def sigma_bar(spec: CoeffSpec, theta: Theta, x, t: int) -> float:
 
 def sigma_full(spec: CoeffSpec, theta: Theta, sample: Sample, t: int,
                J: int | None = None) -> float:
-    """Conditional sd from the extended history, truncated at J lags.
+    """Conditional sd from the extended history, truncated at J lags
+    (by default the sample's simulation truncation).
 
     Uses the sample's pre-sample observations; requires burn_in + t - 1 >= J
     so that all J lags exist.  ``t`` is 1-based within the analysis window.
     """
     if J is None:
-        J = sample.config.J if sample.config.J is not None else sample.spec.J
+        J = sample.config.J
     t = int(t)
     if t < 1 or t > sample.n:
         raise DomainError(f"t = {t} outside 1..n")
@@ -196,9 +197,7 @@ class PathEvaluator:
 
         if lspec.variant == "full":
             sample = data
-            self.J = (lspec.J if lspec.J is not None
-                      else (sample.config.J if sample.config.J is not None
-                            else spec.J))
+            self.J = lspec.J if lspec.J is not None else sample.config.J
             if sample.first_retained + self.t_first - 1 < self.J:
                 raise HistoryError(
                     f"full variant needs burn-in >= {self.J - self.t_first + 1}")

@@ -19,7 +19,7 @@ from scipy.special import ndtri
 
 from .coeffs import CoeffSpec, ParamSpace, Theta
 from .errors import DomainError
-from .estimator import OptimOptions, estimate
+from .estimator import estimate
 from .likelihood import LossSpec
 from .simulate import SimConfig, derive_seed, simulate
 
@@ -48,7 +48,6 @@ class StudyConfig:
     J: int | None = None
     estimate_params: str = "d"
     space: ParamSpace = field(default_factory=ParamSpace)
-    opts: OptimOptions = field(default_factory=OptimOptions)
 
     def __post_init__(self):
         if self.replicates < 1:
@@ -210,8 +209,7 @@ def acf(x, max_lag: int, on_squares: bool = False) -> np.ndarray:
 
 def _run_replicate(cfg: StudyConfig, n: int, r: int) -> ReplicateRow:
     seed = derive_seed(cfg.base_seed, r)
-    sim = SimConfig(n=n, burn_in=cfg.burn_in,
-                    J=cfg.J if cfg.J is not None else cfg.spec.J, seed=seed)
+    sim = SimConfig(n=n, burn_in=cfg.burn_in, J=cfg.J, seed=seed)
     t0 = time.perf_counter()
     sample = simulate(cfg.spec, cfg.theta0, sim, space=cfg.space)
     t1 = time.perf_counter()
@@ -219,8 +217,7 @@ def _run_replicate(cfg: StudyConfig, n: int, r: int) -> ReplicateRow:
     fix = None
     if cfg.estimate_params == "d":
         fix = {"c": cfg.theta0.c, "a": cfg.theta0.a}
-    res = estimate(lspec, cfg.spec, sample.x_obs, space=cfg.space,
-                   opts=cfg.opts, fix=fix)
+    res = estimate(lspec, cfg.spec, sample.x_obs, space=cfg.space, fix=fix)
     t2 = time.perf_counter()
     th = res.theta_hat
     return ReplicateRow(n=n, replicate=r, seed=seed, d_hat=th.d, c_hat=th.c,

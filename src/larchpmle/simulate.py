@@ -13,7 +13,7 @@ the recursion.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -80,6 +80,7 @@ class Sample:
     Arrays cover the full generated range (length burn_in + n);
     ``first_retained`` is the 0-based index of the first analysis-window
     observation.  By construction x[t] = eps[t] * sigma[t] for every t.
+    ``config.J`` is the truncation order the path was generated with.
     """
 
     x: np.ndarray
@@ -171,7 +172,9 @@ def simulate(spec: CoeffSpec, theta0: Theta, cfg: SimConfig,
     sigma_1 = a, then sigma_t = a + sum_{j=1}^{min(J, t-1)} b_j x_{t-j} and
     x_t = eps_t sigma_t.  Deterministic given cfg.seed.  theta0 must lie in
     the parameter space and satisfy sum b_j^2 < 1.  A path that overflows
-    raises :class:`NumericError` naming the first non-finite step.
+    raises :class:`NumericError` naming the first non-finite step.  J is
+    cfg.J, or spec.J when cfg.J is None; the sample records it in its
+    ``config``, so code reading a sample never resolves J again.
 
     The recursion is linear in x, so the path is advanced ``_BLOCK`` = B
     steps at a time, exactly.  x is stored after J zeros that stand for
@@ -191,7 +194,9 @@ def simulate(spec: CoeffSpec, theta0: Theta, cfg: SimConfig,
     space.validate(theta0, spec)
     if sum_sq(spec, theta0) >= 1.0:
         raise ValidationError("sum of squared weights must be < 1")
-    J = cfg.J if cfg.J is not None else spec.J
+    if cfg.J is None:
+        cfg = replace(cfg, J=spec.J)
+    J = cfg.J
     total = cfg.burn_in + cfg.n
     eps = _draw_innovations(cfg, total)
     b = coeff_weights(spec, theta0, J)

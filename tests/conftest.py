@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -36,7 +38,9 @@ def case1_path(spec):
 def _simulate_loop(spec, theta0, cfg):
     """The truncated recursion one step at a time: the oracle for the
     blocked simulator (same innovations, same dot product per step)."""
-    J = cfg.J if cfg.J is not None else spec.J
+    if cfg.J is None:
+        cfg = replace(cfg, J=spec.J)
+    J = cfg.J
     total = cfg.burn_in + cfg.n
     eps = _draw_innovations(cfg, total)
     b_rev = coeff_weights(spec, theta0, J)[::-1].copy()

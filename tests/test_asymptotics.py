@@ -53,7 +53,7 @@ class TestSigmaGradient:
         s = simulate(spec, CASE1, SimConfig(n=100, burn_in=500, J=2000,
                                             seed=5))
         with pytest.raises(HistoryError):
-            sigma_and_gradient(spec, CASE1, s, J=2000)
+            sigma_and_gradient(spec, CASE1, s)
 
 
 class TestSandwich:
@@ -136,6 +136,18 @@ class TestLimitH0:
         sigma = np.abs(rng.standard_normal(200_000))
         S = np.ones((200_000, 3))
         assert h0_from_arrays(sigma, S).diverged
+
+    def test_finite_average_is_plain_mean(self):
+        # a settled, non-diverging average: the matrix is the mean of
+        # 4 S_t S_t^T / sigma_t^2 (the plain einsum as oracle)
+        rng = np.random.default_rng(7)
+        n = 100_000
+        sigma = 1.0 + 0.5 * rng.random(n)
+        S = rng.standard_normal((n, 3))
+        res = h0_from_arrays(sigma, S)
+        assert not res.diverged
+        want = np.einsum("i,ij,ik->jk", 4.0 / sigma ** 2, S, S) / n
+        assert np.max(np.abs(res.matrix - want)) <= 1e-13 * np.max(np.abs(want))
 
     def test_exact_zero_sigma_diverges(self):
         sigma = np.ones(1000)

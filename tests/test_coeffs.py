@@ -62,10 +62,20 @@ class TestPowerCoeff:
         with pytest.raises(DomainError):
             coeff(spec, Theta(0.1, 0.2, 1.0), -3)
 
-    def test_weights_match_scalar(self, spec):
+    def test_weights_match_scalar(self):
         th = Theta(0.23, 0.4, 1.0)
-        w = coeff_weights(spec, th, 20)
-        assert w == pytest.approx([coeff(spec, th, j) for j in range(1, 21)])
+        for family, max_order_d in (("power", 3), ("farima", 1)):
+            spec = CoeffSpec(family, 2000)
+            w = coeff_weights(spec, th, 20)
+            assert list(w) == [coeff(spec, th, j) for j in range(1, 21)]
+            for order_d in range(max_order_d + 1):
+                for order_c in (0, 1):
+                    if order_d + order_c == 0:
+                        continue
+                    w = deriv_weights(spec, th, 20, order_d, order_c)
+                    assert list(w) == [
+                        coeff_deriv(spec, th, j, order_d, order_c)
+                        for j in range(1, 21)]
 
 
 class TestPowerDeriv:

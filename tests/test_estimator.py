@@ -4,7 +4,6 @@ import pytest
 from larchpmle import (
     CoeffSpec,
     LossSpec,
-    OptimOptions,
     ParamSpace,
     SimConfig,
     Theta,
@@ -36,14 +35,6 @@ class TestMinimizeBox:
         assert res.at_boundary
         assert res.theta_hat.d == pytest.approx(space.d_u, abs=1e-6)
 
-    def test_gradient_returning_objective_accepted(self, spec, space):
-        target = Theta(0.15, 0.2, 2.0)
-        base = quadratic_about(target)
-        obj = lambda th: (base(th), np.zeros(3))
-        res = minimize_box(obj, space, spec=spec)
-        assert res.theta_hat.as_array() == pytest.approx(target.as_array(),
-                                                         abs=1e-4)
-
     def test_multimodal_1d_grid_oracle(self, spec, space):
         # wiggly 1-d objective in a; dense-grid oracle locates the optimum
         f = lambda th: 0.05 * (th.a - 7.0) ** 2 + np.sin(2.0 * th.a) ** 2
@@ -63,8 +54,7 @@ class TestMinimizeBox:
     def test_opt_below_all_grid_seeds(self, spec, space):
         f = lambda th: (th.d - 0.21) ** 2 + (th.c - 0.33) ** 2 \
             + np.sin(th.a) ** 2
-        opts = OptimOptions()
-        res = minimize_box(f, space, opts, spec=spec)
+        res = minimize_box(f, space, spec=spec)
         for d in np.linspace(0.0, space.d_u, 9):
             for u in np.linspace(0.0, 1.0, 9):
                 for a in np.linspace(space.a_d, space.a_u, 9):
@@ -97,14 +87,6 @@ class TestMinimizeBox:
             minimize_box(f, space, spec=spec, fix={"d": 0.6})
         with pytest.raises(ValidationError):
             minimize_box(f, space, spec=spec, fix={"d": 0.4, "c": 0.5})
-
-    def test_options_validation(self):
-        with pytest.raises(DomainError):
-            OptimOptions(starts=0)
-        with pytest.raises(DomainError):
-            OptimOptions(tol_x=0.0)
-        with pytest.raises(DomainError):
-            OptimOptions(grid_dims=(3, 3))
 
 
 class TestEstimate:

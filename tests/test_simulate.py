@@ -43,6 +43,13 @@ class TestSimulate:
         assert np.array_equal(s1.x, s2.x)
         assert np.array_equal(s1.eps, s2.eps)
 
+    def test_records_truncation_order(self, spec):
+        # an unset J falls back to the spec's, and the sample records it
+        s = simulate(spec, CASE1, SimConfig(n=20, burn_in=0, seed=1))
+        assert s.config.J == spec.J
+        cfg = SimConfig(n=20, burn_in=0, J=7, seed=1)
+        assert simulate(spec, CASE1, cfg).config is cfg
+
     def test_seed_changes_path(self, spec):
         s1 = simulate(spec, CASE1, SimConfig(n=100, burn_in=0, seed=1))
         s2 = simulate(spec, CASE1, SimConfig(n=100, burn_in=0, seed=2))
