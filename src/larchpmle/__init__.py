@@ -27,7 +27,7 @@ from .coeffs import (
 )
 from .diagnostics import DecayFit, ScoreGapResult, fit_decay, score_gap
 from .errors import LarchError
-from .estimator import EstimationResult, estimate, minimize_box
+from .estimator import EstimationResult, estimate
 from .likelihood import (
     LossEval,
     LossSpec,
@@ -60,7 +60,7 @@ __all__ = [
     "SimConfig", "StudyConfig", "Summary", "Theta", "acf", "c_upper",
     "case_study", "check_moment_conditions", "coeff", "coeff_deriv",
     "derive_seed", "estimate", "fit_decay", "gaussian_moments", "landscape",
-    "limit_h0", "loss", "m_of_n", "minimize_box", "norm_p",
+    "limit_h0", "loss", "m_of_n", "norm_p",
     "normal_plot_data", "predicted_rate", "run_study", "sandwich",
     "score_gap", "sigma_bar", "sigma_full", "simulate", "summarize",
     "tail_variance", "volterra_sigma", "zeta_tail",

@@ -116,13 +116,14 @@ def _weighted_mean_se(w: np.ndarray, S: np.ndarray):
 
 def sandwich(spec: CoeffSpec, theta0: Theta, epsilon: float,
              nm: NoiseMoments, path_length: int = 500_000,
-             burn_in: int = 10_000, J: int | None = None, seed: int = 0,
+             burn_in: int = 10_000, seed: int = 0,
              space: ParamSpace | None = None) -> SandwichResult:
     """Estimate G, H, and the sandwich covariance at theta0 by simulation.
 
-    One long stationary path is generated and the defining expectations are
-    replaced by ergodic averages; ``se_G`` and ``se_H`` are the standard
-    errors of those averages from the means of 32 consecutive blocks.  H
+    One long stationary path, truncated at the spec's J lags, is generated
+    and the defining expectations are replaced by ergodic averages;
+    ``se_G`` and ``se_H`` are the standard errors of those averages from
+    the means of 32 consecutive blocks.  H
     is factorized by Cholesky; failure raises :class:`SingularityError`
     with eigenvalue diagnostics (this is the expected outcome for
     degenerate parameters such as c = 0).
@@ -130,7 +131,7 @@ def sandwich(spec: CoeffSpec, theta0: Theta, epsilon: float,
     if epsilon <= 0.0:
         raise DomainError("epsilon must be positive")
     mu4 = nm.moment(4)
-    cfg = SimConfig(n=path_length, burn_in=burn_in, J=J, seed=seed)
+    cfg = SimConfig(n=path_length, burn_in=burn_in, seed=seed)
     samp = simulate(spec, theta0, cfg, space=space)
     sig, S = sigma_and_gradient(spec, theta0, samp)
 
@@ -191,14 +192,14 @@ def h0_from_arrays(sigma: np.ndarray, S: np.ndarray) -> LimitH0Result:
 
 
 def limit_h0(spec: CoeffSpec, theta0: Theta, path_length: int = 500_000,
-             burn_in: int = 10_000, J: int | None = None, seed: int = 0,
+             burn_in: int = 10_000, seed: int = 0,
              space: ParamSpace | None = None) -> LimitH0Result:
     """Monte-Carlo limit of the unregularized Hessian 4 E[sdot sdot^T / sigma^2].
 
     Returns a divergence flag instead of a matrix when the running average
     does not settle (see :func:`h0_from_arrays`).
     """
-    cfg = SimConfig(n=path_length, burn_in=burn_in, J=J, seed=seed)
+    cfg = SimConfig(n=path_length, burn_in=burn_in, seed=seed)
     samp = simulate(spec, theta0, cfg, space=space)
     return h0_from_arrays(*sigma_and_gradient(spec, theta0, samp))
 

@@ -480,7 +480,7 @@ def _cmd_asymcov(args) -> int:
     res = sandwich(CoeffSpec("power", args.trunc),
                    Theta(args.d, args.c, args.a), args.eps,
                    gaussian_moments(8), path_length=args.path_length,
-                   burn_in=args.burn_in, J=args.trunc, seed=args.seed)
+                   burn_in=args.burn_in, seed=args.seed)
     outdir = _outdir(args)
     names = ("d", "c", "a")
     rows = [(names[i], names[j], res.G[i, j], res.H[i, j], res.cov[i, j])

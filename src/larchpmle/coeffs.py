@@ -168,15 +168,22 @@ def _farima_pi(d: float, J: int) -> np.ndarray:
     return np.cumprod(factors)
 
 
-def _farima_pi_deriv(d: float, J: int) -> np.ndarray:
-    """d/dd of pi_j by the log-derivative identity, factored to stay exact
-    at d = 0: pi'_j = (pi_j / d) (1 + d sum_{i=2..j} 1 / (i - 1 + d))."""
+def _farima_rho(d: float, J: int) -> np.ndarray:
+    """rho_j = pi_j / d, j = 1..J: the recurrence of :func:`_farima_pi`
+    without its first factor d, entire in d and exact at d = 0."""
     j = np.arange(1, J + 1, dtype=float)
     factors = (j - 1.0 + d) / j
-    factors[0] = 1.0                     # pi_j / d omits the first factor d
+    factors[0] = 1.0
+    return np.cumprod(factors)
+
+
+def _farima_pi_deriv(d: float, J: int) -> np.ndarray:
+    """d/dd of pi_j by the log-derivative identity, factored to stay exact
+    at d = 0: pi'_j = rho_j (1 + d sum_{i=2..j} 1 / (i - 1 + d))."""
+    j = np.arange(1, J + 1, dtype=float)
     sums = np.zeros(J)                   # sum_{i=2..j} 1 / (i - 1 + d)
     sums[1:] = np.cumsum(1.0 / (j[1:] - 1.0 + d))
-    return np.cumprod(factors) * (1.0 + d * sums)
+    return _farima_rho(d, J) * (1.0 + d * sums)
 
 
 def _farima_sum_sq_unit(d: float) -> float:

@@ -1,15 +1,15 @@
 """Box-constrained loss minimization for the LARCH pseudo-likelihood.
 
 The search region is d in [0, d_u], c in [0, c_max(d)], a in [a_d, a_u].
-Internally c is rescaled to u = c / c_max(d) so the optimizer moves in a
-plain rectangle; a deterministic coarse grid seeds a small number of
-Nelder-Mead simplex descents whose moves are clamped to the box.  Any
-subset of the parameters can be frozen, which is how the single-parameter
-profile fits used in the replication study are expressed.
+A grid over the box seeds projected Newton searches driven by the exact
+score and Hessian of the loss.  Any subset of the parameters can be
+frozen, which is how the single-parameter profile fits used in the
+replication study are expressed.
 """
 
 import math
-from dataclasses import dataclass, replace
+import time
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -17,18 +17,17 @@ from .coeffs import CoeffSpec, ParamSpace, Theta
 from .errors import DomainError, ValidationError, WindowError
 from .likelihood import LossSpec, PathEvaluator
 
-__all__ = ["EstimationResult", "minimize_box", "estimate"]
+__all__ = ["EstimationResult", "estimate"]
 
 _AXES = ("d", "c", "a")
 
-# The one search recipe (see minimize_box): grid points per free axis,
-# simplex starts, simplex stopping rule in internal coordinates, and the
-# distance from the box edge that counts as at_boundary.
+# The one search recipe: grid points per free axis, Newton searches seeded
+# from the best grid points, steps per search, the step (fraction of the box
+# width) that ends a search, and the box-edge distance called at_boundary.
 _GRID = 9
-_STARTS = 5
-_TOL_X = 1e-5
-_TOL_F = 1e-9
-_MAX_ITER = 2000
+_SEEDS = 2
+_MAX_STEPS = 50
+_TOL_STEP = 1e-9
 _BOUNDARY_MARGIN = 1e-4
 
 
@@ -36,9 +35,8 @@ _BOUNDARY_MARGIN = 1e-4
 class EstimationResult:
     """Minimizer, its loss, and convergence/boundary diagnostics.
 
-    ``evaluations`` counts the objective calls of the whole search, coarse
-    grid included.
-    """
+    ``evaluations`` counts every theta at which the loss was taken, grid
+    included; ``grid_s``/``newton_s`` time the two stages (not compared)."""
 
     theta_hat: Theta
     loss_at_opt: float
@@ -46,63 +44,8 @@ class EstimationResult:
     at_boundary: bool
     evaluations: int
     variant: str | None = None
-
-
-def _nelder_mead(f, x0, lo, hi, step):
-    """Simplex descent with box clamping; deterministic given its inputs.
-
-    Returns (x_best, f_best, converged).
-    """
-    dim = len(x0)
-    clamp = lambda p: np.minimum(np.maximum(p, lo), hi)
-
-    pts = [clamp(np.array(x0, dtype=float))]
-    for i in range(dim):
-        p = pts[0].copy()
-        h = step[i] if p[i] + step[i] <= hi[i] else -step[i]
-        p[i] = min(max(p[i] + h, lo[i]), hi[i])
-        pts.append(p)
-    vals = [f(p) for p in pts]
-
-    def order():
-        idx = sorted(range(dim + 1), key=lambda k: (vals[k], tuple(pts[k])))
-        return [pts[k] for k in idx], [vals[k] for k in idx]
-
-    converged = False
-    for _ in range(_MAX_ITER):
-        pts, vals = order()
-        diam = max(np.max(np.abs(p - pts[0])) for p in pts[1:])
-        if vals[-1] - vals[0] <= _TOL_F and diam <= _TOL_X:
-            converged = True
-            break
-        centroid = np.mean(pts[:-1], axis=0)
-        xr = clamp(centroid + (centroid - pts[-1]))
-        fr = f(xr)
-        if vals[0] <= fr < vals[-2]:
-            pts[-1], vals[-1] = xr, fr
-            continue
-        if fr < vals[0]:
-            xe = clamp(centroid + 2.0 * (centroid - pts[-1]))
-            fe = f(xe)
-            if fe < fr:
-                pts[-1], vals[-1] = xe, fe
-            else:
-                pts[-1], vals[-1] = xr, fr
-            continue
-        if fr < vals[-1]:                       # outside contraction
-            xc = clamp(centroid + 0.5 * (xr - centroid))
-        else:                                   # inside contraction
-            xc = clamp(centroid - 0.5 * (centroid - pts[-1]))
-        fc = f(xc)
-        if fc < min(fr, vals[-1]):
-            pts[-1], vals[-1] = xc, fc
-            continue
-        # shrink toward the best vertex
-        for k in range(1, dim + 1):
-            pts[k] = clamp(pts[0] + 0.5 * (pts[k] - pts[0]))
-            vals[k] = f(pts[k])
-    pts, vals = order()
-    return pts[0], vals[0], converged
+    grid_s: float = field(default=0.0, compare=False)
+    newton_s: float = field(default=0.0, compare=False)
 
 
 def _feasible_d_max(space, spec, c_fixed):
@@ -114,27 +57,13 @@ def _feasible_d_max(space, spec, c_fixed):
     lo, hi = 0.0, space.d_u
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        if space.c_max(mid, spec) >= c_fixed:
-            lo = mid
-        else:
-            hi = mid
+        lo, hi = (mid, hi) if space.c_max(mid, spec) >= c_fixed else (lo, mid)
     return lo
 
 
-def minimize_box(objective, space: ParamSpace, spec: CoeffSpec | None = None,
-                 fix: dict | None = None) -> EstimationResult:
-    """Deterministic coarse-grid + simplex minimization over the box.
-
-    ``objective`` maps a Theta to a value.  ``fix`` freezes a subset of
-    {"d", "c", "a"} at given values; the grid and the descents then move in
-    the free coordinates only.  The recipe is fixed: a 9-point grid on each
-    free axis, the best 5 grid points seeding simplex runs (tolerances 1e-5
-    in position and 1e-9 in value, at most 2000 iterations each); the lowest
-    final value wins, with ties broken by smallest d, then c, then a.  If
-    the winning run did not converge the point is still returned with
-    ``converged=False``; ``at_boundary`` marks a minimizer within 1e-4 of
-    the box edge (c measured as a fraction of c_max(d)).
-    """
+def _search_box(space: ParamSpace, spec: CoeffSpec | None, fix: dict | None):
+    """Check ``fix`` against the box; return it as a dict, the free axes,
+    and the rectangle (lo, hi) over them with c carried as u = c/c_max(d)."""
     fix = dict(fix or {})
     for k in fix:
         if k not in _AXES:
@@ -152,14 +81,6 @@ def minimize_box(objective, space: ParamSpace, spec: CoeffSpec | None = None,
         if "d" in fix and fix["c"] > space.c_max(fix["d"], spec):
             raise ValidationError("fixed (d, c) violates the scale bound")
 
-    evaluations = 0
-
-    def fval(theta):
-        nonlocal evaluations
-        evaluations += 1
-        v = float(objective(theta))
-        return v if math.isfinite(v) else math.inf
-
     d_lo, d_hi = 0.0, space.d_u
     if "c" in fix and "d" not in fix:
         d_hi = _feasible_d_max(space, spec, fix["c"])
@@ -167,38 +88,51 @@ def minimize_box(objective, space: ParamSpace, spec: CoeffSpec | None = None,
         # farima weights vanish at d = 0, making the c bound infinite;
         # nudge the free-d range off that degenerate edge
         d_lo = 1e-8
-
-    # internal rectangle over the free axes; c is carried as u = c/c_max(d)
     bounds = {"d": (d_lo, d_hi), "c": (0.0, 1.0), "a": (space.a_d, space.a_u)}
     lo = np.array([bounds[k][0] for k in free])
     hi = np.array([bounds[k][1] for k in free])
+    return fix, free, lo, hi
 
-    def to_theta(p):
-        vals = dict(fix)
-        for k, v in zip(free, p):
-            vals[k] = float(v)
-        if "c" in free:
-            vals["c"] *= space.c_max(vals["d"], spec)
-        return Theta(vals["d"], vals["c"], vals["a"])
 
-    g = lambda t: fval(to_theta(t))
-
-    axes = [np.linspace(lo_k, hi_k, _GRID) for lo_k, hi_k in zip(lo, hi)]
-    mesh = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")],
-                    axis=1)
-    seeds = sorted(((g(p), tuple(p)) for p in mesh),
-                   key=lambda s: (s[0],) + s[1])
-
-    steps = np.maximum((hi - lo) / (2.0 * (_GRID - 1)), 10.0 * _TOL_X)
-    runs = []
-    for _, p0 in seeds[:_STARTS]:
-        x, v, conv = _nelder_mead(g, np.array(p0), lo, hi, steps)
-        runs.append((v, to_theta(x), x, conv))
-    v, theta, x, conv = min(runs, key=lambda r: (r[0], r[1].d, r[1].c, r[1].a))
-    at_bnd = bool(np.any(x - lo <= _BOUNDARY_MARGIN)
-                  or np.any(hi - x <= _BOUNDARY_MARGIN))
-    return EstimationResult(theta_hat=theta, loss_at_opt=v, converged=conv,
-                            at_boundary=at_bnd, evaluations=evaluations)
+def _newton(at, x, lo, upper):
+    """Projected Newton descent from x in the box [lo, upper(x)];
+    ``at(x)`` returns the loss, score and Hessian.  Coordinates held at a
+    bound by the gradient or by the step drop out of the Newton system; the
+    step is the gradient scaled by the Hessian's diagonal where the rest of
+    the Hessian is not positive definite.  A step is at most one box width,
+    halved until the loss falls.  Returns (x, loss, converged)."""
+    f, g, H = at(x)
+    for _ in range(_MAX_STEPS):
+        up = upper(x)
+        width = up - lo
+        held = ((x <= lo) & (g > 0)) | ((x >= up) & (g < 0))
+        while True:
+            m = ~held
+            p = np.zeros_like(x)
+            Hm, gm = H[np.ix_(m, m)], g[m]
+            try:
+                np.linalg.cholesky(Hm)
+                p[m] = -np.linalg.solve(Hm, gm)
+            except np.linalg.LinAlgError:
+                scale = np.maximum(np.abs(np.diag(Hm)), np.abs(gm) / width[m])
+                p[m] = -gm / np.maximum(scale, np.finfo(float).tiny)
+            out = m & (((x <= lo) & (p < 0)) | ((x >= up) & (p > 0)))
+            if not out.any():
+                break
+            held |= out
+        p /= max(1.0, np.max(np.abs(p) / width))
+        step = 1.0
+        while True:
+            z = x + step * p
+            y = np.clip(z, lo, upper(z))
+            if np.all(np.abs(y - x) <= _TOL_STEP * width):
+                return x, f, True
+            fy, gy, Hy = at(y)
+            if fy < f:
+                break
+            step *= 0.5
+        x, f, g, H = y, fy, gy, Hy
+    return x, f, False
 
 
 def estimate(lspec: LossSpec, spec: CoeffSpec, data,
@@ -209,17 +143,82 @@ def estimate(lspec: LossSpec, spec: CoeffSpec, data,
     ``data`` follows the same conventions as :func:`larchpmle.likelihood.loss`.
     ``fix`` freezes parameters at known values (profile estimation).
     Estimation requires a strictly positive regularization epsilon and a
-    window of at least 10 points.  With d free, the evaluator tabulates the
-    lag sums over [0, d_u] once, so each loss value the search takes costs
-    a table lookup rather than a transform.
+    window of at least 10 points.
+
+    The recipe is fixed: a grid of 9 points on each free axis, c as the
+    fraction u of c_max(d) (with d free the lag sums come from a table over
+    [0, d_u]); the best two grid points, ties broken by smallest d, u, a,
+    each seed :func:`_newton` in theta, converged once a step is within
+    1e-9 of the box width.  The lower end wins, ties broken alike;
+    ``at_boundary`` marks a minimizer within 1e-4 of the box edge in u.
     """
     space = space or ParamSpace()
     if lspec.epsilon <= 0.0:
         raise ValidationError("estimation requires epsilon > 0")
-    d_range = None if fix and "d" in fix else (0.0, space.d_u)
-    ev = PathEvaluator(lspec, spec, data, d_range=d_range)
+    fix, free, lo, hi = _search_box(space, spec, fix)
+    d_free = "d" in free
+    ev = PathEvaluator(lspec, spec, data,
+                       d_range=(0.0, space.d_u) if d_free else None)
     if ev.w < 10:
         raise WindowError(f"window of {ev.w} points is too small to estimate")
-    objective = lambda theta: ev(theta, derivatives=0).value
-    res = minimize_box(objective, space, spec=spec, fix=fix)
-    return replace(res, variant=lspec.variant)
+    c_max = lambda d: space.c_max(d, spec)
+    if not d_free:
+        # taken once; the d-rows of the score and Hessian are never read
+        v0 = ev.lag_sums(Theta(fix["d"], 0.0, 1.0), 0)[0]
+        fixed_sums = (v0, np.zeros_like(v0), np.zeros_like(v0))
+
+    # grid: one lag-sum row per d, all (c, a) pairs of that d at once
+    t0 = time.perf_counter()
+    axes = {k: np.linspace(l, h, _GRID) for k, l, h in zip(free, lo, hi)}
+    d_axis = axes.get("d", [fix.get("d")])
+    a_axis = axes.get("a", [fix.get("a")])
+    c_axes = [axes["c"] * c_max(d) if "c" in axes else [fix["c"]]
+              for d in d_axis]
+    rows = (ev.lag_sums(Theta(d, 0.0, 1.0), 0)[0] if d_free else v0
+            for d in d_axis)
+    vals = np.array([ev.values(row, np.repeat(cs, len(a_axis)),
+                               np.tile(a_axis, len(cs)))
+                     for row, cs in zip(rows, c_axes)])
+    evaluations = vals.size
+    # the flat grid runs over (d, u, a) in lexicographic order, so a stable
+    # sort (nan last) breaks ties by smallest d, then u, then a
+    best = np.argsort(vals, axis=None, kind="stable")[:_SEEDS]
+    shape = (len(d_axis), len(c_axes[0]), len(a_axis))
+    starts = [np.array([v for k, v in zip(_AXES, (d_axis[i], c_axes[i][j],
+                                                   a_axis[l])) if k in free])
+              for i, j, l in zip(*np.unravel_index(best, shape))]
+    t1 = time.perf_counter()
+
+    idx = [_AXES.index(k) for k in free]
+
+    def to_theta(x):
+        named = dict(fix, **dict(zip(free, (float(v) for v in x))))
+        return Theta(named["d"], named["c"], named["a"])
+
+    def upper(x):                  # c's bound is c_max at x's d, clipped
+        up = hi.copy()
+        if "c" in free:
+            up[free.index("c")] = c_max(min(max(x[0], lo[0]), hi[0])
+                                        if d_free else fix["d"])
+        return up
+
+    def at(x):
+        nonlocal evaluations
+        evaluations += 1
+        theta = to_theta(x)
+        le = ev(theta) if d_free else ev.evaluate(theta, fixed_sums)
+        return le.value, le.score[idx], le.hessian[np.ix_(idx, idx)]
+
+    runs = [(f, to_theta(x), conv) for x, f, conv in
+            (_newton(at, x0, lo, upper) for x0 in starts)]
+    f, theta, conv = min(runs, key=lambda r: (r[0], r[1].d, r[1].c, r[1].a))
+    t2 = time.perf_counter()
+
+    x = np.array([theta.c / c_max(theta.d) if k == "c" else getattr(theta, k)
+                  for k in free])
+    at_bnd = bool(np.any(x - lo <= _BOUNDARY_MARGIN)
+                  or np.any(hi - x <= _BOUNDARY_MARGIN))
+    return EstimationResult(theta_hat=theta, loss_at_opt=f, converged=conv,
+                            at_boundary=at_bnd, evaluations=evaluations,
+                            variant=lspec.variant, grid_s=t1 - t0,
+                            newton_s=t2 - t1)

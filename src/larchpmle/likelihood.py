@@ -13,23 +13,31 @@ time points are averaged:
   floor(n^beta) points t = n - m(n)..n, where m(n) = floor(n^beta) - 1.
 
 The analytic score and Hessian are exact derivatives of the loss in
-theta = (d, c, a).  Lag sums are FFT convolutions; the transform of the
-data is cached so repeated evaluation on one path (as in estimation or
-landscape sweeps) costs one kernel transform per point.  A
-:class:`PathEvaluator` given a d-interval also tabulates the value lag
-sums in Chebyshev form over that interval, so a value-only evaluation
-inside it costs a K x w product instead of a transform (the kernel
-j**(d-1), like the FARIMA weights, is entire in d, so the series
-converges geometrically; Trefethen, *Approximation Theory and
-Approximation Practice*, ch. 8).
+theta = (d, c, a).  Lag sums are FFT convolutions sized to the averaged
+window; the transform of the data is cached so repeated evaluation on one
+path (as in estimation or landscape sweeps) costs one kernel transform per
+lag-sum row.  A :class:`PathEvaluator` given a d-interval also tabulates
+the lag sums in Chebyshev form over that interval, so an evaluation inside
+it, score and Hessian included, costs a few K x w products instead of
+transforms: the kernel j**(d-1), like the FARIMA weights divided by d, is
+entire in d, so the series converges geometrically and its term-by-term
+derivatives give the d-derivative rows (Trefethen, *Approximation Theory
+and Approximation Practice*, ch. 8).
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.chebyshev import chebder
 
-from .coeffs import CoeffSpec, Theta, coeff_weights, deriv_weights
+from .coeffs import (
+    CoeffSpec,
+    Theta,
+    _farima_rho,
+    coeff_weights,
+    deriv_weights,
+)
 from .errors import (
     DomainError,
     HistoryError,
@@ -44,10 +52,30 @@ __all__ = ["LossSpec", "LossEval", "m_of_n", "sigma_bar", "sigma_full",
 
 _VARIANTS = ("full", "bar", "trunc")
 
-# Chebyshev nodes of the value lag-sum table.  With 16 nodes on [0, 0.45]
-# the table agrees with the FFT path to 1e-12 (normwise relative) at
-# n = 10^4 for both weight families, see tests/test_likelihood.py.
-_CHEB_NODES = 16
+# Chebyshev nodes of the lag-sum table, and how far (as a fraction of the
+# served d-interval) the node interval reaches beyond each end of it: the
+# derivative of an interpolant amplifies the rounding of its node values
+# about K^2-fold at the ends of its interval but only about K-fold inside.
+# With 20 nodes and 5% the table agrees with the FFT path on [0, 0.45] to
+# 1e-12 (normwise relative) in the value and first-derivative rows and to
+# 1e-9 in the second-derivative rows for n up to 10^5, see
+# tests/test_likelihood.py.
+_CHEB_NODES = 20
+_CHEB_REACH = 0.05
+# node angles, the cosine transform from node values to coefficients, and
+# the maps from coefficients on [-1, 1] to those of the first and second
+# derivatives (zero-padded to K rows), shared by every table
+_CHEB_ANGLES = np.pi * (np.arange(_CHEB_NODES) + 0.5) / _CHEB_NODES
+_CHEB_COS = np.cos(np.outer(np.arange(_CHEB_NODES), _CHEB_ANGLES))
+_CHEB_DER = np.stack([np.eye(_CHEB_NODES)] + [
+    np.vstack([chebder(np.eye(_CHEB_NODES), m),
+               np.zeros((m, _CHEB_NODES))]) for m in (1, 2)])
+
+
+def _fft_size(m: int) -> int:
+    """Smallest transform length of the form 2^k, 3 * 2^k or 5 * 2^k that
+    is at least m."""
+    return min(f << (-(-m // f) - 1).bit_length() for f in (1, 3, 5))
 
 
 @dataclass(frozen=True)
@@ -145,22 +173,25 @@ def sigma_full(spec: CoeffSpec, theta: Theta, sample: Sample, t: int,
 class PathEvaluator:
     """Evaluates one loss variant repeatedly on a fixed data path.
 
-    The data-side FFT is computed once; each parameter point then costs one
-    (value only) to three (score/Hessian) kernel transforms.  Only the
-    ``"power"`` family supports Hessian evaluation; ``"farima"`` supports
-    derivatives up to the score.
+    The data-side FFT is computed once, at the smallest transform length
+    whose circular convolution leaves the window unaliased; each parameter
+    point then costs one (value only) to three (score/Hessian) kernel
+    transforms.  Only the ``"power"`` family supports Hessian evaluation
+    on this path; ``"farima"`` supports derivatives up to the score.
 
     ``window`` overrides the averaged t-range (1-based, inclusive), e.g. to
     evaluate the full-history loss on a truncated window when comparing it
     against the observed-past loss.
 
-    ``d_range = (lo, hi)`` builds, at construction, a table of the value
-    lag sums in Chebyshev form on [lo, hi]: one kernel transform at each of
-    16 Chebyshev nodes, kept as a 16 x w coefficient table.  A value-only
-    evaluation with lo <= d <= hi then sums the series (a 16-vector times
-    the table) instead of running a transform; derivative evaluations and
-    d outside the interval use the FFT path.  The table pays off only when
-    many values are taken on one path, as in a fit with d free; without
+    ``d_range = (lo, hi)`` builds, at construction, a table of the lag sums
+    in Chebyshev form: one kernel transform at each of 20 Chebyshev nodes
+    on [lo, hi] widened by 5% at each end, kept as a 20 x w coefficient
+    table (for ``"farima"`` the table holds the sums of pi_j(d) / d, which
+    keep their relative accuracy as d -> 0).  An evaluation with lo <= d <= hi then sums the
+    series and its term-by-term d-derivatives instead of running
+    transforms, for every derivative order and both families; d outside
+    the interval uses the FFT path.  The table pays off only when many
+    points are taken on one path, as in a fit with d free; without
     ``d_range`` no table is built.
     """
 
@@ -198,21 +229,26 @@ class PathEvaluator:
         if lspec.variant == "full":
             sample = data
             self.J = lspec.J if lspec.J is not None else sample.config.J
-            if sample.first_retained + self.t_first - 1 < self.J:
+            start = sample.first_retained + self.t_first - 1 - self.J
+            if start < 0:
                 raise HistoryError(
                     f"full variant needs burn-in >= {self.J - self.t_first + 1}")
-            series = sample.x
-            # conv index of window point t is (first_retained + t - 2)
-            self.off = sample.first_retained + self.t_first - 2
+            # only the J + w - 1 values from the first window point's J-th
+            # lag to the last point's first lag reach the window
+            series = sample.x[start: start + self.J + self.w - 1]
+            self.off = self.J - 1
         else:
             self.J = n - 1
             series = x_obs
             self.off = self.t_first - 2          # -1 marks the empty t = 1 sum
 
         self.xw = x_obs[self.t_first - 1: self.t_last]
-        nfft = 1 << (len(series) + self.J).bit_length()
-        self.nfft = nfft
-        self.rfft_series = np.fft.rfft(series, nfft)
+        # conv indices max(off, 0) .. off + w - 1 are used; a transform of
+        # this length neither wraps the convolution's tail onto them nor
+        # wraps them around
+        self.nfft = _fft_size(max(len(series) + self.J - 1 - max(self.off, 0),
+                                  self.off + self.w))
+        self.rfft_series = np.fft.rfft(series, self.nfft)
         self.logj = np.log(np.arange(1, self.J + 1, dtype=float))
 
         self.d_range = None
@@ -221,16 +257,19 @@ class PathEvaluator:
             if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
                 raise DomainError(f"d_range {d_range} must be finite with "
                                   f"lo < hi")
-            angles = np.pi * (np.arange(_CHEB_NODES) + 0.5) / _CHEB_NODES
-            nodes = 0.5 * (hi + lo) + 0.5 * (hi - lo) * np.cos(angles)
-            values = np.empty((_CHEB_NODES, self.w))
-            for k, d in enumerate(nodes):
-                values[k] = self._convolve(self._kernel(d))
+            K = _CHEB_NODES
+            reach = _CHEB_REACH * (hi - lo)
+            self._cheb_span = (lo - reach, hi + reach)
+            mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo) + reach
+            values = np.empty((K, self.w))
+            for k, d in enumerate(mid + half * np.cos(_CHEB_ANGLES)):
+                values[k] = self._convolve(self._table_kernel(d))
             # coefficient m = (2/K) sum_k values_k cos(m angle_k), the
             # constant term halved
-            cosines = np.cos(np.outer(np.arange(_CHEB_NODES), angles))
-            self._cheb = (2.0 / _CHEB_NODES) * (cosines @ values)
+            self._cheb = (2.0 / K) * (_CHEB_COS @ values)
             self._cheb[0] *= 0.5
+            # d-derivatives of the series: each order scales by 1 / half
+            self._cheb_der = _CHEB_DER / half ** np.arange(3)[:, None, None]
             self.d_range = (lo, hi)
 
     def _kernel(self, d: float) -> np.ndarray:
@@ -239,16 +278,30 @@ class PathEvaluator:
             return np.exp((d - 1.0) * self.logj)
         return coeff_weights(self.spec, Theta(d, 1.0, 1.0), self.J)
 
-    def _interpolate(self, d: float) -> np.ndarray:
-        """Value lag sums at d from the Chebyshev table (three-term
-        recurrence for T_0..T_{K-1} at the mapped point)."""
-        lo, hi = self.d_range
+    def _table_kernel(self, d: float) -> np.ndarray:
+        """The kernel the Chebyshev table is built from: b_j / c for
+        ``"power"``, b_j / (c d) for ``"farima"``."""
+        if self.spec.family == "power":
+            return self._kernel(d)
+        return _farima_rho(d, self.J)
+
+    def _interpolate(self, d: float, derivatives: int) -> np.ndarray:
+        """Lag sums v0..v_derivatives at d from the Chebyshev table, one
+        row each."""
+        lo, hi = self._cheb_span
         x = (2.0 * d - lo - hi) / (hi - lo)
         T = np.empty(_CHEB_NODES)
         T[0], T[1] = 1.0, x
         for m in range(2, _CHEB_NODES):
             T[m] = 2.0 * x * T[m - 1] - T[m - 2]
-        return T @ self._cheb
+        # basis rows T(x), T'(x), T''(x) against the coefficients
+        basis = T @ self._cheb_der[:derivatives + 1]
+        if self.spec.family != "power":
+            # the table holds R = sum rho_j x; (d R)^(k) = d R^(k) + k R^(k-1)
+            weights = d * basis
+            weights[1:] += np.arange(1, derivatives + 1)[:, None] * basis[:-1]
+            basis = weights
+        return basis @ self._cheb
 
     def _convolve(self, kernel: np.ndarray) -> np.ndarray:
         """Window slice of sum_{j} kernel_j x_{t-j} for t in the window."""
@@ -266,14 +319,15 @@ class PathEvaluator:
     def lag_sums(self, theta: Theta, derivatives: int):
         """Window lag sums (v0, v1, v2) of the data against the unit-scale
         kernel b_j / c and its first and second d-derivatives; entries
-        beyond ``derivatives`` are None.  Value-only requests inside
+        beyond ``derivatives`` are None.  Requests with d inside
         ``d_range`` come from the Chebyshev table."""
+        if (self.d_range is not None
+                and self.d_range[0] <= theta.d <= self.d_range[1]):
+            rows = self._interpolate(theta.d, derivatives)
+            return tuple(rows) + (None,) * (2 - derivatives)
         if self.spec.family != "power" and derivatives >= 2:
             raise UnsupportedError(
                 "farima loss Hessian needs second d-derivatives of the weights")
-        if (derivatives == 0 and self.d_range is not None
-                and self.d_range[0] <= theta.d <= self.d_range[1]):
-            return self._interpolate(theta.d), None, None
         k0 = self._kernel(theta.d)
         v0 = self._convolve(k0)
         if derivatives == 0:
@@ -290,50 +344,69 @@ class PathEvaluator:
 
     def __call__(self, theta: Theta, epsilon: float | None = None,
                  derivatives: int = 2) -> LossEval:
+        return self.evaluate(theta, self.lag_sums(theta, derivatives), epsilon)
+
+    def values(self, v0: np.ndarray, c, a) -> np.ndarray:
+        """Loss values at the scale pairs (c_i, a_i), all sharing the lag
+        sums ``v0`` of one d; non-finite values are returned as they are."""
+        eps = self.lspec.epsilon
+        # in place: the (pairs, w) block is the largest array of a fit
+        s2e = np.multiply.outer(np.asarray(c, dtype=float), v0)
+        s2e += np.asarray(a, dtype=float)[:, None]
+        np.square(s2e, out=s2e)
+        s2e += eps
+        with np.errstate(divide="ignore", invalid="ignore"):
+            terms = np.log(s2e)
+            terms += np.divide(self.xw ** 2 + eps, s2e, out=s2e)
+        return terms.sum(axis=1) / self.w
+
+    def evaluate(self, theta: Theta, sums, epsilon: float | None = None
+                 ) -> LossEval:
+        """Loss at theta from the lag sums (v0, v1, v2) of theta.d, with
+        the score when v1 is given and the Hessian when v2 is too."""
+        v0, v1, v2 = sums
         eps = self.lspec.epsilon if epsilon is None else float(epsilon)
-        v0, v1, v2 = self.lag_sums(theta, derivatives)
-        sig = theta.a + theta.c * v0
+        c = theta.c
+        sig = theta.a + c * v0
         s2e = sig * sig + eps
         with np.errstate(divide="ignore", invalid="ignore"):
-            terms = (self.xw ** 2 + eps) / s2e + np.log(s2e)
+            r = (self.xw ** 2 + eps) / s2e
+            terms = r + np.log(s2e)
         if not np.all(np.isfinite(terms)):
             bad = self.t_first + int(np.flatnonzero(~np.isfinite(terms))[0])
             raise NumericError(f"non-finite loss term at t = {bad}")
-        value = math.fsum(terms) / self.w
-        if derivatives == 0:
-            return LossEval(value, None, None, (self.t_first, self.t_last))
+        t_range = (self.t_first, self.t_last)
+        value = float(terms.sum()) / self.w
+        if v1 is None:
+            return LossEval(value, None, None, t_range)
 
-        r = (self.xw ** 2 + eps) / s2e
+        # d sigma / d theta = (c v1, v0, 1)
         common = (1.0 - r) * 2.0 * sig / s2e
-        sd_d = theta.c * v1
-        score = np.array([
-            math.fsum(common * sd_d),
-            math.fsum(common * v0),
-            math.fsum(common),
-        ]) / self.w
+        score = np.array([c * (common @ v1), common @ v0,
+                          common.sum()]) / self.w
         if not np.all(np.isfinite(score)):
             raise NumericError("non-finite score")
-        if derivatives == 1:
-            return LossEval(value, score, None, (self.t_first, self.t_last))
+        if v2 is None:
+            return LossEval(value, score, None, t_range)
 
         # Hessian: (A + B) sdot sdot^T + B sigma sddot, with
         # A = 4 sigma^2 / s2e^2 (2r - 1) and B = 2 (1 - r) / s2e.
-        A = 4.0 * sig * sig / s2e ** 2 * (2.0 * r - 1.0)
         B = 2.0 * (1.0 - r) / s2e
-        AB = A + B
+        AB = 4.0 * sig * sig / s2e ** 2 * (2.0 * r - 1.0) + B
         Bs = B * sig
+        ABv1, ABv0 = AB * v1, AB * v0
         h = np.empty((3, 3))
-        h[0, 0] = math.fsum(AB * sd_d * sd_d) + math.fsum(Bs * theta.c * v2)
-        h[0, 1] = math.fsum(AB * sd_d * v0) + math.fsum(Bs * v1)
-        h[0, 2] = math.fsum(AB * sd_d)
-        h[1, 1] = math.fsum(AB * v0 * v0)
-        h[1, 2] = math.fsum(AB * v0)
-        h[2, 2] = math.fsum(AB)
+        h[0, 0] = c * c * (ABv1 @ v1) + c * (Bs @ v2)
+        h[0, 1] = c * (ABv1 @ v0) + Bs @ v1
+        h[0, 2] = c * ABv1.sum()
+        h[1, 1] = ABv0 @ v0
+        h[1, 2] = ABv0.sum()
+        h[2, 2] = AB.sum()
         h[1, 0], h[2, 0], h[2, 1] = h[0, 1], h[0, 2], h[1, 2]
         h /= self.w
         if not np.all(np.isfinite(h)):
             raise NumericError("non-finite Hessian")
-        return LossEval(value, score, h, (self.t_first, self.t_last))
+        return LossEval(value, score, h, t_range)
 
 
 def loss(lspec: LossSpec, spec: CoeffSpec, theta: Theta, data,

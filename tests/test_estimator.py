@@ -7,13 +7,17 @@ from larchpmle import (
     ParamSpace,
     SimConfig,
     Theta,
+    derive_seed,
     estimate,
-    minimize_box,
     simulate,
 )
+from larchpmle.likelihood import PathEvaluator
 from larchpmle.errors import DomainError, ValidationError, WindowError
 
-from conftest import CASE1
+from conftest import CASE1, CASE1_BETA
+from nelder_mead import minimize_box
+
+LSPEC = LossSpec("trunc", 0.01, beta=CASE1_BETA)
 
 
 def quadratic_about(target):
@@ -22,6 +26,8 @@ def quadratic_about(target):
 
 
 class TestMinimizeBox:
+    """The value-only Nelder-Mead oracle of tests/nelder_mead.py."""
+
     def test_interior_quadratic(self, spec, space):
         target = Theta(0.2, 0.3, 1.5)
         res = minimize_box(quadratic_about(target), space, spec=spec)
@@ -70,23 +76,21 @@ class TestMinimizeBox:
         grid = 9 if fix else 9 ** 3
         assert res.evaluations == len(calls) > grid
 
-    def test_fix_everything_rejected(self, spec, space):
+    # fix validation lives in estimate, which the oracle shares
+    def test_fix_everything_rejected(self, spec, space, case1_path):
         with pytest.raises(DomainError):
-            minimize_box(lambda th: 0.0, space, spec=spec,
-                         fix={"d": 0.1, "c": 0.2, "a": 1.0})
+            estimate(LSPEC, spec, case1_path.x_obs, space=space,
+                     fix={"d": 0.1, "c": 0.2, "a": 1.0})
 
-    def test_infeasible_fixed_c(self, spec, space):
+    def test_infeasible_fixed_c(self, spec, space, case1_path):
         with pytest.raises(ValidationError):
-            minimize_box(lambda th: 0.0, space, spec=spec, fix={"c": 0.95})
+            estimate(LSPEC, spec, case1_path.x_obs, space=space,
+                     fix={"c": 0.95})
 
-    def test_fixed_values_must_lie_in_box(self, spec, space):
-        f = lambda th: th.d ** 2 + th.a ** 2
-        with pytest.raises(ValidationError):
-            minimize_box(f, space, spec=spec, fix={"a": 50.0})
-        with pytest.raises(ValidationError):
-            minimize_box(f, space, spec=spec, fix={"d": 0.6})
-        with pytest.raises(ValidationError):
-            minimize_box(f, space, spec=spec, fix={"d": 0.4, "c": 0.5})
+    def test_fixed_values_must_lie_in_box(self, spec, space, case1_path):
+        for fix in ({"a": 50.0}, {"d": 0.6}, {"d": 0.4, "c": 0.5}):
+            with pytest.raises(ValidationError):
+                estimate(LSPEC, spec, case1_path.x_obs, space=space, fix=fix)
 
 
 class TestEstimate:
@@ -137,3 +141,47 @@ class TestEstimate:
         r2 = estimate(lspec, spec, s.x_obs)
         assert r1 == r2
         assert r1.theta_hat.c <= ParamSpace().c_max(r1.theta_hat.d, spec)
+
+    @pytest.mark.parametrize("fix", [{"c": CASE1.c, "a": CASE1.a}, None],
+                             ids=["d-only", "joint"])
+    def test_evaluations_and_stage_timings(self, spec, case1_path, fix):
+        res = estimate(LSPEC, spec, case1_path.x_obs, fix=fix)
+        grid = 9 if fix else 9 ** 3
+        # every grid point counts, then two short Newton searches
+        assert grid < res.evaluations < grid + 40
+        assert res.grid_s > 0.0 and res.newton_s > 0.0
+
+
+def _oracle_fit(spec, space, x, fix):
+    """The Nelder-Mead oracle on the FFT path's loss values."""
+    fft = PathEvaluator(LSPEC, spec, x)
+    return minimize_box(lambda th: fft(th, derivatives=0).value, space,
+                        spec=spec, fix=fix)
+
+
+class TestNewtonAgainstNelderMead:
+    """The grid-plus-Newton fit lands where the value-only multi-start
+    Nelder-Mead does, at a loss no higher."""
+
+    @pytest.mark.parametrize("n", [1000, 10_000])
+    def test_profile_fit(self, spec, space, n):
+        fix = {"c": CASE1.c, "a": CASE1.a}
+        for r in range(10):
+            x = simulate(spec, CASE1, SimConfig(n=n, burn_in=10_000, J=2000,
+                                                seed=derive_seed(42, r))).x_obs
+            res = estimate(LSPEC, spec, x, space=space, fix=fix)
+            ref = _oracle_fit(spec, space, x, fix)
+            assert abs(res.theta_hat.d - ref.theta_hat.d) <= 1e-4
+            assert res.loss_at_opt <= ref.loss_at_opt + 1e-9 * abs(
+                ref.loss_at_opt)
+
+    def test_joint_fit(self, spec, space):
+        for r in range(5):
+            x = simulate(spec, CASE1, SimConfig(n=1000, burn_in=10_000,
+                                                J=2000,
+                                                seed=derive_seed(43, r))).x_obs
+            res = estimate(LSPEC, spec, x, space=space)
+            ref = _oracle_fit(spec, space, x, None)
+            assert res.loss_at_opt <= ref.loss_at_opt + 1e-9 * abs(
+                ref.loss_at_opt)
+            assert space.contains(res.theta_hat, spec)

@@ -13,13 +13,12 @@ from larchpmle import (
     landscape,
     loss,
     m_of_n,
-    minimize_box,
     sigma_bar,
     sigma_full,
     simulate,
     tail_variance,
 )
-from larchpmle.coeffs import coeff_weights
+from larchpmle.coeffs import coeff_weights, deriv_weights
 from larchpmle.errors import (
     DomainError,
     HistoryError,
@@ -30,6 +29,7 @@ from larchpmle.errors import (
 from larchpmle.likelihood import PathEvaluator
 
 from conftest import CASE1, CASE1_BETA, _simulate_loop
+from nelder_mead import minimize_box
 
 
 class TestWindow:
@@ -142,6 +142,18 @@ class TestLossValue:
         n = case1_path.n
         m = m_of_n(n, 0.599)
         assert le.t_range == (n - m, n)
+
+    def test_values_match_pointwise_loss(self, spec, case1_path):
+        # the fit's grid block against one evaluation per (c, a) pair
+        ev = PathEvaluator(LossSpec("trunc", 0.01, beta=0.7), spec,
+                           case1_path.x_obs)
+        d = 0.15
+        v0 = ev.lag_sums(Theta(d, 0.2, 1.0), 0)[0]
+        c = np.repeat([0.0, 0.1, 0.3], 3)
+        a = np.tile([0.2, 1.0, 4.0], 3)
+        ref = [ev(Theta(d, ci, ai), derivatives=0).value
+               for ci, ai in zip(c, a)]
+        np.testing.assert_allclose(ev.values(v0, c, a), ref, rtol=1e-13)
 
     def test_full_variant_requires_sample(self, spec):
         with pytest.raises(DomainError):
@@ -299,10 +311,34 @@ TABLE_IDS = ["trunc0.799", "trunc0.599", "bar"]
 
 
 @pytest.fixture(scope="module")
-def table_paths(spec):
+def table_samples(spec):
     return {n: simulate(spec, CASE1, SimConfig(n=n, burn_in=10_000, J=2000,
-                                               seed=2024)).x_obs
-            for n in (1000, 10_000)}
+                                               seed=2024))
+            for n in (1000, 10_000, 100_000)}
+
+
+@pytest.fixture(scope="module")
+def table_paths(table_samples):
+    return {n: table_samples[n].x_obs for n in (1000, 10_000)}
+
+
+def full_size_fft_sums(lspec, spec, sample, d, order=0):
+    """Window lag sums of order 0 or 1 in d by one convolution of the whole
+    stored series at a power-of-two length that holds it all: the oracle
+    for the evaluator's window-sized transforms and its table."""
+    full = lspec.variant == "full"
+    x = sample.x if full else sample.x_obs
+    J = sample.config.J if full else sample.n - 1
+    unit = Theta(d, 1.0, 1.0)
+    kernel = (deriv_weights(spec, unit, J, order_d=1) if order
+              else coeff_weights(spec, unit, J))
+    nfft = 1 << (len(x) + J).bit_length()
+    conv = np.fft.irfft(np.fft.rfft(x, nfft) * np.fft.rfft(kernel, nfft),
+                        nfft)
+    n = sample.n
+    t_first = n - m_of_n(n, lspec.beta) if lspec.variant == "trunc" else 1
+    idx = (sample.first_retained if full else 0) + np.arange(t_first, n + 1) - 2
+    return np.where(idx >= 0, conv[np.maximum(idx, 0)], 0.0)
 
 
 class TestChebyshevTable:
@@ -339,16 +375,24 @@ class TestChebyshevTable:
 
     @pytest.mark.parametrize("family", ["power", "farima"])
     def test_fft_path_unchanged_elsewhere(self, family, table_paths):
-        # derivative orders, d outside the range, and evaluators without a
-        # range all return exactly what the FFT path returns
+        # inside the range every derivative order comes from the table
+        # (within the gates of test_derivative_rows_match_fft); d outside
+        # the range and evaluators without a range return exactly what the
+        # FFT path returns
         spec = CoeffSpec(family, 2000)
         x = table_paths[1000]
         lspec = TABLE_SPECS[0]
         table = PathEvaluator(lspec, spec, x, d_range=(0.05, 0.3))
         fft = PathEvaluator(lspec, spec, x)
         orders = (1, 2) if family == "power" else (1,)
-        cases = [(0.1, k) for k in orders] + [(0.0, 0), (0.4, 0)]
-        for d, order in cases:
+        for order in orders:
+            th = Theta(0.1, 0.2, 1.0)
+            got, ref = table.lag_sums(th, order), fft.lag_sums(th, order)
+            for k, tol in zip(range(order + 1), (1e-12, 1e-12, 1e-9)):
+                assert (np.linalg.norm(got[k] - ref[k])
+                        <= tol * np.linalg.norm(ref[k]))
+            assert got[order + 1:] == ref[order + 1:] == (None,) * (2 - order)
+        for d, order in [(0.0, 0), (0.4, 0), (0.0, 1), (0.4, 1)]:
             th = Theta(d, 0.2, 1.0)
             for got, ref in zip(table.lag_sums(th, order),
                                 fft.lag_sums(th, order)):
@@ -361,6 +405,72 @@ class TestChebyshevTable:
                 kernel = coeff_weights(spec, Theta(d, 1.0, 1.0), fft.J)
             assert np.array_equal(fft.lag_sums(Theta(d, 0.2, 1.0), 0)[0],
                                   fft._convolve(kernel))
+
+    @pytest.mark.parametrize("n", [1000, 10_000, 100_000])
+    @pytest.mark.parametrize("variant", ["trunc", "bar", "full"])
+    @pytest.mark.parametrize("family", ["power", "farima"])
+    def test_value_rows_match_full_size_fft(self, family, variant, n,
+                                            table_samples):
+        # the table's value rows, and the window-sized FFT path, against a
+        # transform of the whole series; farima's relative accuracy holds
+        # down to d = 1e-6 because its table holds the sums of pi_j / d
+        spec = CoeffSpec(family, 2000)
+        lspec = (LossSpec("trunc", 0.01, beta=CASE1_BETA)
+                 if variant == "trunc" else LossSpec(variant, 0.01))
+        sample = table_samples[n]
+        data = sample if variant == "full" else sample.x_obs
+        table = PathEvaluator(lspec, spec, data, d_range=(0.0, 0.45))
+        fft = PathEvaluator(lspec, spec, data)
+        ds = [1e-6, 1e-4, 0.01125] + list(np.linspace(0.05, 0.45, 9))
+        for d in ds:
+            ref = full_size_fft_sums(lspec, spec, sample, d)
+            th = Theta(d, 0.2, 1.0)
+            for ev in (table, fft):
+                got = ev.lag_sums(th, 0)[0]
+                assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("n", [1000, 10_000, 100_000])
+    @pytest.mark.parametrize("lspec", TABLE_SPECS, ids=TABLE_IDS)
+    def test_derivative_rows_match_fft(self, spec, lspec, n, table_samples):
+        # term-by-term derivatives of the power table against the FFT rows
+        # of log j * j**(d-1) and log^2 j * j**(d-1), interval ends included
+        x = table_samples[n].x_obs
+        table = PathEvaluator(lspec, spec, x, d_range=(0.0, 0.45))
+        fft = PathEvaluator(lspec, spec, x)
+        for d in np.linspace(0.0, 0.45, 10):
+            th = Theta(d, 0.2, 1.0)
+            got, ref = table.lag_sums(th, 2), fft.lag_sums(th, 2)
+            for k, tol in ((0, 1e-12), (1, 1e-12), (2, 1e-9)):
+                assert (np.linalg.norm(got[k] - ref[k])
+                        <= tol * np.linalg.norm(ref[k]))
+
+    def test_farima_second_derivative_row(self, farima_spec, table_paths):
+        # farima has no FFT second-derivative row: the table's v2 against a
+        # central difference of the FFT v1
+        x = table_paths[1000]
+        lspec = TABLE_SPECS[0]
+        table = PathEvaluator(lspec, farima_spec, x, d_range=(0.0, 0.45))
+        fft = PathEvaluator(lspec, farima_spec, x)
+        h = 1e-4
+        for d in (0.05, 0.1, 0.2, 0.3, 0.4):
+            v2 = table.lag_sums(Theta(d, 0.2, 1.0), 2)[2]
+            fd = (fft.lag_sums(Theta(d + h, 0.2, 1.0), 1)[1]
+                  - fft.lag_sums(Theta(d - h, 0.2, 1.0), 1)[1]) / (2 * h)
+            assert np.linalg.norm(v2 - fd) <= 1e-6 * np.linalg.norm(fd)
+
+    @pytest.mark.parametrize("family", ["power", "farima"])
+    def test_derivatives_inside_range_run_no_transform(self, family,
+                                                       table_paths):
+        ev = PathEvaluator(TABLE_SPECS[0], CoeffSpec(family, 2000),
+                           table_paths[1000], d_range=(0.0, 0.45))
+
+        def no_transform(kernel):
+            raise AssertionError("FFT path used inside the table range")
+
+        ev._convolve = no_transform
+        for d in (0.0, 0.1, 0.45):
+            le = ev(Theta(d, 0.2, 1.0), derivatives=2)
+            assert np.all(np.isfinite(le.hessian))
 
     def test_invalid_range_rejected(self, spec, case1_path):
         for bad in ((0.3, 0.3), (0.4, 0.1), (0.0, math.inf)):

@@ -200,14 +200,20 @@ class TestBlockedKernel:
         assert np.all(got.x == got.eps * got.sigma)
 
     def test_no_scipy_linalg_import(self):
+        # neither the simulator nor a fit pulls in scipy.linalg or
+        # scipy.optimize (start-up time and peak memory)
         code = ("import sys, larchpmle\n"
-                "larchpmle.simulate(larchpmle.CoeffSpec('power', 2000),\n"
-                "    larchpmle.Theta(0.1, 0.2, 1.0),\n"
+                "spec = larchpmle.CoeffSpec('power', 2000)\n"
+                "s = larchpmle.simulate(spec, larchpmle.Theta(0.1, 0.2, 1.0),\n"
                 "    larchpmle.SimConfig(n=100, burn_in=100, seed=1))\n"
-                "print('scipy.linalg' in sys.modules)\n")
+                "print('scipy.linalg' in sys.modules)\n"
+                "larchpmle.estimate(larchpmle.LossSpec('bar', 0.01), spec,\n"
+                "    s.x_obs)\n"
+                "print('scipy.linalg' in sys.modules,\n"
+                "      'scipy.optimize' in sys.modules)\n")
         out = subprocess.run([sys.executable, "-c", code], check=True,
                              capture_output=True, text=True)
-        assert out.stdout.strip() == "False"
+        assert out.stdout.split() == ["False", "False", "False"]
 
 
 class TestVolterra:
