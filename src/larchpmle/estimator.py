@@ -22,12 +22,16 @@ __all__ = ["EstimationResult", "estimate"]
 _AXES = ("d", "c", "a")
 
 # The one search recipe: grid points per free axis, Newton searches seeded
-# from the best grid points, steps per search, the step (fraction of the box
-# width) that ends a search, and the box-edge distance called at_boundary.
+# from the best grid points, steps per search, the step and the projected
+# gradient (both times the box width) that end a search as converged, the
+# difference step of c_max's slope in d, and the box-edge distance called
+# at_boundary.
 _GRID = 9
 _SEEDS = 2
 _MAX_STEPS = 50
 _TOL_STEP = 1e-9
+_TOL_GRAD = 1e-5
+_SLOPE_STEP = 1e-6
 _BOUNDARY_MARGIN = 1e-4
 
 
@@ -57,7 +61,10 @@ def _feasible_d_max(space, spec, c_fixed):
     lo, hi = 0.0, space.d_u
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        lo, hi = (mid, hi) if space.c_max(mid, spec) >= c_fixed else (lo, mid)
+        if space.c_max(mid, spec) >= c_fixed:
+            lo = mid
+        else:
+            hi = mid
     return lo
 
 
@@ -94,44 +101,75 @@ def _search_box(space: ParamSpace, spec: CoeffSpec | None, fix: dict | None):
     return fix, free, lo, hi
 
 
+def _face_step(g, H, held, on_lo, on_up, D, width):
+    """Newton step, or diagonally scaled gradient step where H is not
+    positive definite, on the coordinates not ``held`` at a bound; held ones
+    on a moving upper bound (rows of its Jacobian D) follow it.  Returns
+    (step, held), held grown by the coordinates the step pushes out."""
+    eye = np.eye(len(g))
+    while True:
+        m = ~held
+        T = eye[:, m] + (held & on_up)[:, None] * D[:, m]
+        gm, Hm = T.T @ g, T.T @ H @ T
+        try:
+            np.linalg.cholesky(Hm)
+            pm = -np.linalg.solve(Hm, gm)
+        except np.linalg.LinAlgError:
+            scale = np.maximum(np.abs(np.diag(Hm)), np.abs(gm) / width[m])
+            pm = -gm / np.maximum(scale, np.finfo(float).tiny)
+        p = T @ pm
+        out = m & ((on_lo & (p < 0)) | (on_up & (p > 0)))
+        if not out.any():
+            return p, held
+        held = held | out
+
+
+def _line_search(at, x, f, p, lo, upper, follow, tol):
+    """(x, loss, score, Hessian) at the first halving of p, clipped to the
+    box with ``follow`` on its upper bounds, below f; None within tol."""
+    step = 1.0
+    while True:
+        z = x + step * p
+        uz = upper(z)
+        y = np.where(follow, uz, np.clip(z, lo, uz))
+        if np.all(np.abs(y - x) <= tol):
+            return None
+        fy, gy, Hy = at(y)
+        if fy < f:
+            return y, fy, gy, Hy
+        step *= 0.5
+
+
 def _newton(at, x, lo, upper):
-    """Projected Newton descent from x in the box [lo, upper(x)];
-    ``at(x)`` returns the loss, score and Hessian.  Coordinates held at a
-    bound by the gradient or by the step drop out of the Newton system; the
-    step is the gradient scaled by the Hessian's diagonal where the rest of
-    the Hessian is not positive definite.  A step is at most one box width,
-    halved until the loss falls.  Returns (x, loss, converged)."""
+    """Projected Newton descent from x in the box [lo, upper(x)], ``at(x)``
+    giving the loss, score and Hessian; c held at c_max(d) follows that
+    edge.  A step is at most one box width, halved until the loss falls;
+    off a stationary point a failed Newton step is followed by a scaled
+    gradient step.  Returns (x, loss, converged): converged once no step
+    beyond _TOL_STEP lowers the loss and the projected gradient is within
+    _TOL_GRAD."""
     f, g, H = at(x)
+    eye = np.eye(len(x))
     for _ in range(_MAX_STEPS):
         up = upper(x)
-        width = up - lo
-        held = ((x <= lo) & (g > 0)) | ((x >= up) & (g < 0))
-        while True:
-            m = ~held
-            p = np.zeros_like(x)
-            Hm, gm = H[np.ix_(m, m)], g[m]
-            try:
-                np.linalg.cholesky(Hm)
-                p[m] = -np.linalg.solve(Hm, gm)
-            except np.linalg.LinAlgError:
-                scale = np.maximum(np.abs(np.diag(Hm)), np.abs(gm) / width[m])
-                p[m] = -gm / np.maximum(scale, np.finfo(float).tiny)
-            out = m & (((x <= lo) & (p < 0)) | ((x >= up) & (p > 0)))
-            if not out.any():
+        width, on_lo, on_up = up - lo, x <= lo, x >= up
+        D = np.zeros_like(H)           # Jacobian of upper, within the box
+        for j, h in enumerate(_SLOPE_STEP * eye if on_up.any() else ()):
+            xp, xm = np.minimum(x + h, up), np.maximum(x - h, lo)
+            D[:, j] = (upper(xp) - upper(xm)) / (xp[j] - xm[j])
+        pg = g + (on_up & (g < 0)) * g @ D       # the gradient on the face
+        held = (on_lo & (pg > 0)) | (on_up & (pg < 0))
+        stationary = np.all(np.abs(pg[~held]) * width[~held] <= _TOL_GRAD)
+        for M in (H,) if stationary else (H, np.diag(np.abs(np.diag(H)))):
+            p, hold = _face_step(g, M, held, on_lo, on_up, D, width)
+            p /= max(1.0, np.max(np.abs(p) / width))
+            found = _line_search(at, x, f, p, lo, upper, hold & on_up,
+                                 _TOL_STEP * width)
+            if found:
                 break
-            held |= out
-        p /= max(1.0, np.max(np.abs(p) / width))
-        step = 1.0
-        while True:
-            z = x + step * p
-            y = np.clip(z, lo, upper(z))
-            if np.all(np.abs(y - x) <= _TOL_STEP * width):
-                return x, f, True
-            fy, gy, Hy = at(y)
-            if fy < f:
-                break
-            step *= 0.5
-        x, f, g, H = y, fy, gy, Hy
+        else:
+            return x, f, bool(stationary)
+        x, f, g, H = found
     return x, f, False
 
 
@@ -145,12 +183,12 @@ def estimate(lspec: LossSpec, spec: CoeffSpec, data,
     Estimation requires a strictly positive regularization epsilon and a
     window of at least 10 points.
 
-    The recipe is fixed: a grid of 9 points on each free axis, c as the
-    fraction u of c_max(d) (with d free the lag sums come from a table over
-    [0, d_u]); the best two grid points, ties broken by smallest d, u, a,
-    each seed :func:`_newton` in theta, converged once a step is within
-    1e-9 of the box width.  The lower end wins, ties broken alike;
-    ``at_boundary`` marks a minimizer within 1e-4 of the box edge in u.
+    The recipe is fixed (see the constants above): a grid on each free
+    axis, c as the fraction u of c_max(d), with d free the lag sums from a
+    table over [0, d_u]; its best points, ties broken by smallest d, u, a,
+    each seed :func:`_newton` in theta.  The lower end wins, ties broken
+    alike; ``at_boundary`` marks a minimizer within 1e-4 of the box edge
+    in u.
     """
     space = space or ParamSpace()
     if lspec.epsilon <= 0.0:

@@ -346,10 +346,11 @@ class PathEvaluator:
                  derivatives: int = 2) -> LossEval:
         return self.evaluate(theta, self.lag_sums(theta, derivatives), epsilon)
 
-    def values(self, v0: np.ndarray, c, a) -> np.ndarray:
+    def values(self, v0: np.ndarray, c, a, epsilon: float | None = None
+               ) -> np.ndarray:
         """Loss values at the scale pairs (c_i, a_i), all sharing the lag
-        sums ``v0`` of one d; non-finite values are returned as they are."""
-        eps = self.lspec.epsilon
+        sums ``v0`` of one d; a non-finite term raises NumericError."""
+        eps = self.lspec.epsilon if epsilon is None else float(epsilon)
         # in place: the (pairs, w) block is the largest array of a fit
         s2e = np.multiply.outer(np.asarray(c, dtype=float), v0)
         s2e += np.asarray(a, dtype=float)[:, None]
@@ -358,6 +359,10 @@ class PathEvaluator:
         with np.errstate(divide="ignore", invalid="ignore"):
             terms = np.log(s2e)
             terms += np.divide(self.xw ** 2 + eps, s2e, out=s2e)
+        if not np.all(np.isfinite(terms)):
+            bad = np.flatnonzero(~np.all(np.isfinite(terms), axis=0))[0]
+            raise NumericError(
+                f"non-finite loss term at t = {self.t_first + int(bad)}")
         return terms.sum(axis=1) / self.w
 
     def evaluate(self, theta: Theta, sums, epsilon: float | None = None
@@ -365,21 +370,16 @@ class PathEvaluator:
         """Loss at theta from the lag sums (v0, v1, v2) of theta.d, with
         the score when v1 is given and the Hessian when v2 is too."""
         v0, v1, v2 = sums
+        value = float(self.values(v0, [theta.c], [theta.a], epsilon)[0])
+        t_range = (self.t_first, self.t_last)
+        if v1 is None:
+            return LossEval(value, None, None, t_range)
+
         eps = self.lspec.epsilon if epsilon is None else float(epsilon)
         c = theta.c
         sig = theta.a + c * v0
         s2e = sig * sig + eps
-        with np.errstate(divide="ignore", invalid="ignore"):
-            r = (self.xw ** 2 + eps) / s2e
-            terms = r + np.log(s2e)
-        if not np.all(np.isfinite(terms)):
-            bad = self.t_first + int(np.flatnonzero(~np.isfinite(terms))[0])
-            raise NumericError(f"non-finite loss term at t = {bad}")
-        t_range = (self.t_first, self.t_last)
-        value = float(terms.sum()) / self.w
-        if v1 is None:
-            return LossEval(value, None, None, t_range)
-
+        r = (self.xw ** 2 + eps) / s2e
         # d sigma / d theta = (c v1, v0, 1)
         common = (1.0 - r) * 2.0 * sig / s2e
         score = np.array([c * (common @ v1), common @ v0,

@@ -11,6 +11,7 @@ from larchpmle import (
     estimate,
     simulate,
 )
+from larchpmle import estimator
 from larchpmle.likelihood import PathEvaluator
 from larchpmle.errors import DomainError, ValidationError, WindowError
 
@@ -93,6 +94,124 @@ class TestMinimizeBox:
                 estimate(LSPEC, spec, case1_path.x_obs, space=space, fix=fix)
 
 
+def quadratic(target, H, calls=None):
+    """at(x) of 0.5 (x - target)' H (x - target) with its exact gradient
+    and Hessian; each call is appended to ``calls`` when given."""
+    target, H = np.asarray(target, dtype=float), np.asarray(H, dtype=float)
+
+    def at(x):
+        if calls is not None:
+            calls.append(x)
+        r = x - target
+        return 0.5 * r @ H @ r, H @ r, H
+    return at
+
+
+# Hessian of a joint fit's loss (d, c, a) at n = 1000: strongly coupled
+H_JOINT = np.array([[10.058, 14.418, -6.563],
+                    [14.418, 23.219, -9.242],
+                    [-6.563, -9.242, 5.241]])
+
+
+def edge_box(spec, space):
+    """The estimation box in (d, c, a), c's upper bound c_max(d) moving
+    with d: (lo, upper) as estimate passes them to _newton."""
+    # farima's c_max(0) is infinite: d starts just above 0, as in estimate
+    d_lo = 0.0 if spec.family == "power" else 1e-8
+    lo = np.array([d_lo, 0.0, space.a_d])
+
+    def upper(x):
+        d = min(max(x[0], d_lo), space.d_u)
+        return np.array([space.d_u, space.c_max(d, spec), space.a_u])
+    return lo, upper
+
+
+def slsqp_oracle(at, x0, spec, space):
+    """The box-and-edge minimizer by scipy's SLSQP, an independent oracle;
+    c's box bound is c_max(0), its constraint c <= c_max(d)."""
+    from scipy.optimize import minimize
+    lo, upper = edge_box(spec, space)
+    edge = {"type": "ineq", "fun": lambda x: upper(x)[1] - x[1]}
+    res = minimize(lambda x: at(x)[0], x0, jac=lambda x: at(x)[1],
+                   method="SLSQP", bounds=list(zip(lo, upper(lo))),
+                   constraints=[edge], options={"ftol": 1e-15,
+                                                "maxiter": 500})
+    assert res.success
+    return res.x, res.fun
+
+
+class TestNewton:
+    """The projected Newton search that estimate runs from its grid seeds,
+    on quadratics with exact derivatives."""
+
+    def test_interior_quadratic(self, spec, space):
+        lo, upper = edge_box(spec, space)
+        target = np.array([0.2, 0.3, 1.5])
+        calls = []
+        x, f, conv = estimator._newton(quadratic(target, H_JOINT, calls),
+                                       np.array([0.4, 0.05, 5.0]), lo,
+                                       upper)
+        assert conv
+        np.testing.assert_allclose(x, target, atol=1e-12)
+        assert np.all(x > lo) and np.all(x < upper(x))
+        # one Newton step lands on the minimum; the next one is null
+        assert len(calls) == 2
+
+    def test_exterior_minimizer_clamps(self, spec, space):
+        lo, upper = edge_box(spec, space)
+        at = quadratic([0.6, 0.1, 1.0], H_JOINT)
+        x0 = np.array([0.1, 0.2, 1.0])
+        x, f, conv = estimator._newton(at, x0, lo, upper)
+        ref, f_ref = slsqp_oracle(at, x0, spec, space)
+        assert conv
+        assert x[0] == space.d_u
+        assert f <= f_ref + 1e-12
+        np.testing.assert_allclose(x, ref, atol=1e-6)
+
+    @pytest.mark.parametrize("family, target, x0", [
+        ("power", [0.42, 0.5, 1.2], [0.1, None, 1.0]),
+        ("power", [0.3, 0.9, 0.8], [0.0, 0.1, 5.0]),
+        # farima's c_max(d) is convex at small d: a step along its tangent
+        # leaves the edge, and is put back on it
+        ("farima", [0.3, 5.0, 1.0], [0.05, None, 1.0]),
+    ], ids=["along-edge", "onto-edge", "farima-along-edge"])
+    def test_minimum_beyond_c_max_edge(self, space, family, target, x0):
+        spec = CoeffSpec(family, 2000)
+        lo, upper = edge_box(spec, space)
+        at = quadratic(target, H_JOINT)
+        x0 = np.array([x0[0], space.c_max(x0[0], spec) if x0[1] is None
+                       else x0[1], x0[2]])
+        x, f, conv = estimator._newton(at, x0, lo, upper)
+        ref, f_ref = slsqp_oracle(at, x0, spec, space)
+        assert conv
+        assert x[1] == space.c_max(x[0], spec)
+        assert f <= f_ref + 1e-12
+        np.testing.assert_allclose(x, ref, atol=1e-5)
+
+    def test_corner_start_with_inward_gradient(self, spec, space):
+        # a real joint fit's start at d = d_u, c = c_max(d_u): the gradient
+        # points into the box, while the Newton step pushes c, and then d,
+        # out of it
+        lo, upper = edge_box(spec, space)
+        x0 = np.array([space.d_u, space.c_max(space.d_u, spec), 1.25427381])
+        g0 = np.array([0.286510916, 0.347778007, -8.37e-9])
+        at = quadratic(x0 - np.linalg.solve(H_JOINT, g0), H_JOINT)
+        x, f, conv = estimator._newton(at, x0, lo, upper)
+        ref, f_ref = slsqp_oracle(at, x0, spec, space)
+        assert conv
+        assert f <= f_ref + 1e-12
+        np.testing.assert_allclose(x, ref, atol=1e-5)
+
+    def test_no_descent_is_not_converged(self, spec, space):
+        # a gradient that no step can follow: the value never falls
+        lo, upper = edge_box(spec, space)
+        at = lambda x: (0.0, np.array([1.0, 0.0, 0.0]), np.eye(3))
+        x0 = np.array([0.2, 0.1, 1.0])
+        x, f, conv = estimator._newton(at, x0, lo, upper)
+        assert not conv
+        np.testing.assert_array_equal(x, x0)
+
+
 class TestEstimate:
     def test_frozen_c_closed_form(self, spec):
         th0 = Theta(0.0, 0.0, 1.3)
@@ -144,12 +263,41 @@ class TestEstimate:
 
     @pytest.mark.parametrize("fix", [{"c": CASE1.c, "a": CASE1.a}, None],
                              ids=["d-only", "joint"])
-    def test_evaluations_and_stage_timings(self, spec, case1_path, fix):
+    def test_evaluations_and_stage_timings(self, spec, case1_path, fix,
+                                           monkeypatch):
+        calls = []
+        newton = estimator._newton
+        monkeypatch.setattr(
+            estimator, "_newton",
+            lambda at, *args: newton(lambda x: calls.append(x) or at(x),
+                                     *args))
         res = estimate(LSPEC, spec, case1_path.x_obs, fix=fix)
         grid = 9 if fix else 9 ** 3
-        # every grid point counts, then two short Newton searches
-        assert grid < res.evaluations < grid + 40
+        # every grid point counts, then every point of the Newton searches
+        assert len(calls) > 2
+        assert res.evaluations == grid + len(calls)
         assert res.grid_s > 0.0 and res.newton_s > 0.0
+
+    @pytest.mark.parametrize("seed, fix, edge", [
+        (3, None, True), (3, {"c": CASE1.c, "a": CASE1.a}, True),
+        (8, None, False), (8, {"c": CASE1.c, "a": CASE1.a}, False)])
+    def test_at_boundary(self, spec, space, seed, fix, edge):
+        x = simulate(spec, CASE1, SimConfig(n=1000, burn_in=10_000, J=2000,
+                                            seed=derive_seed(43, seed))).x_obs
+        res = estimate(LSPEC, spec, x, space=space, fix=fix)
+        assert res.converged
+        assert res.at_boundary is edge
+        assert (res.theta_hat.d == 0.0) is edge
+
+    def test_loss_below_every_grid_point(self, spec, space, case1_path):
+        res = estimate(LSPEC, spec, case1_path.x_obs, space=space)
+        fft = PathEvaluator(LSPEC, spec, case1_path.x_obs)
+        grid = np.linspace(0.0, 1.0, 9)
+        for d in np.linspace(0.0, space.d_u, 9):
+            v0 = fft.lag_sums(Theta(d, 0.0, 1.0), 0)[0]
+            c = np.repeat(grid * space.c_max(d, spec), 9)
+            a = np.tile(np.linspace(space.a_d, space.a_u, 9), 9)
+            assert res.loss_at_opt <= fft.values(v0, c, a).min() + 1e-12
 
 
 def _oracle_fit(spec, space, x, fix):

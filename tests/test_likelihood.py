@@ -151,9 +151,16 @@ class TestLossValue:
         v0 = ev.lag_sums(Theta(d, 0.2, 1.0), 0)[0]
         c = np.repeat([0.0, 0.1, 0.3], 3)
         a = np.tile([0.2, 1.0, 4.0], 3)
-        ref = [ev(Theta(d, ci, ai), derivatives=0).value
+        ref = [ev(Theta(d, ci, ai), derivatives=2).value
                for ci, ai in zip(c, a)]
-        np.testing.assert_allclose(ev.values(v0, c, a), ref, rtol=1e-13)
+        # one value formula: the grid and the Newton steps agree exactly
+        np.testing.assert_array_equal(ev.values(v0, c, a), ref)
+
+    def test_values_reject_nonfinite_term(self, spec):
+        ev = PathEvaluator(LossSpec("bar", 0.0), spec, np.zeros(30))
+        v0 = ev.lag_sums(Theta(0.1, 0.0, 0.0), 0)[0]
+        with pytest.raises(NumericError, match="t = 1"):
+            ev.values(v0, [0.0, 0.2], [1.0, 0.0])
 
     def test_full_variant_requires_sample(self, spec):
         with pytest.raises(DomainError):
