@@ -8,10 +8,13 @@ left unset from :func:`~larchpmle.montecarlo.case_study`.  Malformed or
 out-of-range values and conflicting flags are usage errors, raised before
 any work.
 
-Every subcommand writes CSV files whose first line is a ``#`` comment
-recording the values that ran, plus a ``<command>_meta.txt`` sidecar with
-the same values.  Numbers are printed with 17 significant digits so files
-round-trip losslessly.
+A command returns the tables it computed and :func:`_write` emits them
+all: into ``--out``, each CSV starts with a ``#`` comment recording the
+values that ran, a ``<command>_meta.txt`` sidecar records the same values,
+and one ``wrote <files> to <dir>`` line goes to stdout.  Numbers are
+printed with 17 significant digits so files round-trip losslessly.
+``check-moments``, and ``rates`` without ``--replicates``, only print and
+write no file.
 
 Exit codes: 0 success, 1 usage error, 2 numeric/domain/data error.
 """
@@ -25,7 +28,7 @@ import numpy as np
 
 from .asymptotics import predicted_rate, sandwich
 from .coeffs import CoeffSpec, Theta, check_moment_conditions, gaussian_moments
-from .diagnostics import fit_decay, score_gap, write_decay_csv
+from .diagnostics import fit_decay, score_gap
 from .errors import DataError, LarchError
 from .estimator import estimate
 from .likelihood import LossSpec, landscape
@@ -36,7 +39,7 @@ from .montecarlo import (
     normal_plot_data,
     run_study,
 )
-from .simulate import SimConfig, simulate
+from .simulate import Sample, SimConfig, simulate
 
 __all__ = ["main", "load_series"]
 
@@ -309,53 +312,44 @@ def _apply_preset(args) -> None:
             setattr(args, flag, value)
 
 
-def _resolved(args, **extra) -> dict:
-    """The values a run used: every flag but where output goes and how
-    many workers ran, plus ``extra``."""
-    skip = ("run", "out", "threads")
-    return {k: v for k, v in vars(args).items()
-            if k not in skip and v is not None} | extra
-
-
-def _outdir(args) -> Path:
+def _write(args, files: dict, extra: dict) -> None:
+    """Write each CSV of ``files``, name: (header, rows[, trailer line]),
+    and the ``<command>_meta.txt`` sidecar into ``--out``.  Both record
+    the values that ran: every flag but where output goes and how many
+    workers ran, plus ``extra``."""
+    resolved = {k: v for k, v in vars(args).items()
+                if k not in ("run", "out", "threads") and v is not None}
+    resolved |= extra
+    comment = " ".join(f"{k}={_fmt(v)}" for k, v in sorted(resolved.items()))
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    return outdir
-
-
-def _write_meta(outdir: Path, resolved: dict) -> None:
-    with open(outdir / f"{resolved['command']}_meta.txt", "w") as fh:
+    for name, (header, rows, *trailer) in files.items():
+        with open(outdir / name, "w") as fh:
+            fh.write(f"# {comment}\n{header}\n")
+            for row in rows:
+                fh.write(",".join(_fmt(v) for v in row) + "\n")
+            for line in trailer:
+                fh.write(f"# {line}\n")
+    meta = f"{args.command}_meta.txt"
+    with open(outdir / meta, "w") as fh:
         for k in sorted(resolved):
             fh.write(f"{k} = {_fmt(resolved[k])}\n")
+    print(f"wrote {', '.join([*files, meta])} to {outdir}")
 
 
-def _comment(resolved: dict) -> str:
-    return " ".join(f"{k}={_fmt(v)}" for k, v in sorted(resolved.items()))
+def _simulated(args, d: float, family: str = "power") -> Sample:
+    """The path the flags describe, with long-memory exponent ``d``."""
+    return simulate(CoeffSpec(family, args.trunc), Theta(d, args.c, args.a),
+                    SimConfig(n=args.n, burn_in=args.burn_in, seed=args.seed))
 
 
-def _write_csv(path: Path, header: str, rows, resolved: dict) -> None:
-    with open(path, "w") as fh:
-        fh.write(f"# {_comment(resolved)}\n")
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+def _cmd_simulate(args):
+    s = _simulated(args, args.d, args.family)
+    rows = zip(range(1, s.n + 1), s.x_obs, s.sigma_obs, s.eps_obs)
+    return {"simulate.csv": ("t,x,sigma,eps", rows)}, {}
 
 
-def _cmd_simulate(args) -> int:
-    sample = simulate(CoeffSpec(args.family, args.trunc),
-                      Theta(args.d, args.c, args.a),
-                      SimConfig(n=args.n, burn_in=args.burn_in, J=args.trunc,
-                                seed=args.seed))
-    outdir = _outdir(args)
-    resolved = _resolved(args)
-    with open(outdir / "simulate.csv", "w") as fh:
-        sample.to_csv(fh, comment=_comment(resolved))
-    _write_meta(outdir, resolved)
-    print(f"wrote {outdir / 'simulate.csv'}")
-    return 0
-
-
-def _cmd_estimate(args) -> int:
+def _cmd_estimate(args):
     if args.variant == "bar":
         if args.beta is not None:
             raise _UsageError("--beta applies only to --variant trunc")
@@ -368,20 +362,16 @@ def _cmd_estimate(args) -> int:
            if getattr(args, f"fix_{k}") is not None}
     res = estimate(lspec, CoeffSpec(args.family), x, fix=fix or None)
     th = res.theta_hat
-    outdir = _outdir(args)
-    resolved = _resolved(args, n=len(x))
-    _write_csv(outdir / "estimate.csv",
-               "d_hat,c_hat,a_hat,loss,converged,at_boundary",
-               [(th.d, th.c, th.a, res.loss_at_opt, res.converged,
-                 res.at_boundary)], resolved)
-    _write_meta(outdir, resolved)
     print(f"d_hat={_fmt(th.d)} c_hat={_fmt(th.c)} a_hat={_fmt(th.a)} "
           f"loss={_fmt(res.loss_at_opt)} converged={res.converged} "
           f"at_boundary={res.at_boundary}")
-    return 0
+    row = (th.d, th.c, th.a, res.loss_at_opt, res.converged, res.at_boundary)
+    return ({"estimate.csv": ("d_hat,c_hat,a_hat,loss,converged,at_boundary",
+                              [row])},
+            {"n": len(x)})
 
 
-def _cmd_mc(args) -> int:
+def _cmd_mc(args):
     if args.beta is None:
         raise _UsageError("mc without --case requires --beta")
     # the trimmed normal plot needs at least two estimates per n
@@ -395,15 +385,9 @@ def _cmd_mc(args) -> int:
                       trim=args.trim, burn_in=args.burn_in, J=args.trunc,
                       estimate_params="dca" if args.estimate_all else "d")
     report = run_study(cfg, workers=args.threads)
-    outdir = _outdir(args)
-    resolved = _resolved(args, case=label)
-    _write_csv(outdir / "rows.csv",
-               "case,n,replicate,seed,d_hat,c_hat,a_hat,loss,converged,"
-               "at_boundary,evals",
-               [(label, r.n, r.replicate, r.seed, r.d_hat, r.c_hat, r.a_hat,
-                 r.loss, r.converged, r.at_boundary, r.evals)
-                for r in report.rows],
-               resolved)
+    rows = [(label, r.n, r.replicate, r.seed, r.d_hat, r.c_hat, r.a_hat,
+             r.loss, r.converged, r.at_boundary, r.evals)
+            for r in report.rows]
     stat_rows = []
     for n in cfg.n_values:
         summ = report.summaries[n]
@@ -414,66 +398,49 @@ def _cmd_mc(args) -> int:
                          "s_scaled", "s_tilde_scaled", "skewness",
                          "q_skewness"):
                 stat_rows.append((label, n, trimmed, stat, getattr(sr, stat)))
-    _write_csv(outdir / "summary.csv", "case,n,trimmed,stat,value",
-               stat_rows, resolved)
+    files = {"rows.csv": ("case,n,replicate,seed,d_hat,c_hat,a_hat,loss,"
+                          "converged,at_boundary,evals", rows),
+             "summary.csv": ("case,n,trimmed,stat,value", stat_rows)}
     for n in cfg.n_values:
         d_hats = [r.d_hat for r in report.rows if r.n == n]
-        pairs = normal_plot_data(d_hats)
-        _write_csv(outdir / f"normplot_all_n{n}.csv", "q_theoretical,value",
-                   pairs, resolved)
-        trimmed = sorted(d_hats)[cfg.trim:]
-        pairs = normal_plot_data(trimmed)
-        _write_csv(outdir / f"normplot_trimmed_n{n}.csv",
-                   "q_theoretical,value", pairs, resolved)
-    _write_meta(outdir, resolved)
-    print(f"wrote rows.csv and summary.csv to {outdir}")
-    return 0
+        files[f"normplot_all_n{n}.csv"] = (
+            "q_theoretical,value", normal_plot_data(d_hats))
+        files[f"normplot_trimmed_n{n}.csv"] = (
+            "q_theoretical,value", normal_plot_data(sorted(d_hats)[cfg.trim:]))
+    return files, {"case": label}
 
 
-def _cmd_landscape(args) -> int:
-    spec = CoeffSpec("power", args.trunc)
-    sample = simulate(spec, Theta(args.true_d, args.c, args.a),
-                      SimConfig(n=args.n, burn_in=args.burn_in, J=args.trunc,
-                                seed=args.seed))
+def _cmd_landscape(args):
+    sample = _simulated(args, args.true_d)
     lo, hi, count = args.d_grid
-    rows = landscape(LossSpec("trunc", 0.01, beta=args.beta), spec, args.c,
-                     args.a, sample.x_obs, np.linspace(lo, hi, count),
+    rows = landscape(LossSpec("trunc", 0.01, beta=args.beta), sample.spec,
+                     args.c, args.a, sample.x_obs, np.linspace(lo, hi, count),
                      args.eps_list)
-    outdir = _outdir(args)
-    resolved = _resolved(args)
-    _write_csv(outdir / "landscape.csv", "epsilon,d,loss", rows, resolved)
-    _write_meta(outdir, resolved)
-    print(f"wrote {outdir / 'landscape.csv'}")
-    return 0
+    return {"landscape.csv": ("epsilon,d,loss", rows)}, {}
 
 
-def _cmd_acf(args) -> int:
+def _cmd_acf(args):
     if args.max_lag >= args.n:
         raise _UsageError(f"--max-lag {args.max_lag} must be below --n "
                           f"{args.n}")
-    sample = simulate(CoeffSpec("power", args.trunc),
-                      Theta(args.d, args.c, args.a),
-                      SimConfig(n=args.n, burn_in=args.burn_in, J=args.trunc,
-                                seed=args.seed))
-    rho = acf(sample.x_obs, args.max_lag, on_squares=not args.raw)
-    # fit before writing anything, so a failed fit leaves no output
+    rho = acf(_simulated(args, args.d).x_obs, args.max_lag,
+              on_squares=not args.raw)
+    files = {"acf.csv": ("lag,acf", list(enumerate(rho)))}
     if args.fit is not None:
         pairs = [(k, rho[k]) for k in range(1, args.max_lag + 1)]
         fit = fit_decay(pairs, *args.fit)
-    outdir = _outdir(args)
-    resolved = _resolved(args)
-    _write_csv(outdir / "acf.csv", "lag,acf",
-               list(enumerate(rho)), resolved)
-    if args.fit is not None:
-        with open(outdir / "acf_decay.csv", "w") as fh:
-            write_decay_csv(fh, pairs, fit, comment=_comment(resolved))
         print(f"decay fit: slope={_fmt(fit.slope)} r2={_fmt(fit.r2)}")
-    _write_meta(outdir, resolved)
-    print(f"wrote {outdir / 'acf.csv'}")
-    return 0
+        files["acf_decay.csv"] = (
+            "k,value,log_k,log_value",
+            [(k, v, math.log(k), math.log(v) if v > 0 else math.nan)
+             for k, v in pairs],
+            f"fit: slope={_fmt(fit.slope)} intercept={_fmt(fit.intercept)} "
+            f"r2={_fmt(fit.r2)} k_range={fit.k_range[0]:g}.."
+            f"{fit.k_range[1]:g} n_points={fit.n_points}")
+    return files, {}
 
 
-def _cmd_asymcov(args) -> int:
+def _cmd_asymcov(args):
     if args.burn_in < args.trunc:
         raise _UsageError(f"--burn-in {args.burn_in} must be at least "
                           f"--trunc {args.trunc}")
@@ -481,24 +448,14 @@ def _cmd_asymcov(args) -> int:
                    Theta(args.d, args.c, args.a), args.eps,
                    gaussian_moments(8), path_length=args.path_length,
                    burn_in=args.burn_in, seed=args.seed)
-    outdir = _outdir(args)
-    names = ("d", "c", "a")
-    rows = [(names[i], names[j], res.G[i, j], res.H[i, j], res.cov[i, j])
-            for i in range(3) for j in range(3)]
-    path = outdir / "asymcov.csv"
-    resolved = _resolved(args)
-    _write_csv(path, "entry_i,entry_j,G,H,cov", rows, resolved)
-    with open(path, "a") as fh:
-        fh.write(f"# sd_d={_fmt(res.sd[0])},sd_c={_fmt(res.sd[1])},"
-                 f"sd_a={_fmt(res.sd[2])}\n")
-    _write_meta(outdir, resolved)
-    print(f"sd_d={_fmt(res.sd[0])} sd_c={_fmt(res.sd[1])} "
-          f"sd_a={_fmt(res.sd[2])} (joint: "
-          f"{','.join(_fmt(v) for v in res.sd_joint)})")
-    return 0
+    sd = [f"sd_{name}={_fmt(v)}" for name, v in zip("dca", res.sd)]
+    print(f"{' '.join(sd)} (joint: {','.join(_fmt(v) for v in res.sd_joint)})")
+    rows = [(i, j, res.G[k, m], res.H[k, m], res.cov[k, m])
+            for k, i in enumerate("dca") for m, j in enumerate("dca")]
+    return {"asymcov.csv": ("entry_i,entry_j,G,H,cov", rows, ",".join(sd))}, {}
 
 
-def _cmd_check_moments(args) -> int:
+def _cmd_check_moments(args):
     theta = Theta(args.d, args.c, args.a)
     report = check_moment_conditions(
         CoeffSpec(args.family, 2000), theta,
@@ -509,31 +466,27 @@ def _cmd_check_moments(args) -> int:
         print(f"M'_{p}    : lhs={_fmt(chk.lhs)} holds={chk.holds}")
     for p, chk in sorted(report.mp_dblprime.items()):
         print(f"M''_{p}   : lhs={_fmt(chk.lhs)} holds={chk.holds}")
-    return 0
 
 
-def _cmd_rates(args) -> int:
+def _cmd_rates(args):
     if args.beta is None:
         raise _UsageError("rates requires --beta or --case")
     theta = Theta(args.d, args.c, args.a)
     pred = predicted_rate(args.n, args.beta, args.d)
     print(f"score_gap_order={_fmt(pred.score_gap_order)} "
           f"rate_exponent={_fmt(pred.rate_exponent)} regime={pred.regime}")
-    if args.replicates > 0:
-        gap = score_gap(CoeffSpec("power", 2000), theta, args.eps, args.n,
-                        args.beta, args.replicates, base_seed=args.seed,
-                        burn_in=args.burn_in)
-        print(f"empirical_gap={_fmt(gap.empirical)} "
-              f"(replicates={args.replicates})")
-        outdir = _outdir(args)
-        resolved = _resolved(args)
-        _write_csv(outdir / "rates.csv",
-                   "n,beta,d,score_gap_order,rate_exponent,regime,empirical_gap",
-                   [(args.n, args.beta, args.d, pred.score_gap_order,
-                     pred.rate_exponent, pred.regime, gap.empirical)],
-                   resolved)
-        _write_meta(outdir, resolved)
-    return 0
+    if args.replicates == 0:
+        return None
+    gap = score_gap(CoeffSpec("power", 2000), theta, args.eps, args.n,
+                    args.beta, args.replicates, base_seed=args.seed,
+                    burn_in=args.burn_in)
+    print(f"empirical_gap={_fmt(gap.empirical)} "
+          f"(replicates={args.replicates})")
+    row = (args.n, args.beta, args.d, pred.score_gap_order,
+           pred.rate_exponent, pred.regime, gap.empirical)
+    return ({"rates.csv": ("n,beta,d,score_gap_order,rate_exponent,regime,"
+                           "empirical_gap", [row])},
+            {})
 
 
 def main(argv=None) -> int:
@@ -541,7 +494,10 @@ def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(_with_config(argv))
         _apply_preset(args)
-        return args.run(args)
+        output = args.run(args)
+        if output is not None:
+            _write(args, *output)
+        return 0
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

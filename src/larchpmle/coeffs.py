@@ -71,11 +71,6 @@ class Theta:
     def as_array(self) -> np.ndarray:
         return np.array([self.d, self.c, self.a], dtype=float)
 
-    @staticmethod
-    def from_array(v) -> "Theta":
-        d, c, a = (float(u) for u in v)
-        return Theta(d, c, a)
-
 
 @dataclass(frozen=True)
 class CoeffSpec:

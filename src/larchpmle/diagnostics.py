@@ -19,8 +19,7 @@ from .errors import InsufficientDataError
 from .likelihood import LossSpec, PathEvaluator, m_of_n
 from .simulate import SimConfig, derive_seed, simulate
 
-__all__ = ["DecayFit", "fit_decay", "write_decay_csv", "ScoreGapResult",
-           "score_gap"]
+__all__ = ["DecayFit", "fit_decay", "ScoreGapResult", "score_gap"]
 
 
 @dataclass(frozen=True)
@@ -58,23 +57,6 @@ def fit_decay(pairs, k_min: float, k_max: float) -> DecayFit:
     return DecayFit(slope=float(slope), intercept=float(intercept), r2=r2,
                     k_range=(float(k[keep].min()), float(k[keep].max())),
                     n_points=int(keep.sum()))
-
-
-def write_decay_csv(fileobj, pairs, fit: DecayFit,
-                    comment: str | None = None) -> None:
-    """Write the (k, value) pairs with their logs and a fit-summary line."""
-    if comment:
-        fileobj.write(f"# {comment}\n")
-    fileobj.write("k,value,log_k,log_value\n")
-    for k, v in pairs:
-        k, v = float(k), float(v)
-        lk = math.log(k) if k > 0 else math.nan
-        lv = math.log(v) if v > 0 else math.nan
-        fileobj.write(f"{k:.17g},{v:.17g},{lk:.17g},{lv:.17g}\n")
-    fileobj.write(f"# fit: slope={fit.slope:.17g} "
-                  f"intercept={fit.intercept:.17g} r2={fit.r2:.17g} "
-                  f"k_range={fit.k_range[0]:g}..{fit.k_range[1]:g} "
-                  f"n_points={fit.n_points}\n")
 
 
 @dataclass(frozen=True)

@@ -425,16 +425,19 @@ def landscape(lspec: LossSpec, spec: CoeffSpec, c: float, a: float, x,
               d_grid, eps_list) -> list:
     """Loss profile in d with c and a held fixed, one curve per epsilon.
 
-    Returns rows (epsilon, d, value); pure evaluation, no optimization.
+    Returns rows (epsilon, d, value), epsilon outer; pure evaluation, no
+    optimization.  The lag sums of each d serve every epsilon.
     """
     d_grid = [float(d) for d in np.atleast_1d(d_grid)]
     eps_list = [float(e) for e in np.atleast_1d(eps_list)]
     if not d_grid or not eps_list:
         raise DomainError("d_grid and eps_list must be nonempty")
     ev = PathEvaluator(lspec, spec, x)
-    rows = []
-    for eps in eps_list:
-        for d in d_grid:
-            val = ev(Theta(d, c, a), epsilon=eps, derivatives=0).value
-            rows.append((eps, d, val))
-    return rows
+    by_d = []
+    for d in d_grid:
+        theta = Theta(d, c, a)
+        sums = ev.lag_sums(theta, 0)
+        by_d.append([ev.evaluate(theta, sums, eps).value for eps in eps_list])
+    return [(eps, d, values[i])
+            for i, eps in enumerate(eps_list)
+            for d, values in zip(d_grid, by_d)]

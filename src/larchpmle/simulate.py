@@ -108,19 +108,6 @@ class Sample:
     def eps_obs(self) -> np.ndarray:
         return self.eps[self.first_retained:]
 
-    def to_csv(self, fileobj, comment: str | None = None) -> None:
-        """Write retained observations as ``t,x,sigma,eps`` rows.
-
-        Values use 17 significant digits so a read-back is lossless.
-        """
-        if comment:
-            fileobj.write(f"# {comment}\n")
-        fileobj.write("t,x,sigma,eps\n")
-        off = self.first_retained
-        for i in range(self.n):
-            fileobj.write(f"{i + 1},{self.x[off + i]:.17g},"
-                          f"{self.sigma[off + i]:.17g},{self.eps[off + i]:.17g}\n")
-
 
 def _draw_innovations(cfg: SimConfig, total: int) -> np.ndarray:
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
+from larchpmle import CoeffSpec, SimConfig, simulate
 from larchpmle.cli import load_series, main
 from larchpmle.errors import DataError
+
+from conftest import CASE1
 
 
 def run_cli(*args):
@@ -52,11 +55,26 @@ class TestRoundTrip:
         assert rc == 0
         x = load_series(tmp_path / "simulate.csv")
         assert len(x) == 64
-        from larchpmle import CoeffSpec, SimConfig, simulate
-        from conftest import CASE1
         s = simulate(CoeffSpec("power", 2000), CASE1,
                      SimConfig(n=64, burn_in=100, J=2000, seed=29))
         assert np.array_equal(x, s.x_obs)
+
+    def test_simulate_csv_columns_round_trip(self, tmp_path):
+        rc = run_cli("simulate", "--case", "1", "--n", "5", "--burn-in", "3",
+                     "--seed", "1", "--out", str(tmp_path))
+        assert rc == 0
+        lines = (tmp_path / "simulate.csv").read_text().splitlines()
+        assert lines[0].startswith("# ") and "seed=1" in lines[0].split()
+        assert lines[1] == "t,x,sigma,eps"
+        assert len(lines) == 2 + 5
+        table = np.array([[float(v) for v in line.split(",")]
+                          for line in lines[2:]])
+        s = simulate(CoeffSpec("power", 2000), CASE1,
+                     SimConfig(n=5, burn_in=3, seed=1))
+        assert np.array_equal(table[:, 0], np.arange(1, 6))
+        assert np.array_equal(table[:, 1], s.x_obs)
+        assert np.array_equal(table[:, 2], s.sigma_obs)
+        assert np.array_equal(table[:, 3], s.eps_obs)
 
     def test_byte_identical_reruns(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -316,3 +334,48 @@ def test_explicit_flags_honoured(base, flags, output, expected, tmp_path,
     for key, value in expected.items():
         assert meta_line(key, value) in meta
     assert results[0] != results[1]
+
+
+# every command, run in the working directory with the default --out .,
+# and whether it writes files
+OUTPUTS = [
+    ("simulate --case 1 --n 16 --burn-in 10", True),
+    ("estimate --input {input} --fix-c 0.2 --fix-a 1.0", True),
+    ("mc --case 1 --n 300,400 --replicates 4 --trim 1 --burn-in 100", True),
+    ("landscape --n 300 --burn-in 200 --eps-list 0.01,0 --d-grid 0,0.4,3",
+     True),
+    ("acf --case 2 --n 20000 --burn-in 2000 --seed 4 --max-lag 40 "
+     "--fit 2,40", True),
+    ("asymcov --case 1 --path-length 4000 --burn-in 2100", True),
+    ("rates --case 2 --n 300 --replicates 2 --burn-in 100", True),
+    ("check-moments --case 1", False),
+    ("rates --case 2 --n 300", False),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,writes", OUTPUTS,
+    ids=[argv.split()[0] + ("" if writes else "-prints-only")
+         for argv, writes in OUTPUTS])
+def test_one_writer(argv, writes, tmp_path, series, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(*argv.format(input=series).split()) == 0
+    written = {p.name for p in tmp_path.iterdir()}
+    stdout = capsys.readouterr().out.splitlines()
+    if not writes:
+        assert written == set()
+        assert not any(line.startswith("wrote") for line in stdout)
+        return
+    command = argv.split()[0]
+    meta = (tmp_path / f"{command}_meta.txt").read_text().splitlines()
+    recorded = {tuple(line.split(" = ", 1)) for line in meta}
+    csvs = sorted(name for name in written if name.endswith(".csv"))
+    assert csvs and written == {*csvs, f"{command}_meta.txt"}
+    for name in csvs:
+        first = (tmp_path / name).read_text().splitlines()[0]
+        assert first.startswith("# ")
+        assert {tuple(item.split("=", 1))
+                for item in first[2:].split(" ")} == recorded
+    names, _, outdir = stdout[-1].removeprefix("wrote ").partition(" to ")
+    assert stdout[-1].startswith("wrote ") and outdir == "."
+    assert set(names.split(", ")) == written

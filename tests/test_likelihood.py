@@ -290,6 +290,16 @@ class TestLandscape:
                               if v[i] < v[i - 1] and v[i] < v[i + 1]))
         assert all(a <= b for a, b in zip(counts, counts[1:]))
 
+    def test_rows_match_pointwise_loss(self, spec, case1_path):
+        # epsilon outer, d inner; each d's lag sums serve every epsilon
+        lspec = LossSpec("trunc", 0.01, beta=0.7)
+        grid, eps_list = [0.0, 0.15, 0.3], [0.01, 0.001, 0.0]
+        rows = landscape(lspec, spec, 0.1, 1.0, case1_path.x_obs, grid,
+                         eps_list)
+        ev = PathEvaluator(lspec, spec, case1_path.x_obs)
+        assert rows == [(e, d, ev(Theta(d, 0.1, 1.0), e, 0).value)
+                        for e in eps_list for d in grid]
+
     def test_empty_grid_rejected(self, spec, case1_path):
         with pytest.raises(DomainError):
             landscape(LossSpec("bar", 0.01), spec, 0.1, 1.0,

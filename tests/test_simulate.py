@@ -1,4 +1,3 @@
-import io
 import subprocess
 import sys
 
@@ -114,18 +113,6 @@ class TestSimulate:
         object.__setattr__(cfg, "noise", np.array([1e200, -1e200]))
         with pytest.raises(NumericError, match="t = 2 of 50"):
             simulate(spec, CASE1, cfg)
-
-    def test_csv_export_shape(self, spec):
-        s = simulate(spec, CASE1, SimConfig(n=5, burn_in=3, seed=1))
-        buf = io.StringIO()
-        s.to_csv(buf, comment="seed=1")
-        lines = buf.getvalue().strip().split("\n")
-        assert lines[0] == "# seed=1"
-        assert lines[1] == "t,x,sigma,eps"
-        assert len(lines) == 2 + 5
-        t, x, sig, eps = lines[2].split(",")
-        assert int(t) == 1
-        assert float(x) == s.x_obs[0]
 
 
 def _unit_table(size, seed):
