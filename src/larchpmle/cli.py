@@ -29,7 +29,7 @@ import numpy as np
 from .asymptotics import predicted_rate, sandwich
 from .coeffs import CoeffSpec, Theta, check_moment_conditions, gaussian_moments
 from .diagnostics import fit_decay, score_gap
-from .errors import DataError, LarchError
+from .errors import DataError, DomainError, LarchError
 from .estimator import estimate
 from .likelihood import LossSpec, landscape
 from .montecarlo import (
@@ -379,11 +379,14 @@ def _cmd_mc(args):
         raise _UsageError(f"--trim {args.trim} must be at most --replicates "
                           f"{args.replicates} minus 2")
     label = f"case{args.case}" if args.case else "custom"
-    cfg = StudyConfig(label=label, theta0=Theta(args.d, args.c, args.a),
-                      epsilon=args.eps, beta=args.beta, n_values=args.n,
-                      replicates=args.replicates, base_seed=args.seed,
-                      trim=args.trim, burn_in=args.burn_in, J=args.trunc,
-                      estimate_params="dca" if args.estimate_all else "d")
+    try:
+        cfg = StudyConfig(label=label, theta0=Theta(args.d, args.c, args.a),
+                          epsilon=args.eps, beta=args.beta, n_values=args.n,
+                          replicates=args.replicates, base_seed=args.seed,
+                          trim=args.trim, burn_in=args.burn_in, J=args.trunc,
+                          estimate_params="dca" if args.estimate_all else "d")
+    except DomainError as exc:      # the study's own checks of the flags
+        raise _UsageError(str(exc)) from None
     report = run_study(cfg, workers=args.threads)
     rows = [(label, r.n, r.replicate, r.seed, r.d_hat, r.c_hat, r.a_hat,
              r.loss, r.converged, r.at_boundary, r.evals)

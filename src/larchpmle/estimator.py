@@ -52,25 +52,26 @@ class EstimationResult:
     newton_s: float = field(default=0.0, compare=False)
 
 
-def _feasible_d_max(space, spec, c_fixed):
+def _feasible_d_max(space, c_max, c_fixed):
     """Largest d with c_max(d) >= c_fixed (c_max is decreasing in d)."""
-    if space.c_max(0.0, spec) < c_fixed:
+    if c_max(0.0) < c_fixed:
         raise ValidationError(f"fixed c = {c_fixed} exceeds c_max at d = 0")
-    if space.c_max(space.d_u, spec) >= c_fixed:
+    if c_max(space.d_u) >= c_fixed:
         return space.d_u
     lo, hi = 0.0, space.d_u
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        if space.c_max(mid, spec) >= c_fixed:
+        if c_max(mid) >= c_fixed:
             lo = mid
         else:
             hi = mid
     return lo
 
 
-def _search_box(space: ParamSpace, spec: CoeffSpec | None, fix: dict | None):
-    """Check ``fix`` against the box; return it as a dict, the free axes,
-    and the rectangle (lo, hi) over them with c carried as u = c/c_max(d)."""
+def _search_box(space: ParamSpace, c_max, fix: dict | None):
+    """Check ``fix`` against the box, ``c_max(d)`` giving c's bound; return
+    it as a dict, the free axes, and the rectangle (lo, hi) over them with
+    c carried as u = c/c_max(d)."""
     fix = dict(fix or {})
     for k in fix:
         if k not in _AXES:
@@ -85,13 +86,13 @@ def _search_box(space: ParamSpace, spec: CoeffSpec | None, fix: dict | None):
     if "c" in fix:
         if fix["c"] < 0.0:
             raise ValidationError("fixed c must be nonnegative")
-        if "d" in fix and fix["c"] > space.c_max(fix["d"], spec):
+        if "d" in fix and fix["c"] > c_max(fix["d"]):
             raise ValidationError("fixed (d, c) violates the scale bound")
 
     d_lo, d_hi = 0.0, space.d_u
     if "c" in fix and "d" not in fix:
-        d_hi = _feasible_d_max(space, spec, fix["c"])
-    if "c" not in fix and not math.isfinite(space.c_max(d_lo, spec)):
+        d_hi = _feasible_d_max(space, c_max, fix["c"])
+    if "c" not in fix and not math.isfinite(c_max(d_lo)):
         # farima weights vanish at d = 0, making the c bound infinite;
         # nudge the free-d range off that degenerate edge
         d_lo = 1e-8
@@ -193,13 +194,19 @@ def estimate(lspec: LossSpec, spec: CoeffSpec, data,
     space = space or ParamSpace()
     if lspec.epsilon <= 0.0:
         raise ValidationError("estimation requires epsilon > 0")
-    fix, free, lo, hi = _search_box(space, spec, fix)
+    bounds = {}
+
+    def c_max(d):                  # a zeta evaluation, taken once per d
+        if d not in bounds:
+            bounds[d] = space.c_max(d, spec)
+        return bounds[d]
+
+    fix, free, lo, hi = _search_box(space, c_max, fix)
     d_free = "d" in free
     ev = PathEvaluator(lspec, spec, data,
                        d_range=(0.0, space.d_u) if d_free else None)
     if ev.w < 10:
         raise WindowError(f"window of {ev.w} points is too small to estimate")
-    c_max = lambda d: space.c_max(d, spec)
     if not d_free:
         # taken once; the d-rows of the score and Hessian are never read
         v0 = ev.lag_sums(Theta(fix["d"], 0.0, 1.0), 0)[0]

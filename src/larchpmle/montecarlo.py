@@ -58,6 +58,9 @@ class StudyConfig:
             raise DomainError("estimate_params must be 'd' or 'dca'")
         if not self.n_values:
             raise DomainError("n_values must be nonempty")
+        if len(set(self.n_values)) < len(self.n_values):
+            raise DomainError(f"n_values {tuple(self.n_values)} repeats a "
+                              "sample size")
 
 
 def case_study(case: int, n_values=(1000, 2500, 5000, 10_000),

@@ -6,8 +6,10 @@ segment; the lag sum is truncated at order J.  The recursion is linear in
 x, (I - diag(eps) L) x = a eps with L the strictly lower-triangular
 Toeplitz matrix of the weights, so the simulator advances a block of
 steps per iteration with one correlation for the lags reaching before the
-block and one small triangular solve for those inside it.  The tests keep
-the step-by-step recursion as its oracle.  A chain-expansion evaluator of
+block and one product with the inverse of the block's triangular system
+for those inside it.  Those inverses depend on the innovations alone and
+are built for a chunk of blocks at once.  The tests keep the step-by-step
+recursion as its oracle.  A chain-expansion evaluator of
 the stationary-solution series is provided as an independent oracle for
 the recursion.
 """
@@ -16,6 +18,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .coeffs import CoeffSpec, ParamSpace, Theta, coeff_weights, sum_sq
 from .errors import BudgetError, DomainError, NumericError, ValidationError
@@ -23,8 +26,11 @@ from .errors import BudgetError, DomainError, NumericError, ValidationError
 __all__ = ["SimConfig", "Sample", "derive_seed", "simulate", "volterra_sigma"]
 
 # steps the simulator advances per block: each block costs one correlation
-# of length J + B - 1 with the weights and one B x B solve
+# of length J + B - 1 with the weights and one B x B matrix-vector product
 _BLOCK = 32
+# blocks whose in-block inverses are built together; the inverses, their
+# eps-scaled copy and the repeated eps take 3 x 64 x 32 x 32 doubles (1.5 MiB)
+_CHUNK = 64
 
 
 def derive_seed(base_seed: int, stream: int) -> int:
@@ -117,27 +123,52 @@ def _draw_innovations(cfg: SimConfig, total: int) -> np.ndarray:
     return rng.choice(table, size=total, replace=True)
 
 
+def _inverses(L, E, X, Y):
+    """Fill X with the inverses of I - L diag(e) for the K rows e of E.
+
+    X and Y are (B, K, B) work arrays holding row r of block k's inverse
+    at [r, k]; X[0] is unit row 0.  Row r of an inverse is unit_r plus
+    L[r] times the rows of Y = diag(e) X, so all K rows r are one product
+    of the weights L[r, :r] with rows < r of Y: forward substitution run
+    on the K blocks at once.  Entries above the diagonal come out zero,
+    as Y's are."""
+    B = len(L)
+    # e[r] holds row r of every block's diag(e), repeated along the row
+    e = np.repeat(E.T, B, axis=1)
+    X2, Y2 = X.reshape(B, -1), Y.reshape(B, -1)
+    np.multiply(X2[0], e[0], out=Y2[0])
+    for r in range(1, B):
+        np.matmul(L[r, :r], Y2[:r], out=X2[r])
+        X[r, :, r] = 1.0
+        np.multiply(X2[r], e[r], out=Y2[r])
+
+
 def _advance(buf, sig, eps, b_rev, L, a, t):
     """Blocks of B = len(L) steps from step t (a multiple of B) to the end
     of the path, which is stored in ``buf`` after J zeros and is still zero
-    from step t on.  A block whose system does not solve is set to nan and
-    ends the pass."""
+    from step t on.  ``buf`` and ``sig`` extend to whole blocks; the steps
+    past the path's end get zero innovations.  The in-block inverses of up
+    to ``_CHUNK`` blocks are built from eps before those blocks run."""
     J, B = len(b_rev), len(L)
-    I = np.eye(B)
-    for t0 in range(t, len(eps), B):
-        e = eps[t0:t0 + B]
-        m = len(e)
-        if m < B:
-            I, L = I[:m, :m], L[:m, :m]
-        h = np.correlate(buf[t0:t0 + J + m - 1], b_rev)
-        h += a
-        try:
-            s = np.linalg.solve(I - L * e, h)
-        except np.linalg.LinAlgError:
-            buf[J + t0:J + t0 + m] = np.nan
-            return
-        sig[t0:t0 + m] = s
-        np.multiply(e, s, out=buf[J + t0:J + t0 + m])
+    n_blocks = len(sig) // B
+    K = min(_CHUNK, n_blocks - t // B)
+    X, Y, E = np.zeros((B, K, B)), np.zeros((B, K, B)), np.zeros((K, B))
+    X[0, :, 0] = 1.0
+    lags = sliding_window_view(buf, J + B - 1)[::B]
+    sig_b, x_b = sig.reshape(-1, B), buf[J:].reshape(-1, B)
+    for k0 in range(t // B, n_blocks, K):
+        k1 = min(k0 + K, n_blocks)
+        e = eps[k0 * B:k1 * B]
+        E.flat[:len(e)] = e
+        E.flat[len(e):] = 0.0
+        _inverses(L, E, X, Y)
+        # X (h + a) = X h + a X 1
+        u = (X @ np.full(B, a)).T
+        for Xk, uk, w, ek, s, x in zip(X.transpose(1, 0, 2), u, lags[k0:k1],
+                                       E, sig_b[k0:k1], x_b[k0:k1]):
+            np.matmul(Xk, np.correlate(w, b_rev), out=s)
+            s += uk
+            np.multiply(ek, s, out=x)
 
 
 def _replay(buf, sig, eps, b_rev, a, t0, t1):
@@ -170,12 +201,14 @@ def simulate(spec: CoeffSpec, theta0: Theta, cfg: SimConfig,
     (the block's own entries are still zero, so they add nothing); the
     lags inside the block leave the unit lower-triangular system
     (I - L diag(eps)) sigma = h, with L the strictly lower-triangular
-    Toeplitz matrix of b_1..b_{B-1} (zero beyond J), solved in one call;
-    then x = eps * sigma.  Results agree with the step-by-step recursion
-    to rounding (the sums run in another order).  A block that fails to
-    solve or is not finite is replayed step by step, which keeps its
-    values if they are finite and otherwise locates the first non-finite
-    step.
+    Toeplitz matrix of b_1..b_{B-1} (zero beyond J).  Its inverse depends
+    on eps alone, so the inverses of ``_CHUNK`` blocks are built at once
+    by forward substitution before those blocks run; a block then costs
+    the correlation, one B x B product sigma = X h, and x = eps * sigma.
+    Results agree with the step-by-step recursion to rounding (the sums
+    run in another order).  A block that is not finite is replayed step
+    by step, which keeps its values if they are finite and otherwise
+    locates the first non-finite step.
     """
     space = space or ParamSpace()
     space.validate(theta0, spec)
@@ -193,12 +226,13 @@ def simulate(spec: CoeffSpec, theta0: Theta, cfg: SimConfig,
     b_in[1:min(J, B - 1) + 1] = b[:B - 1]
     i = np.arange(B)
     L = np.tril(b_in[np.abs(i[:, None] - i[None, :])], -1)
-    buf = np.zeros(J + total)
-    x = buf[J:]
-    sig = np.empty(total)
+    padded = -(-total // B) * B
+    buf = np.zeros(J + padded)
+    x = buf[J:J + total]
+    sig = np.empty(padded)
     t = 0
     with np.errstate(over="ignore", invalid="ignore"):
-        while True:
+        while t < total:
             _advance(buf, sig, eps, b_rev, L, theta0.a, t)
             finite = np.isfinite(x[t:])
             if finite.all():
@@ -207,15 +241,16 @@ def simulate(spec: CoeffSpec, theta0: Theta, cfg: SimConfig,
             # replay the block that holds it
             t0 = t + int(np.argmin(finite))
             t0 -= t0 % B
-            t = min(t0 + B, total)
-            bad = _replay(buf, sig, eps, b_rev, theta0.a, t0, t)
+            t = t0 + B
+            bad = _replay(buf, sig, eps, b_rev, theta0.a, t0, min(t, total))
             if bad is not None:
                 raise NumericError(
                     f"path is non-finite from step t = {bad + 1} of "
                     f"{total} (burn-in included)")
-            # the block's solve alone failed: redo the blocks after it
-            x[t:] = 0.0
-    return Sample(x=x, sigma=sig, eps=eps, config=cfg, theta=theta0,
+            # the block's inverse alone was not finite: redo the blocks
+            # after it
+            buf[J + t:] = 0.0
+    return Sample(x=x, sigma=sig[:total], eps=eps, config=cfg, theta=theta0,
                   spec=spec, first_retained=cfg.burn_in)
 
 

@@ -84,7 +84,8 @@ def minimize_box(objective, space: ParamSpace, spec=None,
     """Grid-seeded simplex minimization of ``objective`` (a Theta to a
     value) over the box, with ``fix`` freezing a subset of {"d", "c", "a"}
     as in :func:`larchpmle.estimate`."""
-    fix, free, lo, hi = _search_box(space, spec, fix)
+    fix, free, lo, hi = _search_box(space, lambda d: space.c_max(d, spec),
+                                    fix)
     evaluations = 0
 
     def to_theta(p):

@@ -252,6 +252,7 @@ REJECTED = [
     "mc --case 1 --n 300 --replicates 5 --trim 4 --out {out}",
     "mc --n 300 --replicates 5 --trim 1 --out {out}",      # no --case, --beta
     "mc --case 1 --n 300,x --out {out}",
+    "mc --case 1 --n 300,300 --replicates 3 --trim 1 --out {out}",
     "mc --case 1 --threads 0 --out {out}",
     "simulate --n 50,60 --out {out}",
     "simulate --n , --out {out}",

@@ -261,6 +261,26 @@ class TestEstimate:
         assert r1 == r2
         assert r1.theta_hat.c <= ParamSpace().c_max(r1.theta_hat.d, spec)
 
+    @pytest.mark.parametrize("family, fix", [
+        ("power", None), ("farima", None), ("power", {"c": CASE1.c}),
+        ("power", {"d": 0.2, "a": CASE1.a})])
+    def test_c_max_taken_once_per_d(self, family, fix, monkeypatch):
+        # each bound is a Hurwitz-zeta evaluation: a fit takes it once per
+        # distinct d, the grid's nine included when d is free
+        spec = CoeffSpec(family, 2000)
+        x = simulate(spec, CASE1, SimConfig(n=1000, burn_in=10_000, J=2000,
+                                            seed=4)).x_obs
+        calls, c_max = [], ParamSpace.c_max
+        monkeypatch.setattr(ParamSpace, "c_max", lambda self, d, spec=None:
+                            calls.append(d) or c_max(self, d, spec))
+        estimate(LSPEC, spec, x, fix=fix)
+        assert len(calls) == len(set(calls))
+        if fix is None:
+            lo = 1e-8 if family == "farima" else 0.0
+            assert set(np.linspace(lo, 0.45, 9)) <= set(calls)
+        elif "d" in fix:
+            assert 0.2 in calls
+
     @pytest.mark.parametrize("fix", [{"c": CASE1.c, "a": CASE1.a}, None],
                              ids=["d-only", "joint"])
     def test_evaluations_and_stage_timings(self, spec, case1_path, fix,

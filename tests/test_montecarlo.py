@@ -187,3 +187,5 @@ class TestRunStudy:
             case_study(1, replicates=5, trim=5)
         with pytest.raises(DomainError):
             case_study(1, n_values=())
+        with pytest.raises(DomainError, match="repeats"):
+            case_study(1, n_values=(300, 500, 300))

@@ -1,5 +1,6 @@
 import subprocess
 import sys
+from importlib import import_module
 
 import numpy as np
 import pytest
@@ -22,6 +23,11 @@ from larchpmle.errors import (
 )
 
 from conftest import CASE1, CASE2, _simulate_loop
+
+# the package exports the function simulate under the module's name
+sim_mod = import_module("larchpmle.simulate")
+# steps whose in-block inverses the simulator builds together
+CHUNK_STEPS = sim_mod._CHUNK * sim_mod._BLOCK
 
 
 class TestSimulate:
@@ -124,7 +130,9 @@ def _unit_table(size, seed):
 class TestBlockedKernel:
     """The blocked simulator against the step-by-step recursion."""
 
-    @pytest.mark.parametrize("total", [1, 31, 32, 33, 20_000])
+    @pytest.mark.parametrize("total", [
+        1, 31, 32, 33, 20_000, CHUNK_STEPS - 1, CHUNK_STEPS, CHUNK_STEPS + 1,
+        3 * CHUNK_STEPS + 17])
     @pytest.mark.parametrize("J", [1, 5, 31, 32, 33, 2000])
     @pytest.mark.parametrize("family", ["power", "farima"])
     def test_matches_loop(self, family, J, total):
@@ -159,27 +167,39 @@ class TestBlockedKernel:
         with pytest.raises(NumericError, match=f"t = {first + 1} of 200"):
             simulate(spec, CASE1, cfg)
 
-    # the third block's solve raises (the pass stops there) or returns
-    # nan (the pass runs on to the end on nan input); either way that
-    # block is replayed step by step and the four after it solved afresh
-    @pytest.mark.parametrize("failure, solves", [("raise", 7), ("nan", 11)])
-    def test_failed_block_solve_is_replayed(self, spec, monkeypatch,
-                                            failure, solves):
+    # a block's inverse is not finite, so the pass runs on to the end on
+    # non-finite values; that block is replayed step by step and the blocks
+    # after it (four after the third block, none after the last) rebuilt
+    # and run afresh.  Nothing in the kernel raises, so a non-finite block
+    # is the only failure a pass can meet.
+    @pytest.mark.parametrize("block, fault, sizes", [
+        (2, np.nan, [7, 4]), (2, np.inf, [7, 4]), (6, np.nan, [7])],
+        ids=["third-nan", "third-inf", "last-nan"])
+    def test_nonfinite_block_is_replayed(self, spec, monkeypatch, block,
+                                         fault, sizes):
         cfg = SimConfig(n=150, burn_in=50, J=2000, seed=12)
         expect = simulate(spec, CASE1, cfg)
-        solve, calls = np.linalg.solve, []
+        inverses, replay = sim_mod._inverses, sim_mod._replay
+        chunks, replayed = [], []
 
-        def flaky(A, h):
-            calls.append(1)
-            if len(calls) == 3:
-                if failure == "raise":
-                    raise np.linalg.LinAlgError("injected")
-                return np.full(len(h), np.nan)
-            return solve(A, h)
+        def flaky(L, E, X, Y):
+            inverses(L, E, X, Y)
+            chunks.append(E.copy())
+            if len(chunks) == 1:
+                X[:, block] = fault
 
-        monkeypatch.setattr(np.linalg, "solve", flaky)
+        def spy(buf, sig, eps, b_rev, a, t0, t1):
+            replayed.append((t0, t1))
+            return replay(buf, sig, eps, b_rev, a, t0, t1)
+
+        monkeypatch.setattr(sim_mod, "_inverses", flaky)
+        monkeypatch.setattr(sim_mod, "_replay", spy)
         got = simulate(spec, CASE1, cfg)
-        assert len(calls) == solves
+        assert replayed == [(32 * block, min(32 * block + 32, 200))]
+        assert [len(E) for E in chunks] == sizes
+        if len(chunks) > 1:
+            np.testing.assert_array_equal(chunks[1].ravel()[:104],
+                                          got.eps[96:])
         ref = _simulate_loop(spec, CASE1, cfg)
         np.testing.assert_allclose(got.sigma, ref.sigma, rtol=1e-12, atol=0.0)
         np.testing.assert_allclose(got.sigma, expect.sigma, rtol=1e-12,
