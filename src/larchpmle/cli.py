@@ -29,7 +29,7 @@ import numpy as np
 from .asymptotics import predicted_rate, sandwich
 from .coeffs import CoeffSpec, Theta, check_moment_conditions, gaussian_moments
 from .diagnostics import fit_decay, score_gap
-from .errors import DataError, DomainError, LarchError
+from .errors import DataError, LarchError
 from .estimator import estimate
 from .likelihood import LossSpec, landscape
 from .montecarlo import (
@@ -209,7 +209,7 @@ _FLAGS = {
     "burn-in": dict(type=_int_from(0), default=10_000,
                     help="pre-sample length"),
     "trunc": dict(type=int, default=2000, help="lag truncation order J"),
-    "seed": dict(type=int, default=0, help="base seed"),
+    "seed": dict(type=_int_from(0), default=0, help="base seed"),
     "out": dict(default=".", help="output directory"),
     "case": dict(type=int, choices=(1, 2),
                  help="preset for the d, c, a, eps and beta not given"),
@@ -385,7 +385,7 @@ def _cmd_mc(args):
                           replicates=args.replicates, base_seed=args.seed,
                           trim=args.trim, burn_in=args.burn_in, J=args.trunc,
                           estimate_params="dca" if args.estimate_all else "d")
-    except DomainError as exc:      # the study's own checks of the flags
+    except LarchError as exc:       # the study's own checks of the flags
         raise _UsageError(str(exc)) from None
     report = run_study(cfg, workers=args.threads)
     rows = [(label, r.n, r.replicate, r.seed, r.d_hat, r.c_hat, r.a_hat,
@@ -414,6 +414,9 @@ def _cmd_mc(args):
 
 
 def _cmd_landscape(args):
+    for eps in args.eps_list:
+        if not 0.0 <= eps < math.inf:
+            raise _UsageError(f"--eps-list entry {eps} must be >= 0 and finite")
     sample = _simulated(args, args.true_d)
     lo, hi, count = args.d_grid
     rows = landscape(LossSpec("trunc", 0.01, beta=args.beta), sample.spec,

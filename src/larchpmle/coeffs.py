@@ -7,13 +7,17 @@ Two families of lag weights are supported:
 * ``"farima"`` : b_j = c * pi_j(d), where pi_j are the expansion
   coefficients of (1 - B)**(-d) - 1 (fractional-differencing weights).
 
+Both families' weights and d-derivatives are formed here alone, as
+b_j = c s(d) r_j(d) (:func:`_unit_rows`, :func:`_scaled`), for the weight
+vectors below and the likelihood's lag sums alike.
+
 This module also provides the parameter box used for estimation, zeta-type
 tail sums, coefficient p-norms, and checkers for the moment conditions that
 guarantee finite third/higher moments of the process.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.special import gamma as _gamma
@@ -108,14 +112,11 @@ class ParamSpace:
             raise ValidationError("require 0 < a_d < a_u < inf")
 
     def c_max(self, d: float, spec: CoeffSpec | None = None) -> float:
-        """Largest admissible c at exponent d for the given family."""
-        family = spec.family if spec is not None else "power"
-        if family == "power":
-            return c_upper(d, self.C)
-        s2 = _farima_sum_sq_unit(d)
-        if s2 <= 0.0:
-            return math.inf
-        return self.C / math.sqrt(s2)
+        """Largest admissible c at exponent d for the given family (the
+        power family by default): C over the 2-norm of the weights at c = 1,
+        infinite where the weights vanish."""
+        s2 = sum_sq(spec or CoeffSpec(), Theta(d, 1.0, 1.0))
+        return self.C / math.sqrt(s2) if s2 > 0.0 else math.inf
 
     def contains(self, theta: Theta, spec: CoeffSpec | None = None,
                  tol: float = 1e-12) -> bool:
@@ -156,95 +157,87 @@ def c_upper(d: float, C: float) -> float:
     return C / math.sqrt(zeta_tail(2.0 - 2.0 * d, 1))
 
 
-def _farima_pi(d: float, J: int) -> np.ndarray:
-    """Weights pi_1..pi_J of (1 - B)**(-d) - 1 via the stable recurrence."""
-    j = np.arange(1, J + 1, dtype=float)
-    factors = (j - 1.0 + d) / j          # first factor is d itself
-    return np.cumprod(factors)
+def _unit_rows(family: str, d: float, J: int, order: int) -> np.ndarray:
+    """Rows k = 0..order of the k-th d-derivatives of the unit weights
+    r_1..r_J, where b_j = c s(d) r_j (see :func:`_scaled`).
 
-
-def _farima_rho(d: float, J: int) -> np.ndarray:
-    """rho_j = pi_j / d, j = 1..J: the recurrence of :func:`_farima_pi`
-    without its first factor d, entire in d and exact at d = 0."""
+    ``"power"``: r_j = j**(d-1), row k = log(j)**k r.  ``"farima"``, up to
+    order 2: r_j = pi_j / d, the recurrence without its first factor d
+    (entire in d, exact at d = 0); r' = l1 r and r'' = (l1^2 - l2) r with
+    l_p = sum_{i=2..j} (i - 1 + d)**(-p).
+    """
+    if J < 1:
+        raise DomainError("J must be >= 1")
     j = np.arange(1, J + 1, dtype=float)
-    factors = (j - 1.0 + d) / j
+    rows = np.empty((order + 1, J))
+    if family == "power":
+        logj = np.log(j)
+        np.exp((d - 1.0) * logj, out=rows[0])
+        for k in range(1, order + 1):
+            np.multiply(logj ** k, rows[0], out=rows[k])
+        return rows
+    if order > 2:
+        raise UnsupportedError(
+            "farima d-derivatives beyond order 2 are not supported")
+    num = j - 1.0 + d                    # factor i of pi_j is num_i / i
+    factors = num / j
     factors[0] = 1.0
-    return np.cumprod(factors)
+    np.cumprod(factors, out=rows[0])
+    if order >= 1:
+        inv = np.append(0.0, 1.0 / num[1:])
+        l1 = np.cumsum(inv)
+        np.multiply(l1, rows[0], out=rows[1])
+    if order == 2:
+        np.multiply(l1 * l1 - np.cumsum(inv * inv), rows[0], out=rows[2])
+    return rows
 
 
-def _farima_pi_deriv(d: float, J: int) -> np.ndarray:
-    """d/dd of pi_j by the log-derivative identity, factored to stay exact
-    at d = 0: pi'_j = rho_j (1 + d sum_{i=2..j} 1 / (i - 1 + d))."""
-    j = np.arange(1, J + 1, dtype=float)
-    sums = np.zeros(J)                   # sum_{i=2..j} 1 / (i - 1 + d)
-    sums[1:] = np.cumsum(1.0 / (j[1:] - 1.0 + d))
-    return _farima_rho(d, J) * (1.0 + d * sums)
-
-
-def _farima_sum_sq_unit(d: float) -> float:
-    """sum_{j>=1} pi_j(d)^2 in closed form via gamma functions."""
-    if not 0.0 <= d < 0.5:
-        raise DivergenceError("farima weights require 0 <= d < 1/2")
-    if d == 0.0:
-        return 0.0
-    return float(_gamma(1.0 - 2.0 * d) / _gamma(1.0 - d) ** 2 - 1.0)
+def _scaled(family: str, d: float, rows):
+    """Rows k = 0.. of the d-derivatives of s(d) x from those of x, with
+    s = 1 for ``"power"`` and s = d for ``"farima"``: (s x)^(k) =
+    s x^(k) + k s' x^(k-1).  Linear in x, so ``rows`` may be unit weight
+    rows or their lag sums."""
+    if family == "power":
+        return rows
+    out = d * rows
+    out[1:] += np.arange(1, len(rows))[:, None] * rows[:-1]
+    return out
 
 
 def coeff(spec: CoeffSpec, theta: Theta, j: int) -> float:
     """Lag-j weight b_j(theta): the last entry of :func:`coeff_weights`."""
-    j = int(j)
-    if j < 1:
-        raise DomainError("lag index j must be >= 1")
-    return float(coeff_weights(spec, theta, j)[-1])
+    return float(coeff_weights(spec, theta, int(j))[-1])
 
 
 def coeff_deriv(spec: CoeffSpec, theta: Theta, j: int,
                 order_d: int = 0, order_c: int = 0) -> float:
     """Partial derivative of b_j: the last entry of :func:`deriv_weights`."""
-    j = int(j)
-    if j < 1:
-        raise DomainError("lag index j must be >= 1")
-    return float(deriv_weights(spec, theta, j, order_d, order_c)[-1])
+    return float(deriv_weights(spec, theta, int(j), order_d, order_c)[-1])
 
 
 def coeff_weights(spec: CoeffSpec, theta: Theta, J: int) -> np.ndarray:
     """Vector of weights b_1..b_J."""
-    if J < 1:
-        raise DomainError("J must be >= 1")
-    if spec.family == "power":
-        j = np.arange(1, J + 1, dtype=float)
-        return theta.c * j ** (theta.d - 1.0)
-    return theta.c * _farima_pi(theta.d, J)
+    unit = _unit_rows(spec.family, theta.d, J, 0)
+    return theta.c * _scaled(spec.family, theta.d, unit)[0]
 
 
 def deriv_weights(spec: CoeffSpec, theta: Theta, J: int,
                   order_d: int = 0, order_c: int = 0) -> np.ndarray:
-    """Partial derivatives of b_1..b_J w.r.t. d (up to order 3) and/or c
-    (order 1).
+    """Partial derivatives of b_1..b_J w.r.t. d and/or c (order 1).
 
     The weights are linear in c, so order_c <= 1; mixed derivatives are the
-    d-derivative of the c-derivative.  The farima family supports d-orders
-    up to 1.
+    d-derivative of the c-derivative.  The power family supports d-orders
+    up to 3, the farima family up to 2.
     """
-    if J < 1:
-        raise DomainError("J must be >= 1")
     if order_c not in (0, 1):
         raise DomainError("weights are linear in c: order_c must be 0 or 1")
     if not 0 <= order_d <= 3:
         raise DomainError("order_d must be in 0..3")
     if order_d + order_c < 1:
         raise DomainError("request at least one derivative order")
-    if spec.family == "power":
-        j = np.arange(1, J + 1, dtype=float)
-        scale = 1.0 if order_c == 1 else theta.c
-        return scale * np.log(j) ** order_d * j ** (theta.d - 1.0)
-    if order_d >= 2:
-        raise UnsupportedError(
-            "farima d-derivatives beyond order 1 are not supported")
+    rows = _unit_rows(spec.family, theta.d, J, order_d)
     scale = 1.0 if order_c == 1 else theta.c
-    if order_d == 0:
-        return scale * _farima_pi(theta.d, J)
-    return scale * _farima_pi_deriv(theta.d, J)
+    return scale * _scaled(spec.family, theta.d, rows)[order_d]
 
 
 def norm_p(spec: CoeffSpec, theta: Theta, p: float) -> float:
@@ -258,7 +251,7 @@ def norm_p(spec: CoeffSpec, theta: Theta, p: float) -> float:
         return abs(theta.c) * zeta_tail(p * (1.0 - theta.d), 1) ** (1.0 / p)
     if theta.d == 0.0 or theta.c == 0.0:
         return 0.0
-    pi = _farima_pi(theta.d, _FARIMA_NORM_TERMS)
+    pi = coeff_weights(spec, replace(theta, c=1.0), _FARIMA_NORM_TERMS)
     head = float(np.sum(pi ** p))
     # Tail via pi_j = j^(d-1)/Gamma(d) * (1 + d(d-1)/(2j) + O(j^-2)).
     s = p * (1.0 - theta.d)
@@ -271,11 +264,7 @@ def norm_p(spec: CoeffSpec, theta: Theta, p: float) -> float:
 
 def sum_sq(spec: CoeffSpec, theta: Theta) -> float:
     """sum_j b_j^2 over the full (untruncated) weight sequence."""
-    if spec.family == "power":
-        if theta.c == 0.0:
-            return 0.0
-        return theta.c ** 2 * zeta_tail(2.0 - 2.0 * theta.d, 1)
-    return theta.c ** 2 * _farima_sum_sq_unit(theta.d)
+    return tail_variance(spec, theta, 1)
 
 
 def tail_variance(spec: CoeffSpec, theta: Theta, t: int) -> float:
@@ -287,10 +276,14 @@ def tail_variance(spec: CoeffSpec, theta: Theta, t: int) -> float:
         if theta.c == 0.0:
             return 0.0
         return theta.c ** 2 * zeta_tail(2.0 - 2.0 * theta.d, t)
-    total = theta.c ** 2 * _farima_sum_sq_unit(theta.d)
+    if not 0.0 <= theta.d < 0.5:
+        raise DivergenceError("farima weights require 0 <= d < 1/2")
+    # sum_{j>=1} pi_j^2 in closed form, exactly zero at d = 0
+    total = theta.c ** 2 * float(_gamma(1.0 - 2.0 * theta.d)
+                                 / _gamma(1.0 - theta.d) ** 2 - 1.0)
     if t == 1:
         return total
-    prefix = theta.c ** 2 * float(np.sum(_farima_pi(theta.d, t - 1) ** 2))
+    prefix = float(np.sum(coeff_weights(spec, theta, t - 1) ** 2))
     return max(total - prefix, 0.0)
 
 

@@ -25,7 +25,7 @@ _AXES = ("d", "c", "a")
 # from the best grid points, steps per search, the step and the projected
 # gradient (both times the box width) that end a search as converged, the
 # difference step of c_max's slope in d, and the box-edge distance called
-# at_boundary.
+# at_boundary.  A fit needs a window of at least _MIN_WINDOW points.
 _GRID = 9
 _SEEDS = 2
 _MAX_STEPS = 50
@@ -33,6 +33,7 @@ _TOL_STEP = 1e-9
 _TOL_GRAD = 1e-5
 _SLOPE_STEP = 1e-6
 _BOUNDARY_MARGIN = 1e-4
+_MIN_WINDOW = 10
 
 
 @dataclass(frozen=True)
@@ -88,6 +89,9 @@ def _search_box(space: ParamSpace, c_max, fix: dict | None):
             raise ValidationError("fixed c must be nonnegative")
         if "d" in fix and fix["c"] > c_max(fix["d"]):
             raise ValidationError("fixed (d, c) violates the scale bound")
+    elif "d" in fix and not math.isfinite(c_max(fix["d"])):
+        raise ValidationError(f"c is not identified at fixed d = {fix['d']}, "
+                              f"where the weights vanish")
 
     d_lo, d_hi = 0.0, space.d_u
     if "c" in fix and "d" not in fix:
@@ -205,7 +209,7 @@ def estimate(lspec: LossSpec, spec: CoeffSpec, data,
     d_free = "d" in free
     ev = PathEvaluator(lspec, spec, data,
                        d_range=(0.0, space.d_u) if d_free else None)
-    if ev.w < 10:
+    if ev.w < _MIN_WINDOW:
         raise WindowError(f"window of {ev.w} points is too small to estimate")
     if not d_free:
         # taken once; the d-rows of the score and Hessian are never read

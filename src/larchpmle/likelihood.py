@@ -31,20 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.chebyshev import chebder
 
-from .coeffs import (
-    CoeffSpec,
-    Theta,
-    _farima_rho,
-    coeff_weights,
-    deriv_weights,
-)
-from .errors import (
-    DomainError,
-    HistoryError,
-    NumericError,
-    UnsupportedError,
-    WindowError,
-)
+from .coeffs import CoeffSpec, Theta, _scaled, _unit_rows, coeff_weights
+from .errors import DomainError, HistoryError, NumericError, WindowError
 from .simulate import Sample
 
 __all__ = ["LossSpec", "LossEval", "m_of_n", "sigma_bar", "sigma_full",
@@ -57,8 +45,9 @@ _VARIANTS = ("full", "bar", "trunc")
 # derivative of an interpolant amplifies the rounding of its node values
 # about K^2-fold at the ends of its interval but only about K-fold inside.
 # With 20 nodes and 5% the table agrees with the FFT path on [0, 0.45] to
-# 1e-12 (normwise relative) in the value and first-derivative rows and to
-# 1e-9 in the second-derivative rows for n up to 10^5, see
+# 1e-12 (normwise relative) in the value and first-derivative rows (2e-12
+# for FARIMA's, whose weights carry the rounding of a running product) and
+# to 1e-9 in the second-derivative rows for n up to 10^5, see
 # tests/test_likelihood.py.
 _CHEB_NODES = 20
 _CHEB_REACH = 0.05
@@ -176,8 +165,9 @@ class PathEvaluator:
     The data-side FFT is computed once, at the smallest transform length
     whose circular convolution leaves the window unaliased; each parameter
     point then costs one (value only) to three (score/Hessian) kernel
-    transforms.  Only the ``"power"`` family supports Hessian evaluation
-    on this path; ``"farima"`` supports derivatives up to the score.
+    transforms.  Both families support the score and the Hessian: the rows
+    convolved are :func:`larchpmle.coeffs._unit_rows`, combined into the
+    weights' d-derivatives by :func:`larchpmle.coeffs._scaled`.
 
     ``window`` overrides the averaged t-range (1-based, inclusive), e.g. to
     evaluate the full-history loss on a truncated window when comparing it
@@ -186,13 +176,14 @@ class PathEvaluator:
     ``d_range = (lo, hi)`` builds, at construction, a table of the lag sums
     in Chebyshev form: one kernel transform at each of 20 Chebyshev nodes
     on [lo, hi] widened by 5% at each end, kept as a 20 x w coefficient
-    table (for ``"farima"`` the table holds the sums of pi_j(d) / d, which
-    keep their relative accuracy as d -> 0).  An evaluation with lo <= d <= hi then sums the
-    series and its term-by-term d-derivatives instead of running
-    transforms, for every derivative order and both families; d outside
-    the interval uses the FFT path.  The table pays off only when many
-    points are taken on one path, as in a fit with d free; without
-    ``d_range`` no table is built.
+    table of the unit-weight sums (for ``"farima"`` the sums of
+    pi_j(d) / d, which keep their relative accuracy as d -> 0).  An
+    evaluation with lo <= d <= hi then sums the series and its term-by-term
+    d-derivatives instead of running transforms, for every derivative order
+    and both families; d outside the interval uses the FFT path, which the
+    tests hold the table to, FARIMA second-derivative rows included.  The
+    table pays off only when many points are taken on one path, as in a
+    fit with d free; without ``d_range`` no table is built.
     """
 
     def __init__(self, lspec: LossSpec, spec: CoeffSpec, data,
@@ -249,7 +240,6 @@ class PathEvaluator:
         self.nfft = _fft_size(max(len(series) + self.J - 1 - max(self.off, 0),
                                   self.off + self.w))
         self.rfft_series = np.fft.rfft(series, self.nfft)
-        self.logj = np.log(np.arange(1, self.J + 1, dtype=float))
 
         self.d_range = None
         if d_range is not None:
@@ -263,7 +253,8 @@ class PathEvaluator:
             mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo) + reach
             values = np.empty((K, self.w))
             for k, d in enumerate(mid + half * np.cos(_CHEB_ANGLES)):
-                values[k] = self._convolve(self._table_kernel(d))
+                values[k] = self._convolve(
+                    _unit_rows(spec.family, d, self.J, 0)[0])
             # coefficient m = (2/K) sum_k values_k cos(m angle_k), the
             # constant term halved
             self._cheb = (2.0 / K) * (_CHEB_COS @ values)
@@ -272,22 +263,9 @@ class PathEvaluator:
             self._cheb_der = _CHEB_DER / half ** np.arange(3)[:, None, None]
             self.d_range = (lo, hi)
 
-    def _kernel(self, d: float) -> np.ndarray:
-        """Unit-scale kernel b_j / c, j = 1..J, at exponent d."""
-        if self.spec.family == "power":
-            return np.exp((d - 1.0) * self.logj)
-        return coeff_weights(self.spec, Theta(d, 1.0, 1.0), self.J)
-
-    def _table_kernel(self, d: float) -> np.ndarray:
-        """The kernel the Chebyshev table is built from: b_j / c for
-        ``"power"``, b_j / (c d) for ``"farima"``."""
-        if self.spec.family == "power":
-            return self._kernel(d)
-        return _farima_rho(d, self.J)
-
     def _interpolate(self, d: float, derivatives: int) -> np.ndarray:
-        """Lag sums v0..v_derivatives at d from the Chebyshev table, one
-        row each."""
+        """Lag sums of the unit weights and their d-derivatives, orders
+        0..derivatives, at d from the Chebyshev table, one row each."""
         lo, hi = self._cheb_span
         x = (2.0 * d - lo - hi) / (hi - lo)
         T = np.empty(_CHEB_NODES)
@@ -295,52 +273,30 @@ class PathEvaluator:
         for m in range(2, _CHEB_NODES):
             T[m] = 2.0 * x * T[m - 1] - T[m - 2]
         # basis rows T(x), T'(x), T''(x) against the coefficients
-        basis = T @ self._cheb_der[:derivatives + 1]
-        if self.spec.family != "power":
-            # the table holds R = sum rho_j x; (d R)^(k) = d R^(k) + k R^(k-1)
-            weights = d * basis
-            weights[1:] += np.arange(1, derivatives + 1)[:, None] * basis[:-1]
-            basis = weights
-        return basis @ self._cheb
+        return (T @ self._cheb_der[:derivatives + 1]) @ self._cheb
 
     def _convolve(self, kernel: np.ndarray) -> np.ndarray:
         """Window slice of sum_{j} kernel_j x_{t-j} for t in the window."""
         conv = np.fft.irfft(self.rfft_series * np.fft.rfft(kernel, self.nfft),
                             self.nfft)
-        out = np.empty(self.w)
-        lo = self.off
-        if lo < 0:                                # t = 1 has an empty lag sum
-            out[0] = 0.0
-            out[1:] = conv[0: self.w - 1]
-        else:
-            out[:] = conv[lo: lo + self.w]
-        return out
+        if self.off < 0:                          # t = 1 has an empty lag sum
+            return np.append(0.0, conv[:self.w - 1])
+        return conv[self.off: self.off + self.w]
 
     def lag_sums(self, theta: Theta, derivatives: int):
         """Window lag sums (v0, v1, v2) of the data against the unit-scale
         kernel b_j / c and its first and second d-derivatives; entries
         beyond ``derivatives`` are None.  Requests with d inside
         ``d_range`` come from the Chebyshev table."""
-        if (self.d_range is not None
-                and self.d_range[0] <= theta.d <= self.d_range[1]):
-            rows = self._interpolate(theta.d, derivatives)
-            return tuple(rows) + (None,) * (2 - derivatives)
-        if self.spec.family != "power" and derivatives >= 2:
-            raise UnsupportedError(
-                "farima loss Hessian needs second d-derivatives of the weights")
-        k0 = self._kernel(theta.d)
-        v0 = self._convolve(k0)
-        if derivatives == 0:
-            return v0, None, None
-        if self.spec.family == "power":
-            v1 = self._convolve(self.logj * k0)
-            if derivatives == 1:
-                return v0, v1, None
-            v2 = self._convolve(self.logj ** 2 * k0)
-            return v0, v1, v2
-        unit = Theta(theta.d, 1.0, theta.a)
-        v1 = self._convolve(deriv_weights(self.spec, unit, self.J, order_d=1))
-        return v0, v1, None
+        d, family = theta.d, self.spec.family
+        if self.d_range is not None and self.d_range[0] <= d <= self.d_range[1]:
+            rows = self._interpolate(d, derivatives)
+        else:
+            unit = _unit_rows(family, d, self.J, derivatives)
+            rows = np.empty((derivatives + 1, self.w))
+            for k in range(derivatives + 1):
+                rows[k] = self._convolve(unit[k])
+        return tuple(_scaled(family, d, rows)) + (None,) * (2 - derivatives)
 
     def __call__(self, theta: Theta, epsilon: float | None = None,
                  derivatives: int = 2) -> LossEval:
@@ -432,6 +388,8 @@ def landscape(lspec: LossSpec, spec: CoeffSpec, c: float, a: float, x,
     eps_list = [float(e) for e in np.atleast_1d(eps_list)]
     if not d_grid or not eps_list:
         raise DomainError("d_grid and eps_list must be nonempty")
+    if not all(0.0 <= e < math.inf for e in eps_list):
+        raise DomainError(f"epsilons {eps_list} must be >= 0 and finite")
     ev = PathEvaluator(lspec, spec, x)
     by_d = []
     for d in d_grid:

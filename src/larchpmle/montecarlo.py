@@ -18,9 +18,9 @@ import numpy as np
 from scipy.special import ndtri
 
 from .coeffs import CoeffSpec, ParamSpace, Theta
-from .errors import DomainError
-from .estimator import estimate
-from .likelihood import LossSpec
+from .errors import DomainError, WindowError
+from .estimator import _MIN_WINDOW, estimate
+from .likelihood import LossSpec, m_of_n
 from .simulate import SimConfig, derive_seed, simulate
 
 __all__ = ["MAD_SCALE", "StudyConfig", "case_study", "ReplicateRow",
@@ -61,6 +61,14 @@ class StudyConfig:
         if len(set(self.n_values)) < len(self.n_values):
             raise DomainError(f"n_values {tuple(self.n_values)} repeats a "
                               "sample size")
+        if not 0.0 < self.epsilon < math.inf:
+            raise DomainError(f"epsilon {self.epsilon} must be in (0, inf)")
+        SimConfig(n=1, burn_in=self.burn_in, J=self.J)     # checks both
+        self.space.validate(self.theta0, self.spec)
+        for n in self.n_values:             # m_of_n checks beta and n too
+            if m_of_n(n, self.beta) + 1 < _MIN_WINDOW:
+                raise WindowError(f"the window at n = {n} holds fewer than "
+                                  f"{_MIN_WINDOW} points")
 
 
 def case_study(case: int, n_values=(1000, 2500, 5000, 10_000),

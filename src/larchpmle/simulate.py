@@ -39,6 +39,8 @@ def derive_seed(base_seed: int, stream: int) -> int:
     Mixing is delegated to numpy's SeedSequence keyed on the pair, so
     distinct streams are statistically independent and reproducible.
     """
+    if base_seed < 0 or stream < 0:
+        raise DomainError(f"seed {base_seed} and stream {stream} must be >= 0")
     ss = np.random.SeedSequence((int(base_seed), int(stream)))
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
@@ -63,6 +65,8 @@ class SimConfig:
             raise DomainError("sample length n must be >= 1")
         if self.burn_in < 0:
             raise DomainError("burn_in must be >= 0")
+        if self.seed < 0:
+            raise DomainError("seed must be >= 0")
         if self.J is not None and self.J < 1:
             raise DomainError("truncation order J must be >= 1")
         if isinstance(self.noise, str):

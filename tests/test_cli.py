@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from larchpmle import CoeffSpec, SimConfig, simulate
+from larchpmle import asymptotics, cli, diagnostics, montecarlo
 from larchpmle.cli import load_series, main
 from larchpmle.errors import DataError
 
@@ -254,6 +255,13 @@ REJECTED = [
     "mc --case 1 --n 300,x --out {out}",
     "mc --case 1 --n 300,300 --replicates 3 --trim 1 --out {out}",
     "mc --case 1 --threads 0 --out {out}",
+    "mc --case 1 --seed -5 --out {out}",
+    "mc --case 1 --eps 0 --out {out}",
+    "mc --case 1 --n 300 --beta 0.1 --out {out}",        # degenerate window
+    "mc --case 1 --n 100 --beta 0.45 --out {out}",       # 7-point window
+    "mc --case 1 --trunc 0 --out {out}",
+    "mc --case 1 --d 0.6 --out {out}",                    # theta0 off the box
+    "simulate --seed -1 --out {out}",
     "simulate --n 50,60 --out {out}",
     "simulate --n , --out {out}",
     "simulate --case 1 --conf x --out {out}",
@@ -263,6 +271,8 @@ REJECTED = [
     "landscape --d-grid 0,1 --out {out}",
     "landscape --d-grid 0,0.4,0 --out {out}",
     "landscape --eps-list 0.01, --out {out}",
+    "landscape --eps-list -1 --out {out}",
+    "landscape --eps-list 0.01,inf --out {out}",
     "acf --fit 2 --out {out}",
     "acf --max-lag -1 --out {out}",
     "acf --n 500 --max-lag 500 --out {out}",
@@ -270,11 +280,18 @@ REJECTED = [
     "check-moments --orders 4,x",
     "rates --n 300 --replicates 2 --out {out}",             # no --case, --beta
     "rates --case 1 --replicates -1 --out {out}",
+    "rates --case 1 --seed -2 --replicates 2 --out {out}",
 ]
 
 
 @pytest.mark.parametrize("argv", REJECTED)
-def test_rejected_before_any_work(argv, tmp_path, series, capsys):
+def test_rejected_before_any_work(argv, tmp_path, series, capsys,
+                                  monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("a path was simulated before the check")
+
+    for module in (cli, montecarlo, diagnostics, asymptotics):
+        monkeypatch.setattr(module, "simulate", no_work)
     out = tmp_path / "out"
     args = argv.format(out=out, input=series).split()
     assert run_cli(*args) == 1

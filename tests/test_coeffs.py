@@ -64,7 +64,7 @@ class TestPowerCoeff:
 
     def test_weights_match_scalar(self):
         th = Theta(0.23, 0.4, 1.0)
-        for family, max_order_d in (("power", 3), ("farima", 1)):
+        for family, max_order_d in (("power", 3), ("farima", 2)):
             spec = CoeffSpec(family, 2000)
             w = coeff_weights(spec, th, 20)
             assert list(w) == [coeff(spec, th, j) for j in range(1, 21)]
@@ -162,8 +162,18 @@ class TestFarima:
         assert np.max(np.abs(got - want) / np.abs(want)) < 1e-12
 
     def test_high_order_unsupported(self, farima_spec):
+        # order 2 is a central difference of order 1; order 3 is not served
+        h = 1e-5
+        for d in (0.0, 1e-6, 0.1, 0.25, 0.449):
+            th = Theta(d, 0.5, 1.0)
+            got = deriv_weights(farima_spec, th, 500, order_d=2)
+            fd = (deriv_weights(farima_spec, Theta(d + h, 0.5, 1.0), 500,
+                                order_d=1)
+                  - deriv_weights(farima_spec, Theta(d - h, 0.5, 1.0), 500,
+                                  order_d=1)) / (2 * h)
+            assert np.linalg.norm(got - fd) <= 1e-8 * np.linalg.norm(got)
         with pytest.raises(UnsupportedError):
-            coeff_deriv(farima_spec, Theta(0.2, 0.5, 1.0), 5, order_d=2)
+            coeff_deriv(farima_spec, Theta(0.2, 0.5, 1.0), 5, order_d=3)
         with pytest.raises(UnsupportedError):
             deriv_weights(farima_spec, Theta(0.2, 0.5, 1.0), 5, order_d=3)
 

@@ -93,6 +93,14 @@ class TestMinimizeBox:
             with pytest.raises(ValidationError):
                 estimate(LSPEC, spec, case1_path.x_obs, space=space, fix=fix)
 
+    @pytest.mark.parametrize("fix", [{"d": 0.0}, {"d": 0.0, "a": 1.0}])
+    def test_farima_c_unidentified_at_zero_d(self, farima_spec, space,
+                                            case1_path, fix):
+        # the farima weights vanish at d = 0, leaving c without a bound
+        with pytest.raises(ValidationError, match="not identified"):
+            estimate(LSPEC, farima_spec, case1_path.x_obs, space=space,
+                     fix=fix)
+
 
 def quadratic(target, H, calls=None):
     """at(x) of 0.5 (x - target)' H (x - target) with its exact gradient

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from larchpmle import (
     simulate,
     summarize,
 )
-from larchpmle.errors import DomainError
+from larchpmle.errors import DomainError, ValidationError, WindowError
 
 from conftest import CASE1
 
@@ -189,3 +190,19 @@ class TestRunStudy:
             case_study(1, n_values=())
         with pytest.raises(DomainError, match="repeats"):
             case_study(1, n_values=(300, 500, 300))
+        # every input is checked before any path is drawn
+        cfg = case_study(1)
+        for bad, error, match in [
+                (dict(epsilon=0.0), DomainError, "epsilon"),
+                (dict(epsilon=math.inf), DomainError, "epsilon"),
+                (dict(beta=1.5), DomainError, "beta"),
+                (dict(J=0), DomainError, "J"),
+                (dict(burn_in=-1), DomainError, "burn_in"),
+                (dict(theta0=Theta(0.6, 0.2, 1.0)), ValidationError, "outside"),
+                # floor(300^0.1) = 1 and floor(100^0.49) = 9
+                (dict(n_values=(300,), beta=0.1), WindowError, "degenerate"),
+                (dict(n_values=(1000, 100), beta=0.49), WindowError,
+                 "n = 100 holds fewer than 10")]:
+            with pytest.raises(error, match=match):
+                replace(cfg, **bad)
+        replace(cfg, n_values=(100,), beta=0.5)        # exactly 10 points

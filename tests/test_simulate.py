@@ -110,6 +110,13 @@ class TestSimulate:
         with pytest.raises(DomainError):
             SimConfig(n=10, seed=0, noise="uniform")
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(DomainError):
+            SimConfig(n=10, seed=-1)
+        for base, stream in ((-1, 0), (0, -1)):
+            with pytest.raises(DomainError):
+                derive_seed(base, stream)
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflow_names_first_nonfinite_step(self, spec):
         cfg = SimConfig(n=50, burn_in=0, J=2000, seed=1)
