@@ -166,6 +166,18 @@ def _int_from(lowest: int):
     return parse
 
 
+def _beta(text):
+    """argparse type of the window exponent beta: a number in (0, 1]."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0.0 < value <= 1.0:
+        raise argparse.ArgumentTypeError(
+            f"expected a number in (0, 1], got {text!r}")
+    return value
+
+
 def _switch(text):
     """argparse type of a switch given a value, as a config file gives
     it: 1/true/yes turn it on and 0/false/no turn it off."""
@@ -204,7 +216,7 @@ _FLAGS = {
     "c": dict(type=float, help="weight scale c"),
     "a": dict(type=float, help="intercept a"),
     "eps": dict(type=float, help="regularization epsilon"),
-    "beta": dict(type=float, help="window exponent beta"),
+    "beta": dict(type=_beta, help="window exponent beta in (0, 1]"),
     "n": dict(type=_int_from(2), default=1000, help="sample size"),
     "burn-in": dict(type=_int_from(0), default=10_000,
                     help="pre-sample length"),

@@ -13,15 +13,16 @@ vectors below and the likelihood's lag sums alike.
 
 This module also provides the parameter box used for estimation, zeta-type
 tail sums, coefficient p-norms, and checkers for the moment conditions that
-guarantee finite third/higher moments of the process.
+guarantee finite third/higher moments of the process.  The Hurwitz zeta
+behind the tail sums is a port of the cephes routine that
+``scipy.special.zeta`` wraps (:func:`_hurwitz_zeta`), so the package needs
+numpy alone at run time.
 """
 
 import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.special import gamma as _gamma
-from scipy.special import zeta as _hurwitz_zeta
 
 from .errors import (
     DivergenceError,
@@ -58,6 +59,14 @@ ZETA_M3 = (3.0 + math.sqrt(21.0)) / 6.0
 # Lag count at which numerically summed farima norms switch to the
 # asymptotic tail correction.
 _FARIMA_NORM_TERMS = 200_000
+
+# Relative size below which the Hurwitz zeta's sums stop (cephes MACHEP).
+_ZETA_TOL = 1.11022302462515654042e-16
+# Denominators of the Euler-Maclaurin terms, (2k)! / B_2k for k = 1..12.
+_ZETA_EM = (12.0, -720.0, 30240.0, -1209600.0, 47900160.0,
+            -1.8924375803183791606e9, 7.47242496e10, -2.950130727918164224e12,
+            1.1646782814350067249e14, -4.5979787224074726105e15,
+            1.8152105401943546773e17, -7.1661652561756670113e18)
 
 
 @dataclass(frozen=True)
@@ -132,18 +141,76 @@ class ParamSpace:
             raise ValidationError(f"{theta} outside parameter space {self}")
 
 
+def _hurwitz_zeta(x: float, q: float) -> float:
+    """Hurwitz zeta sum_{i>=0} (q + i)**(-x) for x > 1 and q >= 1.
+
+    The cephes algorithm behind ``scipy.special.zeta``, operation for
+    operation, so the two agree bit for bit: the asymptotic expansion for
+    q > 1e8, else a direct sum (at least 9 terms and past q + i > 9) closed
+    by Euler-Maclaurin terms.
+    """
+    if q > 1e8:
+        return (1.0 / (x - 1.0) + 1.0 / (2.0 * q)) * q ** (1.0 - x)
+    s = q ** -x
+    if s == 0.0:                    # every term underflows
+        return 0.0
+    w, i, b = q, 0, 0.0
+    while i < 9 or w <= 9.0:
+        i += 1
+        w += 1.0
+        b = w ** -x
+        s += b
+        if abs(b / s) < _ZETA_TOL:
+            return s
+    s += b * w / (x - 1.0)
+    s -= 0.5 * b
+    a, k = 1.0, 0.0
+    for den in _ZETA_EM:
+        a *= x + k
+        b /= w
+        t = a * b / den
+        s += t
+        if abs(t / s) < _ZETA_TOL:
+            break
+        k += 1.0
+        a *= x + k
+        b /= w
+        k += 1.0
+    return s
+
+
+# sum_{j>=1} pi_j^2 = Gamma(1-2d)/Gamma(1-d)^2 - 1 = expm1(sum_{k>=2}
+# zeta(k) (2^k - 2) d^k / k); the closed form cancels to nothing near d = 0,
+# so the series serves below _FARIMA_SERIES_D, where the 60 terms leave a
+# remainder below 1e-19 of the sum
+_FARIMA_SERIES_D = 0.25
+_FARIMA_SERIES = tuple(_hurwitz_zeta(float(k), 1.0) * (2.0 ** k - 2.0) / k
+                       for k in range(61, 1, -1))
+
+
+def _farima_sum_sq(d: float) -> float:
+    """sum_{j>=1} pi_j(d)^2 for 0 <= d < 1/2, exactly zero at d = 0."""
+    if d >= _FARIMA_SERIES_D:
+        return math.gamma(1.0 - 2.0 * d) / math.gamma(1.0 - d) ** 2 - 1.0
+    acc = 0.0
+    for coef in _FARIMA_SERIES:     # Horner, highest power first
+        acc = acc * d + coef
+    return math.expm1(acc * d * d)
+
+
 def zeta_tail(s: float, t0: int = 1) -> float:
     """Tail sum of j**(-s) over j >= t0 (Hurwitz zeta).
 
-    Evaluated by scipy's Euler-Maclaurin implementation; relative accuracy
-    is at machine-precision level, well inside the 1e-10 contract.
+    Evaluated by Euler-Maclaurin summation (:func:`_hurwitz_zeta`);
+    relative accuracy is at machine-precision level, well inside the
+    1e-10 contract.
     """
     if s <= 1.0:
         raise DivergenceError(f"zeta tail diverges for s = {s} <= 1")
     t0 = int(t0)
     if t0 < 1:
         raise DomainError("t0 must be a positive integer")
-    return float(_hurwitz_zeta(s, t0))
+    return _hurwitz_zeta(float(s), float(t0))
 
 
 def c_upper(d: float, C: float) -> float:
@@ -255,7 +322,7 @@ def norm_p(spec: CoeffSpec, theta: Theta, p: float) -> float:
     head = float(np.sum(pi ** p))
     # Tail via pi_j = j^(d-1)/Gamma(d) * (1 + d(d-1)/(2j) + O(j^-2)).
     s = p * (1.0 - theta.d)
-    g = _gamma(theta.d) ** (-p)
+    g = math.gamma(theta.d) ** (-p)
     t0 = _FARIMA_NORM_TERMS + 1
     tail = g * (zeta_tail(s, t0)
                 + 0.5 * p * theta.d * (theta.d - 1.0) * zeta_tail(s + 1.0, t0))
@@ -278,9 +345,7 @@ def tail_variance(spec: CoeffSpec, theta: Theta, t: int) -> float:
         return theta.c ** 2 * zeta_tail(2.0 - 2.0 * theta.d, t)
     if not 0.0 <= theta.d < 0.5:
         raise DivergenceError("farima weights require 0 <= d < 1/2")
-    # sum_{j>=1} pi_j^2 in closed form, exactly zero at d = 0
-    total = theta.c ** 2 * float(_gamma(1.0 - 2.0 * theta.d)
-                                 / _gamma(1.0 - theta.d) ** 2 - 1.0)
+    total = theta.c ** 2 * _farima_sum_sq(theta.d)
     if t == 1:
         return total
     prefix = float(np.sum(coeff_weights(spec, theta, t - 1) ** 2))

@@ -7,15 +7,17 @@ tabulates robust and non-robust location/scale/skewness statistics, both on
 all N estimates and after discarding the k smallest ones (the runs that
 terminate at the lower box edge become extreme outliers; dropping them is
 what makes the non-robust columns informative).
+
+Only a study run on several workers imports ``concurrent.futures``; serial
+studies and the other commands do without it.
 """
 
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import ndtri
 
 from .coeffs import CoeffSpec, ParamSpace, Theta
 from .errors import DomainError, WindowError
@@ -190,7 +192,8 @@ def normal_plot_data(values) -> np.ndarray:
     n = len(v)
     if n < 2:
         raise DomainError("need at least 2 values")
-    q = ndtri((np.arange(1, n + 1) - 0.5) / n)
+    inv_cdf = NormalDist().inv_cdf
+    q = np.array([inv_cdf((i - 0.5) / n) for i in range(1, n + 1)])
     return np.stack([q, v], axis=1)
 
 
@@ -250,6 +253,7 @@ def run_study(cfg: StudyConfig, workers: int = 1) -> McReport:
     """
     tasks = [(cfg, n, r) for n in cfg.n_values for r in range(cfg.replicates)]
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_task, tasks, chunksize=8))
     else:

@@ -28,8 +28,8 @@ __all__ = ["SimConfig", "Sample", "derive_seed", "simulate", "volterra_sigma"]
 # steps the simulator advances per block: each block costs one correlation
 # of length J + B - 1 with the weights and one B x B matrix-vector product
 _BLOCK = 32
-# blocks whose in-block inverses are built together; the inverses, their
-# eps-scaled copy and the repeated eps take 3 x 64 x 32 x 32 doubles (1.5 MiB)
+# blocks whose in-block inverses are built together; the inverses and their
+# eps-scaled copy take 2 x 64 x 32 x 32 doubles (1 MiB)
 _CHUNK = 64
 
 
@@ -134,17 +134,15 @@ def _inverses(L, E, X, Y):
     at [r, k]; X[0] is unit row 0.  Row r of an inverse is unit_r plus
     L[r] times the rows of Y = diag(e) X, so all K rows r are one product
     of the weights L[r, :r] with rows < r of Y: forward substitution run
-    on the K blocks at once.  Entries above the diagonal come out zero,
-    as Y's are."""
+    on the K blocks at once, where each block scales its row r by its own
+    e[r].  Entries above the diagonal come out zero, as Y's are."""
     B = len(L)
-    # e[r] holds row r of every block's diag(e), repeated along the row
-    e = np.repeat(E.T, B, axis=1)
     X2, Y2 = X.reshape(B, -1), Y.reshape(B, -1)
-    np.multiply(X2[0], e[0], out=Y2[0])
+    np.multiply(X[0], E[:, :1], out=Y[0])
     for r in range(1, B):
         np.matmul(L[r, :r], Y2[:r], out=X2[r])
         X[r, :, r] = 1.0
-        np.multiply(X2[r], e[r], out=Y2[r])
+        np.multiply(X[r], E[:, r:r + 1], out=Y[r])
 
 
 def _advance(buf, sig, eps, b_rev, L, a, t):

@@ -268,6 +268,8 @@ REJECTED = [
     "simulate --n -5 --out {out}",
     "estimate --input {input} --variant bar --beta 0.3 --out {out}",
     "estimate --input {input} --trunc 50 --out {out}",
+    "landscape --beta 0 --out {out}",
+    "landscape --beta 1.5 --out {out}",
     "landscape --d-grid 0,1 --out {out}",
     "landscape --d-grid 0,0.4,0 --out {out}",
     "landscape --eps-list 0.01, --out {out}",
@@ -279,6 +281,7 @@ REJECTED = [
     "asymcov --burn-in 100 --out {out}",                     # below --trunc
     "check-moments --orders 4,x",
     "rates --n 300 --replicates 2 --out {out}",             # no --case, --beta
+    "rates --case 1 --beta 1.5 --out {out}",
     "rates --case 1 --replicates -1 --out {out}",
     "rates --case 1 --seed -2 --replicates 2 --out {out}",
 ]

@@ -89,6 +89,13 @@ class TestNormalPlot:
         slope = np.polyfit(pairs[:, 0], pairs[:, 1], 1)[0]
         assert slope == pytest.approx(v.std(ddof=1), rel=0.02)
 
+    @pytest.mark.parametrize("n", [2, 3, 10, 1000])
+    def test_quantiles_match_scipy(self, n):
+        from scipy.special import ndtri
+        got = normal_plot_data(np.arange(n, dtype=float))[:, 0]
+        want = ndtri((np.arange(1, n + 1) - 0.5) / n)
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-15)
+
     def test_too_few(self):
         with pytest.raises(DomainError):
             normal_plot_data([1.0])
