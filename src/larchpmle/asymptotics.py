@@ -27,7 +27,8 @@ __all__ = ["SandwichResult", "LimitH0Result", "RatePrediction",
            "sandwich", "limit_h0", "h0_from_arrays", "predicted_rate",
            "sigma_and_gradient"]
 
-# consecutive blocks whose means give the standard errors of G and H
+# consecutive blocks, covering the path, whose means give the standard
+# errors of G and H
 _SE_BLOCKS = 32
 # divergence monitor of h0_from_arrays: largest relative span of the prefix
 # averages of the trace, and largest share of one time point in its sum
@@ -92,7 +93,10 @@ def sigma_and_gradient(spec: CoeffSpec, theta: Theta, sample: Sample):
     ev = PathEvaluator(LossSpec("full", 0.0), spec, sample)
     v0, v1, _ = ev.lag_sums(theta, derivatives=1)
     sig = theta.a + theta.c * v0
-    S = np.stack([theta.c * v1, v0, np.ones(sample.n)], axis=1)
+    S = np.empty((sample.n, 3))
+    np.multiply(theta.c, v1, out=S[:, 0])
+    S[:, 1] = v0
+    S[:, 2] = 1.0
     return sig, S
 
 
@@ -101,17 +105,23 @@ def _weighted_mean(w: np.ndarray, S: np.ndarray) -> np.ndarray:
     return np.einsum("i,ij,ik->jk", w, S, S, optimize=True) / len(w)
 
 
-def _weighted_mean_se(w: np.ndarray, S: np.ndarray):
-    """:func:`_weighted_mean` and its entrywise standard error from the
-    means of consecutive blocks."""
-    n = len(w)
-    mean = _weighted_mean(w, S)
-    blocks = max(2, min(_SE_BLOCKS, n))
-    m = n // blocks
-    wb = w[:blocks * m].reshape(blocks, m)
-    Sb = S[:blocks * m].reshape(blocks, m, 3)
-    bm = np.einsum("bi,bij,bik->bjk", wb, Sb, Sb, optimize=True) / m
-    return mean, bm.std(axis=0, ddof=1) / math.sqrt(blocks)
+def _block_sums(sig: np.ndarray, S: np.ndarray, epsilon: float,
+                bounds: np.ndarray) -> np.ndarray:
+    """Sums of w_t S_t S_t^T over each block bounds[b] <= t < bounds[b + 1]
+    for the weights 4 sigma^6 / (sigma^2 + eps)^4 of G (without its factor
+    E eps^4 - 1) and 4 sigma^2 / (sigma^2 + eps)^2 of H; shape
+    (blocks, 2, 3, 3).  The weights are formed block by block, so no
+    path-length array is."""
+    sums = np.empty((len(bounds) - 1, 2, 3, 3))
+    for b, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+        s2 = sig[lo:hi] ** 2
+        s2e = s2 + epsilon
+        wH = 4.0 * s2 / s2e ** 2
+        wG = wH * (s2 / s2e) ** 2
+        Sb = S[lo:hi]
+        sums[b, 0] = (Sb.T * wG) @ Sb
+        sums[b, 1] = (Sb.T * wH) @ Sb
+    return sums
 
 
 def sandwich(spec: CoeffSpec, theta0: Theta, epsilon: float,
@@ -123,7 +133,7 @@ def sandwich(spec: CoeffSpec, theta0: Theta, epsilon: float,
     One long stationary path, truncated at the spec's J lags, is generated
     and the defining expectations are replaced by ergodic averages;
     ``se_G`` and ``se_H`` are the standard errors of those averages from
-    the means of 32 consecutive blocks.  H
+    the means of 32 consecutive blocks that cover the path.  H
     is factorized by Cholesky; failure raises :class:`SingularityError`
     with eigenvalue diagnostics (this is the expected outcome for
     degenerate parameters such as c = 0).
@@ -135,12 +145,14 @@ def sandwich(spec: CoeffSpec, theta0: Theta, epsilon: float,
     samp = simulate(spec, theta0, cfg, space=space)
     sig, S = sigma_and_gradient(spec, theta0, samp)
 
-    s2 = sig * sig
-    s2e = s2 + epsilon
-    wG = 4.0 * s2 ** 3 / s2e ** 4
-    wH = 4.0 * s2 / s2e ** 2
-    G, se_G = _weighted_mean_se((mu4 - 1.0) * wG, S)
-    H, se_H = _weighted_mean_se(wH, S)
+    # blocks of (near) equal length that cover the path
+    n = len(sig)
+    bounds = np.linspace(0, n, max(2, min(_SE_BLOCKS, n)) + 1).astype(int)
+    sums = _block_sums(sig, S, epsilon, bounds)
+    sums[:, 0] *= mu4 - 1.0
+    G, H = sums.sum(axis=0) / n
+    means = sums / np.diff(bounds)[:, None, None, None]
+    se_G, se_H = means.std(axis=0, ddof=1) / math.sqrt(len(means))
 
     eigH = np.linalg.eigvalsh(H)
     try:

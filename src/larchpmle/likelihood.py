@@ -14,21 +14,23 @@ time points are averaged:
 
 The analytic score and Hessian are exact derivatives of the loss in
 theta = (d, c, a).  Lag sums are FFT convolutions sized to the averaged
-window; the transform of the data is cached so repeated evaluation on one
-path (as in estimation or landscape sweeps) costs one kernel transform per
-lag-sum row.  A :class:`PathEvaluator` given a d-interval also tabulates
-the lag sums in Chebyshev form over that interval, so an evaluation inside
-it, score and Hessian included, costs a few K x w products instead of
-transforms: the kernel j**(d-1), like the FARIMA weights divided by d, is
-entire in d, so the series converges geometrically and its term-by-term
-derivatives give the d-derivative rows (Trefethen, *Approximation Theory
-and Approximation Practice*, ch. 8).
+window, or, for a long full-history series, overlap-save convolutions in
+segments of about 16 J points; the transform of the data is cached so
+repeated evaluation on one path (as in estimation or landscape sweeps)
+costs one kernel transform per lag-sum row.  A :class:`PathEvaluator`
+given a d-interval also tabulates the lag sums in Chebyshev form over that
+interval, so an evaluation inside it, score and Hessian included, costs a
+few K x w products instead of transforms: the kernel j**(d-1), like the
+FARIMA weights divided by d, is entire in d, so the series converges
+geometrically and its term-by-term derivatives give the d-derivative rows
+(Trefethen, *Approximation Theory and Approximation Practice*, ch. 8).
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from numpy.polynomial.chebyshev import chebder
 
 from .coeffs import CoeffSpec, Theta, _scaled, _unit_rows, coeff_weights
@@ -163,9 +165,12 @@ class PathEvaluator:
     """Evaluates one loss variant repeatedly on a fixed data path.
 
     The data-side FFT is computed once, at the smallest transform length
-    whose circular convolution leaves the window unaliased; each parameter
-    point then costs one (value only) to three (score/Hessian) kernel
-    transforms.  Both families support the score and the Hessian: the rows
+    whose circular convolution leaves the window unaliased, or, when that
+    exceeds the length L of about 16 J, for each length-L segment of an
+    overlap-save convolution (only a long ``"full"`` series, whose kernel
+    has J lags); each parameter point then costs one (value only) to three
+    (score/Hessian) kernel transforms and the inverse transforms of the
+    segments.  Both families support the score and the Hessian: the rows
     convolved are :func:`larchpmle.coeffs._unit_rows`, combined into the
     weights' d-derivatives by :func:`larchpmle.coeffs._scaled`.
 
@@ -237,9 +242,29 @@ class PathEvaluator:
         # conv indices max(off, 0) .. off + w - 1 are used; a transform of
         # this length neither wraps the convolution's tail onto them nor
         # wraps them around
-        self.nfft = _fft_size(max(len(series) + self.J - 1 - max(self.off, 0),
-                                  self.off + self.w))
-        self.rfft_series = np.fft.rfft(series, self.nfft)
+        nfft = _fft_size(max(len(series) + self.J - 1 - max(self.off, 0),
+                             self.off + self.w))
+        # a long "full" series is convolved by overlap-save: segment s is
+        # series[s P : s P + L] and keeps its outputs J - 1 .. L - 1, the
+        # ones its circular convolution gets right (P = L - J + 1 of them).
+        # Transforms of about 16 J points cost a third of a whole-series
+        # transform per point.  Any other series (the kernels of "bar" and
+        # "trunc" are n - 1 long) is one segment whose spectrum stays 1-d,
+        # so its rows are those of one whole-series transform bit for bit:
+        # numpy computes a large 1-d product into the kernel's temporary
+        # spectrum with the operands swapped, and a complex product rounds
+        # differently when its operands are swapped.
+        self._seg_len = min(nfft, _fft_size(16 * self.J))
+        if self._seg_len < nfft:
+            self._hop = self._seg_len - self.J + 1
+            nseg = -(-self.w // self._hop)
+            padded = np.zeros(nseg * self._hop + self.J - 1)
+            padded[:len(series)] = series
+            self._seg_spectra = np.fft.rfft(
+                sliding_window_view(padded, self._seg_len)[::self._hop])
+        else:
+            self._seg_len, self._hop = nfft, self.w
+            self._seg_spectra = np.fft.rfft(series, nfft)
 
         self.d_range = None
         if d_range is not None:
@@ -277,11 +302,12 @@ class PathEvaluator:
 
     def _convolve(self, kernel: np.ndarray) -> np.ndarray:
         """Window slice of sum_{j} kernel_j x_{t-j} for t in the window."""
-        conv = np.fft.irfft(self.rfft_series * np.fft.rfft(kernel, self.nfft),
-                            self.nfft)
+        conv = np.fft.irfft(
+            self._seg_spectra * np.fft.rfft(kernel, self._seg_len),
+            self._seg_len)
         if self.off < 0:                          # t = 1 has an empty lag sum
             return np.append(0.0, conv[:self.w - 1])
-        return conv[self.off: self.off + self.w]
+        return conv[..., self.off: self.off + self._hop].ravel()[:self.w]
 
     def lag_sums(self, theta: Theta, derivatives: int):
         """Window lag sums (v0, v1, v2) of the data against the unit-scale

@@ -8,8 +8,9 @@ Toeplitz matrix of the weights, so the simulator advances a block of
 steps per iteration with one correlation for the lags reaching before the
 block and one product with the inverse of the block's triangular system
 for those inside it.  Those inverses depend on the innovations alone and
-are built for a chunk of blocks at once.  The tests keep the step-by-step
-recursion as its oracle.  A chain-expansion evaluator of
+are built for a chunk of blocks at once, each from the inverses of its
+two half-blocks, which share one Toeplitz system.  The tests keep the
+step-by-step recursion as its oracle.  A chain-expansion evaluator of
 the stationary-solution series is provided as an independent oracle for
 the recursion.
 """
@@ -28,8 +29,9 @@ __all__ = ["SimConfig", "Sample", "derive_seed", "simulate", "volterra_sigma"]
 # steps the simulator advances per block: each block costs one correlation
 # of length J + B - 1 with the weights and one B x B matrix-vector product
 _BLOCK = 32
-# blocks whose in-block inverses are built together; the inverses and their
-# eps-scaled copy take 2 x 64 x 32 x 32 doubles (1 MiB)
+# blocks whose in-block inverses are built together; the inverses take
+# 64 x 32 x 32 doubles (512 KiB), and their 128 half-block inverses with
+# the eps-scaled copy as much again (1 MiB in all)
 _CHUNK = 64
 
 
@@ -127,22 +129,38 @@ def _draw_innovations(cfg: SimConfig, total: int) -> np.ndarray:
     return rng.choice(table, size=total, replace=True)
 
 
-def _inverses(L, E, X, Y):
+def _inverses(L, E, X, W):
     """Fill X with the inverses of I - L diag(e) for the K rows e of E.
 
-    X and Y are (B, K, B) work arrays holding row r of block k's inverse
-    at [r, k]; X[0] is unit row 0.  Row r of an inverse is unit_r plus
-    L[r] times the rows of Y = diag(e) X, so all K rows r are one product
-    of the weights L[r, :r] with rows < r of Y: forward substitution run
-    on the K blocks at once, where each block scales its row r by its own
-    e[r].  Entries above the diagonal come out zero, as Y's are."""
-    B = len(L)
-    X2, Y2 = X.reshape(B, -1), Y.reshape(B, -1)
-    np.multiply(X[0], E[:, :1], out=Y[0])
-    for r in range(1, B):
-        np.matmul(L[r, :r], Y2[:r], out=X2[r])
-        X[r, :, r] = 1.0
-        np.multiply(X[r], E[:, r:r + 1], out=Y[r])
+    X is (B, K, B) and holds row r of block k's inverse at [r, k]; its
+    upper-right quadrant must be zero on entry.  With h = B / 2,
+    L11 = L[:h, :h] and L21 = L[h:, :h], the inverse for a block with
+    halves e_1, e_2 is [[X_1, 0], [X_2 L21 Y_1, X_2]], where
+    X_q = (I - L11 diag(e_q))^-1 (L is Toeplitz, so both halves share L11)
+    and Y_q = diag(e_q) X_q.  The 2K half-block inverses come from forward
+    substitution in the (2, h, 2K, h) work array W = (X_q, Y_q), laid out
+    as X, whose W[0, 0] is unit row 0: row r of X_q is unit_r plus L11[r]
+    times the rows of Y_q, so all 2K rows r are one product of the weights
+    L11[r, :r] with rows < r of W[1], where each half-block scales its row
+    r by its own e[r]."""
+    B, K = len(L), len(E)
+    h = B // 2
+    Xh, Yh = W
+    Xh2, Yh2 = Xh.reshape(h, -1), Yh.reshape(h, -1)
+    Eh = E.reshape(2 * K, h)
+    np.multiply(Xh[0], Eh[:, :1], out=Yh[0])
+    for r in range(1, h):
+        np.matmul(L[r, :r], Yh2[:r], out=Xh2[r])
+        Xh[r, :, r] = 1.0
+        np.multiply(Xh[r], Eh[:, r:r + 1], out=Yh[r])
+    # half q of block k is half-block 2k + q; X4[p, i, k, q, j] is entry
+    # (p h + i, q h + j) of block k's inverse
+    X4, Xh4 = X.reshape(2, h, K, 2, h), Xh.reshape(h, K, 2, h)
+    X4[0, :, :, 0] = Xh4[:, :, 0]
+    X4[1, :, :, 1] = Xh4[:, :, 1]
+    X2 = Xh4[:, :, 1].transpose(1, 0, 2)
+    Y1 = Yh.reshape(h, K, 2, h)[:, :, 0].transpose(1, 0, 2)
+    X4[1, :, :, 0] = ((X2 @ L[h:, :h]) @ Y1).transpose(1, 0, 2)
 
 
 def _advance(buf, sig, eps, b_rev, L, a, t):
@@ -154,8 +172,9 @@ def _advance(buf, sig, eps, b_rev, L, a, t):
     J, B = len(b_rev), len(L)
     n_blocks = len(sig) // B
     K = min(_CHUNK, n_blocks - t // B)
-    X, Y, E = np.zeros((B, K, B)), np.zeros((B, K, B)), np.zeros((K, B))
-    X[0, :, 0] = 1.0
+    X, E = np.zeros((B, K, B)), np.zeros((K, B))
+    W = np.zeros((2, B // 2, 2 * K, B // 2))
+    W[0, 0, :, 0] = 1.0
     lags = sliding_window_view(buf, J + B - 1)[::B]
     sig_b, x_b = sig.reshape(-1, B), buf[J:].reshape(-1, B)
     for k0 in range(t // B, n_blocks, K):
@@ -163,7 +182,7 @@ def _advance(buf, sig, eps, b_rev, L, a, t):
         e = eps[k0 * B:k1 * B]
         E.flat[:len(e)] = e
         E.flat[len(e):] = 0.0
-        _inverses(L, E, X, Y)
+        _inverses(L, E, X, W)
         # X (h + a) = X h + a X 1
         u = (X @ np.full(B, a)).T
         for Xk, uk, w, ek, s, x in zip(X.transpose(1, 0, 2), u, lags[k0:k1],
@@ -205,7 +224,8 @@ def simulate(spec: CoeffSpec, theta0: Theta, cfg: SimConfig,
     (I - L diag(eps)) sigma = h, with L the strictly lower-triangular
     Toeplitz matrix of b_1..b_{B-1} (zero beyond J).  Its inverse depends
     on eps alone, so the inverses of ``_CHUNK`` blocks are built at once
-    by forward substitution before those blocks run; a block then costs
+    before those blocks run, by forward substitution on the blocks' 16-step
+    halves and one product for each lower-left quadrant; a block then costs
     the correlation, one B x B product sigma = X h, and x = eps * sigma.
     Results agree with the step-by-step recursion to rounding (the sums
     run in another order).  A block that is not finite is replayed step

@@ -106,6 +106,28 @@ class TestSandwich:
                       burn_in=2100, seed=7)
         assert np.abs(r1.sd - r2.sd).max() < 0.01 * np.abs(r1.sd).max()
 
+    def test_standard_errors_from_blocks_covering_path(self, spec, nm):
+        # 32 blocks of near equal length cover the path, so the last
+        # n mod 32 points enter the standard errors too
+        se_G = {}
+        for n in (40, 63):
+            res = sandwich(spec, CASE1, 0.01, nm, path_length=n,
+                           burn_in=2000, seed=1)
+            s = simulate(spec, CASE1, SimConfig(n=n, burn_in=2000, seed=1))
+            sig, S = sigma_and_gradient(spec, CASE1, s)
+            s2e = sig ** 2 + 0.01
+            wG = (nm.moment(4) - 1.0) * 4.0 * sig ** 6 / s2e ** 4
+            wH = 4.0 * sig ** 2 / s2e ** 2
+            bounds = np.linspace(0, n, 33).astype(int)
+            for w, got in ((wG, res.se_G), (wH, res.se_H)):
+                means = [np.einsum("i,ij,ik->jk", w[lo:hi], S[lo:hi],
+                                   S[lo:hi]) / (hi - lo)
+                         for lo, hi in zip(bounds[:-1], bounds[1:])]
+                want = np.std(means, axis=0, ddof=1) / math.sqrt(32)
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+            se_G[n] = res.se_G
+        assert not np.any(np.isclose(se_G[40], se_G[63], rtol=1e-6))
+
     def test_empirical_score_outer_product_agrees(self, spec, nm):
         # the closed form for G equals the average of realized score
         # outer products on the same path, up to Monte-Carlo error

@@ -20,7 +20,7 @@ from larchpmle import (
 )
 from larchpmle.coeffs import _scaled, _unit_rows, coeff_weights, deriv_weights
 from larchpmle.errors import DomainError, HistoryError, NumericError, WindowError
-from larchpmle.likelihood import PathEvaluator
+from larchpmle.likelihood import PathEvaluator, _fft_size
 
 from conftest import CASE1, CASE1_BETA, _simulate_loop
 from nelder_mead import minimize_box
@@ -336,14 +336,15 @@ def table_paths(table_samples):
 
 
 def full_size_fft_sums(lspec, spec, sample, d, order=0):
-    """Window lag sums of order 0 or 1 in d by one convolution of the whole
-    stored series at a power-of-two length that holds it all: the oracle
-    for the evaluator's window-sized transforms and its table."""
+    """Window lag sums of order 0, 1 or 2 in d by one convolution of the
+    whole stored series at a power-of-two length that holds it all: the
+    oracle for the evaluator's window-sized and segmented transforms and
+    its table."""
     full = lspec.variant == "full"
     x = sample.x if full else sample.x_obs
     J = sample.config.J if full else sample.n - 1
     unit = Theta(d, 1.0, 1.0)
-    kernel = (deriv_weights(spec, unit, J, order_d=1) if order
+    kernel = (deriv_weights(spec, unit, J, order_d=order) if order
               else coeff_weights(spec, unit, J))
     nfft = 1 << (len(x) + J).bit_length()
     conv = np.fft.irfft(np.fft.rfft(x, nfft) * np.fft.rfft(kernel, nfft),
@@ -352,6 +353,83 @@ def full_size_fft_sums(lspec, spec, sample, d, order=0):
     t_first = n - m_of_n(n, lspec.beta) if lspec.variant == "trunc" else 1
     idx = (sample.first_retained if full else 0) + np.arange(t_first, n + 1) - 2
     return np.where(idx >= 0, conv[np.maximum(idx, 0)], 0.0)
+
+
+def _segments(ev):
+    """Number of segments the evaluator transforms its series in."""
+    return len(np.atleast_2d(ev._seg_spectra))
+
+
+class TestSegmentedTransform:
+    """Lag sums of a long "full" series by overlap-save transforms of about
+    16 J points, and the whole-series transform of every other series."""
+
+    # path length k P + extra, with P = L - J + 1 the outputs a segment of
+    # length L = _fft_size(16 J) keeps: one segment, a second segment
+    # holding one point, two segments ending on a segment boundary, and
+    # many segments ending on a boundary and one point past it
+    @pytest.mark.parametrize("J, k, extra, segments", [
+        (50, 1, 0, 1), (50, 1, 1, 2), (50, 2, 0, 2), (50, 12, 0, 12),
+        (50, 12, 1, 13), (2000, 2, 0, 2), (2000, 2, 1, 3)])
+    @pytest.mark.parametrize("family", ["power", "farima"])
+    def test_full_rows_match_full_size_fft(self, family, J, k, extra,
+                                           segments):
+        spec = CoeffSpec(family, 2000)
+        n = k * (_fft_size(16 * J) - J + 1) + extra
+        sample = simulate(spec, CASE1, SimConfig(n=n, burn_in=J, J=J,
+                                                 seed=derive_seed(n, J)))
+        lspec = LossSpec("full", 0.01)
+        ev = PathEvaluator(lspec, spec, sample)
+        assert _segments(ev) == segments
+        for d in (0.05, 0.25, 0.45):
+            rows = ev.lag_sums(Theta(d, 0.2, 1.0), 2)
+            for order, got in enumerate(rows):
+                ref = full_size_fft_sums(lspec, spec, sample, d, order)
+                assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("variant, n", [
+        ("bar", 1000), ("bar", 10_000), ("bar", 100_000), ("trunc", 10_000),
+        ("trunc", 100_000), ("full", 1000), ("full", 10_000)])
+    @pytest.mark.parametrize("family", ["power", "farima"])
+    def test_one_transform_rows_unchanged(self, family, variant, n,
+                                          table_samples):
+        # "bar", "trunc" and a "full" series shorter than about 16 J are
+        # one segment, whose rows equal those of one transform of the
+        # whole series bit for bit
+        spec = CoeffSpec(family, 2000)
+        sample = table_samples[n]
+        if variant == "full":
+            lspec = LossSpec("full", 0.01)
+            ev = PathEvaluator(lspec, spec, sample)
+            J, t_first, off = sample.config.J, 1, sample.config.J - 1
+            start = sample.first_retained - J
+            series = sample.x[start: start + J + n - 1]
+        else:
+            lspec = (LossSpec("trunc", 0.01, beta=CASE1_BETA)
+                     if variant == "trunc" else LossSpec("bar", 0.01))
+            ev = PathEvaluator(lspec, spec, sample.x_obs)
+            J, series = n - 1, sample.x_obs
+            t_first = n - m_of_n(n, CASE1_BETA) if variant == "trunc" else 1
+            off = t_first - 2
+        w = n - t_first + 1
+        assert _segments(ev) == 1
+        nfft = _fft_size(max(len(series) + J - 1 - max(off, 0), off + w))
+        # the data spectrum is held in a name, as the evaluator holds it:
+        # numpy computes a large product into a temporary operand, the
+        # kernel's spectrum, and so with the operands swapped, which
+        # rounds differently
+        spectrum = np.fft.rfft(series, nfft)
+        for d in (0.0, 0.1, 0.3):
+            rows = []
+            for kernel in _unit_rows(family, d, J, 2):
+                conv = np.fft.irfft(spectrum * np.fft.rfft(kernel, nfft),
+                                    nfft)
+                rows.append(np.append(0.0, conv[:w - 1]) if off < 0
+                            else conv[off: off + w])
+            want = _scaled(family, d, np.array(rows))
+            got = ev.lag_sums(Theta(d, 0.2, 1.0), 2)
+            for k in range(3):
+                assert np.array_equal(got[k], want[k])
 
 
 class TestChebyshevTable:

@@ -15,6 +15,7 @@ from larchpmle import (
     simulate,
     volterra_sigma,
 )
+from larchpmle.coeffs import coeff_weights
 from larchpmle.errors import (
     BudgetError,
     DomainError,
@@ -228,6 +229,41 @@ class TestBlockedKernel:
         out = subprocess.run([sys.executable, "-c", code], check=True,
                              capture_output=True, text=True)
         assert out.stdout.split() == ["False", "False", "False"]
+
+
+class TestHalfBlockInverses:
+    """The in-block inverses built from half-blocks against a dense inverse
+    of each block's system."""
+
+    @pytest.mark.parametrize("J", [1, 5, 16, 17, 31, 2000])
+    def test_match_dense_inverse(self, spec, J):
+        B, K = sim_mod._BLOCK, sim_mod._CHUNK
+        b = coeff_weights(spec, CASE2, J)
+        L = np.zeros((B, B))
+        for r in range(B):
+            for c in range(max(0, r - J), r):
+                L[r, c] = b[r - c - 1]
+        # work arrays as the simulator sets them up, reused across chunks
+        X = np.zeros((B, K, B))
+        W = np.zeros((2, B // 2, 2 * K, B // 2))
+        W[0, 0, :, 0] = 1.0
+        rng = np.random.default_rng(J)
+        full = rng.standard_normal((K, B))
+        full[::3, ::5] = 0.0
+        # a last chunk that ends inside its sixth block, padded with zeros
+        last = np.zeros((K, B))
+        last.flat[:5 * B + 7] = rng.standard_normal(5 * B + 7)
+        last[1, :B // 2] = 0.0
+        for E in (full, last):
+            sim_mod._inverses(L, E, X, W)
+            for k in range(K):
+                ref = np.linalg.inv(np.eye(B) - L * E[k])
+                # normwise: an entry formed by cancellation is off by up
+                # to 3e-11 of itself against a long-double substitution,
+                # whichever order the sums run in
+                assert (np.linalg.norm(X[:, k] - ref)
+                        <= 1e-13 * np.linalg.norm(ref))
+                assert not np.triu(X[:, k], 1).any()
 
 
 class TestVolterra:
