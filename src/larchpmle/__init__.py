@@ -16,10 +16,7 @@ from .coeffs import (
     NoiseMoments,
     ParamSpace,
     Theta,
-    c_upper,
     check_moment_conditions,
-    coeff,
-    coeff_deriv,
     gaussian_moments,
     norm_p,
     tail_variance,
@@ -57,10 +54,9 @@ __all__ = [
     "LimitH0Result", "LossEval", "LossSpec", "MAD_SCALE", "McReport",
     "MomentReport", "NoiseMoments", "ParamSpace",
     "RatePrediction", "Sample", "SandwichResult", "ScoreGapResult",
-    "SimConfig", "StudyConfig", "Summary", "Theta", "acf", "c_upper",
-    "case_study", "check_moment_conditions", "coeff", "coeff_deriv",
-    "derive_seed", "estimate", "fit_decay", "gaussian_moments", "landscape",
-    "limit_h0", "loss", "m_of_n", "norm_p",
+    "SimConfig", "StudyConfig", "Summary", "Theta", "acf", "case_study",
+    "check_moment_conditions", "derive_seed", "estimate", "fit_decay",
+    "gaussian_moments", "landscape", "limit_h0", "loss", "m_of_n", "norm_p",
     "normal_plot_data", "predicted_rate", "run_study", "sandwich",
     "score_gap", "sigma_bar", "sigma_full", "simulate", "summarize",
     "tail_variance", "volterra_sigma", "zeta_tail",

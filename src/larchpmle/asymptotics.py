@@ -100,11 +100,6 @@ def sigma_and_gradient(spec: CoeffSpec, theta: Theta, sample: Sample):
     return sig, S
 
 
-def _weighted_mean(w: np.ndarray, S: np.ndarray) -> np.ndarray:
-    """Mean of w_t S_t S_t^T over t; no (n, 3, 3) array is formed."""
-    return np.einsum("i,ij,ik->jk", w, S, S, optimize=True) / len(w)
-
-
 def _block_sums(sig: np.ndarray, S: np.ndarray, epsilon: float,
                 bounds: np.ndarray) -> np.ndarray:
     """Sums of w_t S_t S_t^T over each block bounds[b] <= t < bounds[b + 1]
@@ -199,7 +194,7 @@ def h0_from_arrays(sigma: np.ndarray, S: np.ndarray) -> LimitH0Result:
     if span > _H0_SPAN_TOL or share > _H0_SHARE_TOL:
         return LimitH0Result(matrix=None, diverged=True,
                              checkpoints=checkpoints)
-    return LimitH0Result(matrix=_weighted_mean(w, S), diverged=False,
+    return LimitH0Result(matrix=(S.T * w) @ S / n, diverged=False,
                          checkpoints=checkpoints)
 
 

@@ -40,12 +40,9 @@ __all__ = [
     "ConditionCheck",
     "MomentReport",
     "ZETA_M3",
-    "coeff",
-    "coeff_deriv",
     "coeff_weights",
     "deriv_weights",
     "zeta_tail",
-    "c_upper",
     "norm_p",
     "tail_variance",
     "sum_sq",
@@ -213,17 +210,6 @@ def zeta_tail(s: float, t0: int = 1) -> float:
     return _hurwitz_zeta(float(s), float(t0))
 
 
-def c_upper(d: float, C: float) -> float:
-    """Upper bound on c so that sum_j (c j**(d-1))**2 = C^2 at the bound."""
-    if d >= 0.5:
-        raise DivergenceError("squared power-law weights are not summable for d >= 1/2")
-    if d < 0.0:
-        raise DomainError("require d >= 0")
-    if not 0.0 < C < 1.0:
-        raise DomainError("require 0 < C < 1")
-    return C / math.sqrt(zeta_tail(2.0 - 2.0 * d, 1))
-
-
 def _unit_rows(family: str, d: float, J: int, order: int) -> np.ndarray:
     """Rows k = 0..order of the k-th d-derivatives of the unit weights
     r_1..r_J, where b_j = c s(d) r_j (see :func:`_scaled`).
@@ -269,17 +255,6 @@ def _scaled(family: str, d: float, rows):
     out = d * rows
     out[1:] += np.arange(1, len(rows))[:, None] * rows[:-1]
     return out
-
-
-def coeff(spec: CoeffSpec, theta: Theta, j: int) -> float:
-    """Lag-j weight b_j(theta): the last entry of :func:`coeff_weights`."""
-    return float(coeff_weights(spec, theta, int(j))[-1])
-
-
-def coeff_deriv(spec: CoeffSpec, theta: Theta, j: int,
-                order_d: int = 0, order_c: int = 0) -> float:
-    """Partial derivative of b_j: the last entry of :func:`deriv_weights`."""
-    return float(deriv_weights(spec, theta, int(j), order_d, order_c)[-1])
 
 
 def coeff_weights(spec: CoeffSpec, theta: Theta, J: int) -> np.ndarray:

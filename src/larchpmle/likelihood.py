@@ -7,23 +7,26 @@ time points are averaged:
 
 * ``"full"``  : sigma_t from the extended history (pre-sample included),
   truncated at J lags; averages t = 1..n.
-* ``"bar"``   : sigma_t from the observed past x_1..x_{t-1} only;
-  averages t = 1..n.
+* ``"bar"``   : sigma_t from the observed past x_1..x_{t-1} only, i.e.
+  the full-history sum with the unobserved past set to zero; averages
+  t = 1..n.
 * ``"trunc"`` : same sigma as "bar" but averages only the last
   floor(n^beta) points t = n - m(n)..n, where m(n) = floor(n^beta) - 1.
 
 The analytic score and Hessian are exact derivatives of the loss in
-theta = (d, c, a).  Lag sums are FFT convolutions sized to the averaged
-window, or, for a long full-history series, overlap-save convolutions in
-segments of about 16 J points; the transform of the data is cached so
-repeated evaluation on one path (as in estimation or landscape sweeps)
-costs one kernel transform per lag-sum row.  A :class:`PathEvaluator`
-given a d-interval also tabulates the lag sums in Chebyshev form over that
-interval, so an evaluation inside it, score and Hessian included, costs a
-few K x w products instead of transforms: the kernel j**(d-1), like the
-FARIMA weights divided by d, is entire in d, so the series converges
-geometrically and its term-by-term derivatives give the d-derivative rows
-(Trefethen, *Approximation Theory and Approximation Practice*, ch. 8).
+theta = (d, c, a).  Every variant convolves the J + w - 1 history values
+that reach its window of w points (for "bar" and "trunc" J = n - 1 and the
+history before t = 1 is zeros) by overlap-save, in segments of about 16 J
+points or one segment holding the whole series when that is shorter; the
+transforms of the data are cached so repeated evaluation on one path (as
+in estimation or landscape sweeps) costs one kernel transform per lag-sum
+row.  A :class:`PathEvaluator` given a d-interval also tabulates the lag
+sums in Chebyshev form over that interval, so an evaluation inside it,
+score and Hessian included, costs a few K x w products instead of
+transforms: the kernel j**(d-1), like the FARIMA weights divided by d, is
+entire in d, so the series converges geometrically and its term-by-term
+derivatives give the d-derivative rows (Trefethen, *Approximation Theory
+and Approximation Practice*, ch. 8).
 """
 
 import math
@@ -164,13 +167,14 @@ def sigma_full(spec: CoeffSpec, theta: Theta, sample: Sample, t: int,
 class PathEvaluator:
     """Evaluates one loss variant repeatedly on a fixed data path.
 
-    The data-side FFT is computed once, at the smallest transform length
-    whose circular convolution leaves the window unaliased, or, when that
-    exceeds the length L of about 16 J, for each length-L segment of an
-    overlap-save convolution (only a long ``"full"`` series, whose kernel
-    has J lags); each parameter point then costs one (value only) to three
-    (score/Hessian) kernel transforms and the inverse transforms of the
-    segments.  Both families support the score and the Hessian: the rows
+    Every variant sums J lags of a history: the sample's stored one for
+    ``"full"``; for ``"bar"`` and ``"trunc"`` J = n - 1 lags of the
+    observations preceded by n - 1 zeros, the unobserved past.  The J + w - 1
+    values that reach the window are transformed once, in the segments of
+    an overlap-save convolution of length L, about 16 J or the whole series
+    when that is shorter; each parameter point then costs one (value only)
+    to three (score/Hessian) kernel transforms and the inverse transforms of
+    the segments.  Both families support the score and the Hessian: the rows
     convolved are :func:`larchpmle.coeffs._unit_rows`, combined into the
     weights' d-derivatives by :func:`larchpmle.coeffs._scaled`.
 
@@ -223,48 +227,30 @@ class PathEvaluator:
         self.w = self.t_last - self.t_first + 1
 
         if lspec.variant == "full":
-            sample = data
-            self.J = lspec.J if lspec.J is not None else sample.config.J
-            start = sample.first_retained + self.t_first - 1 - self.J
-            if start < 0:
-                raise HistoryError(
-                    f"full variant needs burn-in >= {self.J - self.t_first + 1}")
-            # only the J + w - 1 values from the first window point's J-th
-            # lag to the last point's first lag reach the window
-            series = sample.x[start: start + self.J + self.w - 1]
-            self.off = self.J - 1
+            self.J = lspec.J if lspec.J is not None else data.config.J
+            history, first = data.x, data.first_retained
         else:
             self.J = n - 1
-            series = x_obs
-            self.off = self.t_first - 2          # -1 marks the empty t = 1 sum
-
+            history, first = np.concatenate([np.zeros(self.J), x_obs]), self.J
+        start = first + self.t_first - 1 - self.J
+        if start < 0:
+            raise HistoryError(
+                f"full variant needs burn-in >= {self.J - self.t_first + 1}")
+        # only the J + w - 1 values from the first window point's J-th lag
+        # to the last point's first lag reach the window
+        series = history[start: start + self.J + self.w - 1]
         self.xw = x_obs[self.t_first - 1: self.t_last]
-        # conv indices max(off, 0) .. off + w - 1 are used; a transform of
-        # this length neither wraps the convolution's tail onto them nor
-        # wraps them around
-        nfft = _fft_size(max(len(series) + self.J - 1 - max(self.off, 0),
-                             self.off + self.w))
-        # a long "full" series is convolved by overlap-save: segment s is
-        # series[s P : s P + L] and keeps its outputs J - 1 .. L - 1, the
-        # ones its circular convolution gets right (P = L - J + 1 of them).
-        # Transforms of about 16 J points cost a third of a whole-series
-        # transform per point.  Any other series (the kernels of "bar" and
-        # "trunc" are n - 1 long) is one segment whose spectrum stays 1-d,
-        # so its rows are those of one whole-series transform bit for bit:
-        # numpy computes a large 1-d product into the kernel's temporary
-        # spectrum with the operands swapped, and a complex product rounds
-        # differently when its operands are swapped.
-        self._seg_len = min(nfft, _fft_size(16 * self.J))
-        if self._seg_len < nfft:
-            self._hop = self._seg_len - self.J + 1
-            nseg = -(-self.w // self._hop)
-            padded = np.zeros(nseg * self._hop + self.J - 1)
-            padded[:len(series)] = series
-            self._seg_spectra = np.fft.rfft(
-                sliding_window_view(padded, self._seg_len)[::self._hop])
-        else:
-            self._seg_len, self._hop = nfft, self.w
-            self._seg_spectra = np.fft.rfft(series, nfft)
+        # overlap-save: segment s is series[s P : s P + L] and keeps its
+        # outputs J - 1 .. L - 1, the ones its circular convolution gets
+        # right (P = L - J + 1 of them).  Transforms of about 16 J points
+        # cost a third of a whole-series transform per point; a series
+        # shorter than that is one segment.
+        self._seg_len = _fft_size(min(len(series), 16 * self.J))
+        hop = self._seg_len - self.J + 1
+        padded = np.zeros(-(-self.w // hop) * hop + self.J - 1)
+        padded[:len(series)] = series
+        self._seg_spectra = np.fft.rfft(
+            sliding_window_view(padded, self._seg_len)[::hop])
 
         self.d_range = None
         if d_range is not None:
@@ -301,13 +287,14 @@ class PathEvaluator:
         return (T @ self._cheb_der[:derivatives + 1]) @ self._cheb
 
     def _convolve(self, kernel: np.ndarray) -> np.ndarray:
-        """Window slice of sum_{j} kernel_j x_{t-j} for t in the window."""
+        """Window slice of sum_{j} kernel_j x_{t-j} for t in the window:
+        outputs J - 1 .. L - 1 of each segment, in segment order."""
+        # the spectra stay 2-d, so numpy never writes this product into the
+        # kernel's temporary spectrum and the operand order is fixed
         conv = np.fft.irfft(
             self._seg_spectra * np.fft.rfft(kernel, self._seg_len),
             self._seg_len)
-        if self.off < 0:                          # t = 1 has an empty lag sum
-            return np.append(0.0, conv[:self.w - 1])
-        return conv[..., self.off: self.off + self._hop].ravel()[:self.w]
+        return conv[:, self.J - 1:].ravel()[:self.w]
 
     def lag_sums(self, theta: Theta, derivatives: int):
         """Window lag sums (v0, v1, v2) of the data against the unit-scale

@@ -10,10 +10,7 @@ from larchpmle import (
     NoiseMoments,
     ParamSpace,
     Theta,
-    c_upper,
     check_moment_conditions,
-    coeff,
-    coeff_deriv,
     gaussian_moments,
     norm_p,
     tail_variance,
@@ -45,60 +42,47 @@ def farima_pi_deriv_loop(d, J):
 
 class TestPowerCoeff:
     def test_j1_equals_c(self, spec):
-        assert coeff(spec, Theta(0.4, 0.1, 1.0), 1) == 0.1
+        assert coeff_weights(spec, Theta(0.4, 0.1, 1.0), 1)[-1] == 0.1
 
     def test_power_value(self, spec):
         # 0.2 * 10**(-0.9), evaluated independently at high precision
-        got = coeff(spec, Theta(0.1, 0.2, 1.0), 10)
+        got = coeff_weights(spec, Theta(0.1, 0.2, 1.0), 10)[-1]
         assert got == pytest.approx(0.025178508235883346, rel=1e-12)
 
     def test_zero_scale(self, spec):
         for j in (1, 7, 1000):
-            assert coeff(spec, Theta(0.3, 0.0, 2.0), j) == 0.0
+            assert coeff_weights(spec, Theta(0.3, 0.0, 2.0), j)[-1] == 0.0
 
     def test_bad_lag(self, spec):
         with pytest.raises(DomainError):
-            coeff(spec, Theta(0.1, 0.2, 1.0), 0)
+            coeff_weights(spec, Theta(0.1, 0.2, 1.0), 0)
         with pytest.raises(DomainError):
-            coeff(spec, Theta(0.1, 0.2, 1.0), -3)
-
-    def test_weights_match_scalar(self):
-        th = Theta(0.23, 0.4, 1.0)
-        for family, max_order_d in (("power", 3), ("farima", 2)):
-            spec = CoeffSpec(family, 2000)
-            w = coeff_weights(spec, th, 20)
-            assert list(w) == [coeff(spec, th, j) for j in range(1, 21)]
-            for order_d in range(max_order_d + 1):
-                for order_c in (0, 1):
-                    if order_d + order_c == 0:
-                        continue
-                    w = deriv_weights(spec, th, 20, order_d, order_c)
-                    assert list(w) == [
-                        coeff_deriv(spec, th, j, order_d, order_c)
-                        for j in range(1, 21)]
+            coeff_weights(spec, Theta(0.1, 0.2, 1.0), -3)
 
 
 class TestPowerDeriv:
     def test_log1_zero(self, spec):
-        assert coeff_deriv(spec, Theta(0.1, 0.2, 1.0), 1, order_d=1) == 0.0
+        got = deriv_weights(spec, Theta(0.1, 0.2, 1.0), 1, order_d=1)
+        assert got[-1] == 0.0
 
     def test_c_deriv_at_j1(self, spec):
-        assert coeff_deriv(spec, Theta(0.1, 0.2, 1.0), 1, order_c=1) == 1.0
+        got = deriv_weights(spec, Theta(0.1, 0.2, 1.0), 1, order_c=1)
+        assert got[-1] == 1.0
 
     def test_d_deriv_value(self, spec):
         # 0.2 * ln(10) * 10**(-0.9)
-        got = coeff_deriv(spec, Theta(0.1, 0.2, 1.0), 10, order_d=1)
+        got = deriv_weights(spec, Theta(0.1, 0.2, 1.0), 10, order_d=1)[-1]
         assert got == pytest.approx(0.2 * math.log(10) * 10 ** -0.9, rel=1e-12)
         assert got == pytest.approx(0.0579754, abs=5e-7)
 
     def test_order_validation(self, spec):
         th = Theta(0.1, 0.2, 1.0)
         with pytest.raises(DomainError):
-            coeff_deriv(spec, th, 5, order_d=0, order_c=0)
+            deriv_weights(spec, th, 5, order_d=0, order_c=0)
         with pytest.raises(DomainError):
-            coeff_deriv(spec, th, 5, order_c=2)
+            deriv_weights(spec, th, 5, order_c=2)
         with pytest.raises(DomainError):
-            coeff_deriv(spec, th, 5, order_d=4)
+            deriv_weights(spec, th, 5, order_d=4)
 
     def test_finite_difference_consistency(self, spec):
         rng = np.random.default_rng(100)
@@ -110,16 +94,17 @@ class TestPowerDeriv:
             k = int(rng.integers(1, 3))
             up, dn = Theta(d + h, c, 1.0), Theta(d - h, c, 1.0)
             if k == 1:
-                fd = (coeff(spec, up, j) - coeff(spec, dn, j)) / (2 * h)
+                fd = (coeff_weights(spec, up, j)[-1]
+                      - coeff_weights(spec, dn, j)[-1]) / (2 * h)
             else:
-                fd = (coeff_deriv(spec, up, j, order_d=1)
-                      - coeff_deriv(spec, dn, j, order_d=1)) / (2 * h)
-            got = coeff_deriv(spec, Theta(d, c, 1.0), j, order_d=k)
+                fd = (deriv_weights(spec, up, j, order_d=1)[-1]
+                      - deriv_weights(spec, dn, j, order_d=1)[-1]) / (2 * h)
+            got = deriv_weights(spec, Theta(d, c, 1.0), j, order_d=k)[-1]
             assert got == pytest.approx(fd, rel=1e-6, abs=1e-12)
 
     def test_mixed_deriv(self, spec):
         th = Theta(0.2, 0.7, 1.0)
-        got = coeff_deriv(spec, th, 9, order_d=2, order_c=1)
+        got = deriv_weights(spec, th, 9, order_d=2, order_c=1)[-1]
         assert got == pytest.approx(math.log(9) ** 2 * 9 ** -0.8, rel=1e-12)
 
 
@@ -134,24 +119,27 @@ class TestFarima:
             assert w[j - 1] == pytest.approx(exact, rel=1e-12)
 
     def test_first_weight_is_cd(self, farima_spec):
-        assert coeff(farima_spec, Theta(0.25, 0.8, 1.0), 1) == \
+        assert coeff_weights(farima_spec, Theta(0.25, 0.8, 1.0), 1)[-1] == \
             pytest.approx(0.8 * 0.25)
 
     def test_continuity_at_zero(self, farima_spec):
         for j in (1, 3, 17):
-            small = coeff(farima_spec, Theta(1e-9, 1.0, 1.0), j)
+            small = coeff_weights(farima_spec, Theta(1e-9, 1.0, 1.0), j)[-1]
             assert abs(small) < 1e-8
-            assert coeff(farima_spec, Theta(0.0, 1.0, 1.0), j) == 0.0
+            zero = coeff_weights(farima_spec, Theta(0.0, 1.0, 1.0), j)
+            assert zero[-1] == 0.0
 
     def test_deriv_finite_difference(self, farima_spec):
         h = 1e-6
         for d in (0.0, 0.1, 0.35):
             for j in (1, 4, 30):
-                fd = (coeff(farima_spec, Theta(d + h, 1.0, 1.0), j)
-                      - coeff(farima_spec, Theta(max(d - h, 0.0), 1.0, 1.0), j))
+                up = Theta(d + h, 1.0, 1.0)
+                dn = Theta(max(d - h, 0.0), 1.0, 1.0)
+                fd = (coeff_weights(farima_spec, up, j)[-1]
+                      - coeff_weights(farima_spec, dn, j)[-1])
                 fd /= (h if d == 0.0 else 2 * h)
-                got = coeff_deriv(farima_spec, Theta(d, 1.0, 1.0), j,
-                                  order_d=1)
+                got = deriv_weights(farima_spec, Theta(d, 1.0, 1.0), j,
+                                    order_d=1)[-1]
                 assert got == pytest.approx(fd, rel=1e-4, abs=1e-8)
 
     @pytest.mark.parametrize("d", [0.0, 1e-9, 0.1, 0.25, 0.449])
@@ -173,7 +161,7 @@ class TestFarima:
                                   order_d=1)) / (2 * h)
             assert np.linalg.norm(got - fd) <= 1e-8 * np.linalg.norm(got)
         with pytest.raises(UnsupportedError):
-            coeff_deriv(farima_spec, Theta(0.2, 0.5, 1.0), 5, order_d=3)
+            deriv_weights(farima_spec, Theta(0.2, 0.5, 1.0), 5, order_d=3)
         with pytest.raises(UnsupportedError):
             deriv_weights(farima_spec, Theta(0.2, 0.5, 1.0), 5, order_d=3)
 
@@ -246,24 +234,24 @@ class TestZetaTail:
 
 class TestParamSpace:
     def test_c_upper_value(self):
-        assert c_upper(0.0, 0.9) == pytest.approx(0.9 / math.sqrt(math.pi ** 2 / 6),
-                                                  rel=1e-10)
-        assert c_upper(0.0, 0.9) == pytest.approx(0.70173, abs=5e-5)
+        c = ParamSpace(C=0.9).c_max(0.0)
+        assert c == pytest.approx(0.9 / math.sqrt(math.pi ** 2 / 6), rel=1e-10)
+        assert c == pytest.approx(0.70173, abs=5e-5)
 
     def test_linear_in_C(self):
-        assert c_upper(0.3, 0.4) == pytest.approx(2 * c_upper(0.3, 0.2),
-                                                  rel=1e-12)
+        assert ParamSpace(C=0.4).c_max(0.3) == pytest.approx(
+            2 * ParamSpace(C=0.2).c_max(0.3), rel=1e-12)
 
     def test_defining_identity_brute(self, spec):
-        # at c = c_upper(d), the squared weights sum to exactly C^2
+        # at c = c_max(d), the squared weights sum to exactly C^2
         d, C = 0.17, 0.8
-        c = c_upper(d, C)
+        c = ParamSpace(C=C).c_max(d)
         est, err = brute_zeta_tail(2.0 - 2.0 * d, 1)
         assert c * c * est == pytest.approx(C * C, rel=1e-9)
 
     def test_divergence_at_half(self):
         with pytest.raises(DivergenceError):
-            c_upper(0.5, 0.9)
+            ParamSpace(C=0.9).c_max(0.5)
 
     def test_validate(self, spec, space):
         space.validate(Theta(0.1, 0.2, 1.0), spec)
@@ -299,7 +287,7 @@ class TestNorms:
 
     def test_norm2_at_cupper_is_C(self, spec):
         d, C = 0.22, 0.9
-        th = Theta(d, c_upper(d, C), 1.0)
+        th = Theta(d, ParamSpace(C=C).c_max(d), 1.0)
         assert norm_p(spec, th, 2.0) == pytest.approx(C, rel=1e-12)
 
     def test_norm2_value_brute(self, spec):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -357,29 +358,53 @@ def full_size_fft_sums(lspec, spec, sample, d, order=0):
 
 def _segments(ev):
     """Number of segments the evaluator transforms its series in."""
-    return len(np.atleast_2d(ev._seg_spectra))
+    return len(ev._seg_spectra)
+
+
+# a "full" path of length k P + extra, with P = L - J + 1 the outputs a
+# segment of length L = _fft_size(16 J) keeps: one segment, a second segment
+# holding one point, two segments ending on a segment boundary, and many
+# segments ending on a boundary and one point past it; then the table paths,
+# whose "bar", "trunc" and short "full" series are one segment each
+SEGMENT_CASES = [
+    pytest.param("full", J, k * (_fft_size(16 * J) - J + 1) + extra, segments,
+                 id=f"{J}-{k}-{extra}-{segments}")
+    for J, k, extra, segments in [
+        (50, 1, 0, 1), (50, 1, 1, 2), (50, 2, 0, 2), (50, 12, 0, 12),
+        (50, 12, 1, 13), (2000, 2, 0, 2), (2000, 2, 1, 3)]] + [
+    pytest.param(variant, None, n, 1, id=f"{variant}-{n}")
+    for variant, n in [("bar", 1000), ("bar", 10_000), ("bar", 100_000),
+                       ("trunc", 10_000), ("trunc", 100_000),
+                       ("full", 1000), ("full", 10_000)]]
+
+
+def _zero_past(sample):
+    """The sample's observations after n - 1 pre-sample zeros."""
+    pad = np.zeros(sample.n - 1)
+    return replace(sample, first_retained=sample.n - 1,
+                   **{name: np.concatenate([pad, getattr(sample, name)[
+                       sample.first_retained:]])
+                      for name in ("x", "sigma", "eps")})
 
 
 class TestSegmentedTransform:
-    """Lag sums of a long "full" series by overlap-save transforms of about
-    16 J points, and the whole-series transform of every other series."""
+    """Lag sums by overlap-save transforms of about 16 J points, or of one
+    segment holding the whole series when that is shorter."""
 
-    # path length k P + extra, with P = L - J + 1 the outputs a segment of
-    # length L = _fft_size(16 J) keeps: one segment, a second segment
-    # holding one point, two segments ending on a segment boundary, and
-    # many segments ending on a boundary and one point past it
-    @pytest.mark.parametrize("J, k, extra, segments", [
-        (50, 1, 0, 1), (50, 1, 1, 2), (50, 2, 0, 2), (50, 12, 0, 12),
-        (50, 12, 1, 13), (2000, 2, 0, 2), (2000, 2, 1, 3)])
+    @pytest.mark.parametrize("variant, J, n, segments", SEGMENT_CASES)
     @pytest.mark.parametrize("family", ["power", "farima"])
-    def test_full_rows_match_full_size_fft(self, family, J, k, extra,
-                                           segments):
+    def test_full_rows_match_full_size_fft(self, family, variant, J, n,
+                                           segments, table_samples):
         spec = CoeffSpec(family, 2000)
-        n = k * (_fft_size(16 * J) - J + 1) + extra
-        sample = simulate(spec, CASE1, SimConfig(n=n, burn_in=J, J=J,
-                                                 seed=derive_seed(n, J)))
-        lspec = LossSpec("full", 0.01)
-        ev = PathEvaluator(lspec, spec, sample)
+        if J is None:
+            sample = table_samples[n]
+        else:
+            sample = simulate(spec, CASE1, SimConfig(
+                n=n, burn_in=J, J=J, seed=derive_seed(n, J)))
+        lspec = (LossSpec("trunc", 0.01, beta=CASE1_BETA)
+                 if variant == "trunc" else LossSpec(variant, 0.01))
+        ev = PathEvaluator(lspec, spec,
+                           sample if variant == "full" else sample.x_obs)
         assert _segments(ev) == segments
         for d in (0.05, 0.25, 0.45):
             rows = ev.lag_sums(Theta(d, 0.2, 1.0), 2)
@@ -387,49 +412,28 @@ class TestSegmentedTransform:
                 ref = full_size_fft_sums(lspec, spec, sample, d, order)
                 assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
 
-    @pytest.mark.parametrize("variant, n", [
-        ("bar", 1000), ("bar", 10_000), ("bar", 100_000), ("trunc", 10_000),
-        ("trunc", 100_000), ("full", 1000), ("full", 10_000)])
+    @pytest.mark.parametrize("variant", ["bar", "trunc"])
     @pytest.mark.parametrize("family", ["power", "farima"])
-    def test_one_transform_rows_unchanged(self, family, variant, n,
-                                          table_samples):
-        # "bar", "trunc" and a "full" series shorter than about 16 J are
-        # one segment, whose rows equal those of one transform of the
-        # whole series bit for bit
+    def test_observed_past_is_zero_filled_full(self, family, variant,
+                                               table_samples):
+        # "bar" and "trunc" are the "full" variant with J = n - 1 lags of a
+        # history whose pre-sample values are zero, bit for bit, t = 1
+        # included
         spec = CoeffSpec(family, 2000)
-        sample = table_samples[n]
-        if variant == "full":
-            lspec = LossSpec("full", 0.01)
-            ev = PathEvaluator(lspec, spec, sample)
-            J, t_first, off = sample.config.J, 1, sample.config.J - 1
-            start = sample.first_retained - J
-            series = sample.x[start: start + J + n - 1]
+        sample = table_samples[10_000]
+        n = sample.n
+        if variant == "trunc":
+            lspec, t_first = (LossSpec("trunc", 0.01, beta=CASE1_BETA),
+                              n - m_of_n(n, CASE1_BETA))
         else:
-            lspec = (LossSpec("trunc", 0.01, beta=CASE1_BETA)
-                     if variant == "trunc" else LossSpec("bar", 0.01))
-            ev = PathEvaluator(lspec, spec, sample.x_obs)
-            J, series = n - 1, sample.x_obs
-            t_first = n - m_of_n(n, CASE1_BETA) if variant == "trunc" else 1
-            off = t_first - 2
-        w = n - t_first + 1
-        assert _segments(ev) == 1
-        nfft = _fft_size(max(len(series) + J - 1 - max(off, 0), off + w))
-        # the data spectrum is held in a name, as the evaluator holds it:
-        # numpy computes a large product into a temporary operand, the
-        # kernel's spectrum, and so with the operands swapped, which
-        # rounds differently
-        spectrum = np.fft.rfft(series, nfft)
+            lspec, t_first = LossSpec("bar", 0.01), 1
+        ev = PathEvaluator(lspec, spec, sample.x_obs)
+        full = PathEvaluator(LossSpec("full", 0.01, J=n - 1), spec,
+                             _zero_past(sample), window=(t_first, n))
         for d in (0.0, 0.1, 0.3):
-            rows = []
-            for kernel in _unit_rows(family, d, J, 2):
-                conv = np.fft.irfft(spectrum * np.fft.rfft(kernel, nfft),
-                                    nfft)
-                rows.append(np.append(0.0, conv[:w - 1]) if off < 0
-                            else conv[off: off + w])
-            want = _scaled(family, d, np.array(rows))
-            got = ev.lag_sums(Theta(d, 0.2, 1.0), 2)
-            for k in range(3):
-                assert np.array_equal(got[k], want[k])
+            th = Theta(d, 0.2, 1.0)
+            for got, want in zip(ev.lag_sums(th, 2), full.lag_sums(th, 2)):
+                assert np.array_equal(got, want)
 
 
 class TestChebyshevTable:
