@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coeffs import CoeffSpec, NoiseMoments, ParamSpace, Theta
-from .errors import DomainError, SingularityError
+from .errors import DomainError, HistoryError, SingularityError
 from .likelihood import LossSpec, PathEvaluator
 from .simulate import Sample, SimConfig, simulate
 
@@ -81,42 +81,49 @@ class RatePrediction:
     regime: str
 
 
-def sigma_and_gradient(spec: CoeffSpec, theta: Theta, sample: Sample):
-    """sigma_t(theta) and its theta-gradient over the analysis window.
+def sigma_and_gradient(spec: CoeffSpec, theta: Theta, sample: Sample,
+                       window: tuple | None = None):
+    """sigma_t(theta) and its theta-gradient over the analysis window, or
+    over ``window`` (1-based, inclusive) when it is given.
 
     Both are built from the full-history lag sums of
     :class:`~larchpmle.likelihood.PathEvaluator` (J lags into the
     pre-sample, J the sample's simulation truncation), so the sample's
     burn-in must be at least J.
-    Returns (sigma, S) with S of shape (n, 3) in (d, c, a) order.
+    Returns (sigma, S) with S of shape (w, 3) in (d, c, a) order, w the
+    number of points in the window.
     """
-    ev = PathEvaluator(LossSpec("full", 0.0), spec, sample)
+    ev = PathEvaluator(LossSpec("full", 0.0), spec, sample, window=window)
     v0, v1, _ = ev.lag_sums(theta, derivatives=1)
     sig = theta.a + theta.c * v0
-    S = np.empty((sample.n, 3))
+    S = np.empty((ev.w, 3))
     np.multiply(theta.c, v1, out=S[:, 0])
     S[:, 1] = v0
     S[:, 2] = 1.0
     return sig, S
 
 
-def _block_sums(sig: np.ndarray, S: np.ndarray, epsilon: float,
-                bounds: np.ndarray) -> np.ndarray:
-    """Sums of w_t S_t S_t^T over each block bounds[b] <= t < bounds[b + 1]
-    for the weights 4 sigma^6 / (sigma^2 + eps)^4 of G (without its factor
-    E eps^4 - 1) and 4 sigma^2 / (sigma^2 + eps)^2 of H; shape
-    (blocks, 2, 3, 3).  The weights are formed block by block, so no
-    path-length array is."""
-    sums = np.empty((len(bounds) - 1, 2, 3, 3))
-    for b, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
-        s2 = sig[lo:hi] ** 2
-        s2e = s2 + epsilon
-        wH = 4.0 * s2 / s2e ** 2
-        wG = wH * (s2 / s2e) ** 2
-        Sb = S[lo:hi]
-        sums[b, 0] = (Sb.T * wG) @ Sb
-        sums[b, 1] = (Sb.T * wH) @ Sb
-    return sums
+def _block_sums(sig: np.ndarray, S: np.ndarray,
+                epsilon: float) -> np.ndarray:
+    """Sums of w_t S_t S_t^T over one block for the weights
+    4 sigma^6 / (sigma^2 + eps)^4 of G (without its factor E eps^4 - 1)
+    and 4 sigma^2 / (sigma^2 + eps)^2 of H; shape (2, 3, 3)."""
+    s2 = sig ** 2
+    s2e = s2 + epsilon
+    wH = 4.0 * s2 / s2e ** 2
+    wG = wH * (s2 / s2e) ** 2
+    return np.stack([(S.T * wG) @ S, (S.T * wH) @ S])
+
+
+def _simulate_path(spec: CoeffSpec, theta0: Theta, path_length: int,
+                   burn_in: int, seed: int, space: ParamSpace | None) -> Sample:
+    """The stationary path of an ergodic average, whose burn-in must hold
+    the J lags of its first point's sigma; checked before simulating."""
+    if burn_in < spec.J:
+        raise HistoryError(
+            f"burn-in {burn_in} is shorter than the {spec.J} lags of sigma")
+    cfg = SimConfig(n=path_length, burn_in=burn_in, seed=seed)
+    return simulate(spec, theta0, cfg, space=space)
 
 
 def sandwich(spec: CoeffSpec, theta0: Theta, epsilon: float,
@@ -128,22 +135,26 @@ def sandwich(spec: CoeffSpec, theta0: Theta, epsilon: float,
     One long stationary path, truncated at the spec's J lags, is generated
     and the defining expectations are replaced by ergodic averages;
     ``se_G`` and ``se_H`` are the standard errors of those averages from
-    the means of 32 consecutive blocks that cover the path.  H
+    the means of 32 consecutive blocks that cover the path.  sigma, its
+    gradient and the sums of G and H are formed one block at a time, so
+    beyond the sample only block-sized arrays exist.  H
     is factorized by Cholesky; failure raises :class:`SingularityError`
     with eigenvalue diagnostics (this is the expected outcome for
-    degenerate parameters such as c = 0).
+    degenerate parameters such as c = 0).  A burn-in shorter than the
+    spec's J raises :class:`HistoryError` before anything is simulated.
     """
     if epsilon <= 0.0:
         raise DomainError("epsilon must be positive")
     mu4 = nm.moment(4)
-    cfg = SimConfig(n=path_length, burn_in=burn_in, seed=seed)
-    samp = simulate(spec, theta0, cfg, space=space)
-    sig, S = sigma_and_gradient(spec, theta0, samp)
+    samp = _simulate_path(spec, theta0, path_length, burn_in, seed, space)
 
     # blocks of (near) equal length that cover the path
-    n = len(sig)
+    n = samp.n
     bounds = np.linspace(0, n, max(2, min(_SE_BLOCKS, n)) + 1).astype(int)
-    sums = _block_sums(sig, S, epsilon, bounds)
+    sums = np.empty((len(bounds) - 1, 2, 3, 3))
+    for b, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+        sig, S = sigma_and_gradient(spec, theta0, samp, window=(lo + 1, hi))
+        sums[b] = _block_sums(sig, S, epsilon)
     sums[:, 0] *= mu4 - 1.0
     G, H = sums.sum(axis=0) / n
     means = sums / np.diff(bounds)[:, None, None, None]
@@ -204,10 +215,10 @@ def limit_h0(spec: CoeffSpec, theta0: Theta, path_length: int = 500_000,
     """Monte-Carlo limit of the unregularized Hessian 4 E[sdot sdot^T / sigma^2].
 
     Returns a divergence flag instead of a matrix when the running average
-    does not settle (see :func:`h0_from_arrays`).
+    does not settle (see :func:`h0_from_arrays`).  A burn-in shorter than
+    the spec's J raises :class:`HistoryError` before anything is simulated.
     """
-    cfg = SimConfig(n=path_length, burn_in=burn_in, seed=seed)
-    samp = simulate(spec, theta0, cfg, space=space)
+    samp = _simulate_path(spec, theta0, path_length, burn_in, seed, space)
     return h0_from_arrays(*sigma_and_gradient(spec, theta0, samp))
 
 

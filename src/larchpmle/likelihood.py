@@ -20,15 +20,17 @@ history before t = 1 is zeros) by overlap-save, in segments of about 16 J
 points or one segment holding the whole series when that is shorter; the
 transforms of the data are cached so repeated evaluation on one path (as
 in estimation or landscape sweeps) costs one kernel transform per lag-sum
-row.  A :class:`PathEvaluator` given a d-interval also tabulates the lag
-sums in Chebyshev form over that interval, so an evaluation inside it,
-score and Hessian included, costs a few K x w products instead of
-transforms: the kernel j**(d-1), like the FARIMA weights divided by d, is
-entire in d, so the series converges geometrically and its term-by-term
-derivatives give the d-derivative rows (Trefethen, *Approximation Theory
-and Approximation Practice*, ch. 8).
+row, and the kernel transforms of the last d are kept for the next
+evaluator of the same transform length.  A :class:`PathEvaluator` given a
+d-interval also tabulates the lag sums in Chebyshev form over that
+interval, so an evaluation inside it, score and Hessian included, costs a
+few K x w products instead of transforms: the kernel j**(d-1), like the
+FARIMA weights divided by d, is entire in d, so the series converges
+geometrically and its term-by-term derivatives give the d-derivative rows
+(Trefethen, *Approximation Theory and Approximation Practice*, ch. 8).
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -70,6 +72,18 @@ def _fft_size(m: int) -> int:
     """Smallest transform length of the form 2^k, 3 * 2^k or 5 * 2^k that
     is at least m."""
     return min(f << (-(-m // f) - 1).bit_length() for f in (1, 3, 5))
+
+
+@functools.lru_cache(maxsize=1)
+def _kernel_spectra(family: str, d: float, J: int, derivatives: int,
+                    L: int) -> np.ndarray:
+    """Length-L transforms of the unit-weight rows of orders
+    0..derivatives (:func:`larchpmle.coeffs._unit_rows`), read-only.  The
+    last request is kept, so evaluators of one (family, d, J, L), such as
+    the blocks of a sandwich path, transform the kernel once."""
+    spectra = np.fft.rfft(_unit_rows(family, d, J, derivatives), L)
+    spectra.flags.writeable = False
+    return spectra
 
 
 @dataclass(frozen=True)
@@ -174,13 +188,19 @@ class PathEvaluator:
     an overlap-save convolution of length L, about 16 J or the whole series
     when that is shorter; each parameter point then costs one (value only)
     to three (score/Hessian) kernel transforms and the inverse transforms of
-    the segments.  Both families support the score and the Hessian: the rows
-    convolved are :func:`larchpmle.coeffs._unit_rows`, combined into the
-    weights' d-derivatives by :func:`larchpmle.coeffs._scaled`.
+    the segments.  The kernel transforms of the last (family, d, J, L) are
+    kept (:func:`_kernel_spectra`), so evaluators of one transform length
+    on one d, such as the sandwich's blocks, transform the kernel once.
+    Both families support the score and the Hessian: the rows convolved
+    are :func:`larchpmle.coeffs._unit_rows`, combined into the weights'
+    d-derivatives by :func:`larchpmle.coeffs._scaled`.
 
     ``window`` overrides the averaged t-range (1-based, inclusive), e.g. to
     evaluate the full-history loss on a truncated window when comparing it
-    against the observed-past loss.
+    against the observed-past loss, or to sum a long path block by block.
+    Only the observations that reach the window, its points and their J
+    lags, are checked to be finite, so construction costs O(J + w) and not
+    O(n).
 
     ``d_range = (lo, hi)`` builds, at construction, a table of the lag sums
     in Chebyshev form: one kernel transform at each of 20 Chebyshev nodes
@@ -210,9 +230,6 @@ class PathEvaluator:
         n = len(x_obs)
         if n < 2:
             raise WindowError("need at least two observations")
-        if not np.all(np.isfinite(x_obs)):
-            bad = int(np.flatnonzero(~np.isfinite(x_obs))[0]) + 1
-            raise NumericError(f"non-finite observation at t = {bad}")
         self.n = n
 
         if window is not None:
@@ -232,6 +249,12 @@ class PathEvaluator:
         else:
             self.J = n - 1
             history, first = np.concatenate([np.zeros(self.J), x_obs]), self.J
+        # only the window's points and their J lags enter the loss
+        lo = max(0, self.t_first - 1 - self.J)
+        used = np.isfinite(x_obs[lo: self.t_last])
+        if not used.all():
+            bad = lo + int(np.flatnonzero(~used)[0]) + 1
+            raise NumericError(f"non-finite observation at t = {bad}")
         start = first + self.t_first - 1 - self.J
         if start < 0:
             raise HistoryError(
@@ -264,8 +287,8 @@ class PathEvaluator:
             mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo) + reach
             values = np.empty((K, self.w))
             for k, d in enumerate(mid + half * np.cos(_CHEB_ANGLES)):
-                values[k] = self._convolve(
-                    _unit_rows(spec.family, d, self.J, 0)[0])
+                values[k] = self._convolve(_kernel_spectra(
+                    spec.family, d, self.J, 0, self._seg_len)[0])
             # coefficient m = (2/K) sum_k values_k cos(m angle_k), the
             # constant term halved
             self._cheb = (2.0 / K) * (_CHEB_COS @ values)
@@ -286,14 +309,14 @@ class PathEvaluator:
         # basis rows T(x), T'(x), T''(x) against the coefficients
         return (T @ self._cheb_der[:derivatives + 1]) @ self._cheb
 
-    def _convolve(self, kernel: np.ndarray) -> np.ndarray:
-        """Window slice of sum_{j} kernel_j x_{t-j} for t in the window:
-        outputs J - 1 .. L - 1 of each segment, in segment order."""
-        # the spectra stay 2-d, so numpy never writes this product into the
-        # kernel's temporary spectrum and the operand order is fixed
-        conv = np.fft.irfft(
-            self._seg_spectra * np.fft.rfft(kernel, self._seg_len),
-            self._seg_len)
+    def _convolve(self, kernel_spectrum: np.ndarray) -> np.ndarray:
+        """Window slice of sum_{j} kernel_j x_{t-j} for t in the window,
+        given the kernel's length-L transform: outputs J - 1 .. L - 1 of
+        each segment, in segment order."""
+        # the kernel spectrum is a cached array, not a temporary, so numpy
+        # never writes this product into it and the operand order is fixed
+        conv = np.fft.irfft(self._seg_spectra * kernel_spectrum,
+                            self._seg_len)
         return conv[:, self.J - 1:].ravel()[:self.w]
 
     def lag_sums(self, theta: Theta, derivatives: int):
@@ -305,10 +328,11 @@ class PathEvaluator:
         if self.d_range is not None and self.d_range[0] <= d <= self.d_range[1]:
             rows = self._interpolate(d, derivatives)
         else:
-            unit = _unit_rows(family, d, self.J, derivatives)
+            spectra = _kernel_spectra(family, d, self.J, derivatives,
+                                      self._seg_len)
             rows = np.empty((derivatives + 1, self.w))
             for k in range(derivatives + 1):
-                rows[k] = self._convolve(unit[k])
+                rows[k] = self._convolve(spectra[k])
         return tuple(_scaled(family, d, rows)) + (None,) * (2 - derivatives)
 
     def __call__(self, theta: Theta, epsilon: float | None = None,

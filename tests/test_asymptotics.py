@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from larchpmle import (
+    CoeffSpec,
     NoiseMoments,
     SimConfig,
     Theta,
@@ -13,6 +15,7 @@ from larchpmle import (
     sandwich,
     simulate,
 )
+from larchpmle import asymptotics
 from larchpmle.asymptotics import h0_from_arrays, sigma_and_gradient
 from larchpmle.errors import (
     DomainError,
@@ -56,7 +59,70 @@ class TestSigmaGradient:
             sigma_and_gradient(spec, CASE1, s)
 
 
+    def test_window_returns_window_length(self, spec):
+        s = simulate(spec, CASE1, SimConfig(n=400, burn_in=3000, J=2000,
+                                            seed=3))
+        sig, S = sigma_and_gradient(spec, CASE1, s, window=(101, 250))
+        assert sig.shape == (150,) and S.shape == (150, 3)
+        assert sig == pytest.approx(s.sigma_obs[100:250], abs=1e-10)
+
+
 class TestSandwich:
+    def test_short_burn_in_fails_before_simulating(self, spec, nm,
+                                                   monkeypatch):
+        def no_simulate(*args, **kwargs):
+            raise AssertionError("simulated a path too short for J lags")
+
+        monkeypatch.setattr(asymptotics, "simulate", no_simulate)
+        with pytest.raises(HistoryError):
+            sandwich(spec, CASE1, 0.01, nm, path_length=5000,
+                     burn_in=spec.J - 1)
+        with pytest.raises(HistoryError):
+            limit_h0(spec, CASE1, path_length=5000, burn_in=spec.J - 1)
+
+    @pytest.mark.parametrize("family", ["power", "farima"])
+    def test_blocks_match_whole_path_formula(self, family, nm):
+        # sigma and its gradient are formed block by block; the sums
+        # agree with one whole-path sigma_and_gradient sliced at the same
+        # bounds (40001 points: blocks of 1250 and 1251)
+        spec = CoeffSpec(family, 2000)
+        n, eps = 40_001, 0.01
+        res = sandwich(spec, CASE1, eps, nm, path_length=n, burn_in=2000,
+                       seed=4)
+        s = simulate(spec, CASE1, SimConfig(n=n, burn_in=2000, seed=4))
+        sig, S = sigma_and_gradient(spec, CASE1, s)
+        s2e = sig ** 2 + eps
+        wG = (nm.moment(4) - 1.0) * 4.0 * sig ** 6 / s2e ** 4
+        wH = 4.0 * sig ** 2 / s2e ** 2
+        bounds = np.linspace(0, n, 33).astype(int)
+        assert len(set(np.diff(bounds))) == 2
+        for w, total, se in ((wG, res.G, res.se_G), (wH, res.H, res.se_H)):
+            sums = np.array([(S[lo:hi].T * w[lo:hi]) @ S[lo:hi]
+                             for lo, hi in zip(bounds[:-1], bounds[1:])])
+            means = sums / np.diff(bounds)[:, None, None]
+            np.testing.assert_allclose(total, sums.sum(axis=0) / n,
+                                       rtol=1e-13, atol=0.0)
+            np.testing.assert_allclose(
+                se, means.std(axis=0, ddof=1) / math.sqrt(32),
+                rtol=1e-13, atol=0.0)
+
+    def test_memory_beyond_sample_is_block_sized(self, spec, nm):
+        # no path-length array exists beyond the sample: the traced peak
+        # of the sandwich is that of the simulation within 2 MB (a
+        # whole-path sigma and gradient alone would take 6.4 MB)
+        n, burn_in = 200_000, 10_000
+        tracemalloc.start()
+        try:
+            simulate(spec, CASE1, SimConfig(n=n, burn_in=burn_in, seed=1))
+            sim_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            sandwich(spec, CASE1, 0.01, nm, path_length=n, burn_in=burn_in,
+                     seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= sim_peak + 2e6
+
     def test_degenerate_scale_flags_singularity(self, spec, nm):
         with pytest.raises(SingularityError):
             sandwich(spec, Theta(0.1, 0.0, 1.0), 0.01, nm,

@@ -21,7 +21,7 @@ from larchpmle import (
 )
 from larchpmle.coeffs import _scaled, _unit_rows, coeff_weights, deriv_weights
 from larchpmle.errors import DomainError, HistoryError, NumericError, WindowError
-from larchpmle.likelihood import PathEvaluator, _fft_size
+from larchpmle.likelihood import PathEvaluator, _fft_size, _kernel_spectra
 
 from conftest import CASE1, CASE1_BETA, _simulate_loop
 from nelder_mead import minimize_box
@@ -171,6 +171,21 @@ class TestLossValue:
         x[7] = np.nan
         with pytest.raises(NumericError, match="t = 8"):
             loss(LossSpec("bar", 0.01), spec, CASE1, x)
+
+    def test_nonfinite_observation_in_full_window_lags(self, spec):
+        # a "full" evaluator checks the observations its window reaches,
+        # its points and their J lags, and no others
+        s = simulate(spec, CASE1, SimConfig(n=600, burn_in=50, J=50, seed=8))
+        x = s.x.copy()
+        x[s.first_retained + 99] = np.inf
+        bad = replace(s, x=x)
+        lspec = LossSpec("full", 0.01)
+        for window in ((100, 300), (150, 300)):
+            with pytest.raises(NumericError, match="t = 100"):
+                PathEvaluator(lspec, spec, bad, window=window)
+        for window in ((151, 300), (10, 99)):
+            ev = PathEvaluator(lspec, spec, bad, window=window)
+            assert np.all(np.isfinite(ev.lag_sums(CASE1, 0)[0]))
 
     def test_farima_score_available(self, farima_spec):
         rng = np.random.default_rng(5)
@@ -436,6 +451,28 @@ class TestSegmentedTransform:
                 assert np.array_equal(got, want)
 
 
+class TestKernelSpectra:
+    def test_evaluators_of_one_length_share_kernel_spectra(self, spec):
+        s = simulate(spec, CASE1, SimConfig(n=4000, burn_in=2000, seed=9))
+        lspec = LossSpec("full", 0.0)
+        first = PathEvaluator(lspec, spec, s, window=(1, 2000))
+        second = PathEvaluator(lspec, spec, s, window=(2001, 4000))
+        assert first._seg_len == second._seg_len
+        first.lag_sums(CASE1, 2)
+        hits = _kernel_spectra.cache_info().hits
+        rows = second.lag_sums(CASE1, 2)
+        assert _kernel_spectra.cache_info().hits == hits + 1
+        _kernel_spectra.cache_clear()
+        for got, want in zip(rows, second.lag_sums(CASE1, 2)):
+            assert np.array_equal(got, want)
+        assert _kernel_spectra.cache_info().hits == 0
+        spectra = _kernel_spectra(spec.family, CASE1.d, second.J, 2,
+                                  second._seg_len)
+        assert not spectra.flags.writeable
+        with pytest.raises(ValueError):
+            spectra[0, 0] = 0.0
+
+
 class TestChebyshevTable:
     """The d-interval lag-sum table against the FFT path as oracle."""
 
@@ -495,8 +532,9 @@ class TestChebyshevTable:
         # the FFT rows are the transforms of the unit rows, scaled once
         for d in (0.0, 0.1, 0.3):
             for order in (1, 2):
-                rows = np.array([fft._convolve(kernel) for kernel
-                                 in _unit_rows(family, d, fft.J, order)])
+                rows = np.array([
+                    fft._convolve(np.fft.rfft(kernel, fft._seg_len))
+                    for kernel in _unit_rows(family, d, fft.J, order)])
                 want = _scaled(family, d, rows)
                 got = fft.lag_sums(Theta(d, 0.2, 1.0), order)
                 for k in range(order + 1):
