@@ -58,7 +58,6 @@ class TestSigmaGradient:
         with pytest.raises(HistoryError):
             sigma_and_gradient(spec, CASE1, s)
 
-
     def test_window_returns_window_length(self, spec):
         s = simulate(spec, CASE1, SimConfig(n=400, burn_in=3000, J=2000,
                                             seed=3))
