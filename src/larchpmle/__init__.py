@@ -31,8 +31,6 @@ from .likelihood import (
     landscape,
     loss,
     m_of_n,
-    sigma_bar,
-    sigma_full,
 )
 from .montecarlo import (
     MAD_SCALE,
@@ -45,19 +43,19 @@ from .montecarlo import (
     run_study,
     summarize,
 )
-from .simulate import Sample, SimConfig, derive_seed, simulate, volterra_sigma
+from .simulate import Sample, SimConfig, derive_seed, simulate
 
 __version__ = "0.1.0"
 
 __all__ = [
     "CoeffSpec", "DecayFit", "EstimationResult", "LarchError",
     "LimitH0Result", "LossEval", "LossSpec", "MAD_SCALE", "McReport",
-    "MomentReport", "NoiseMoments", "ParamSpace",
-    "RatePrediction", "Sample", "SandwichResult", "ScoreGapResult",
-    "SimConfig", "StudyConfig", "Summary", "Theta", "acf", "case_study",
+    "MomentReport", "NoiseMoments", "ParamSpace", "RatePrediction",
+    "Sample", "SandwichResult", "ScoreGapResult", "SimConfig",
+    "StudyConfig", "Summary", "Theta", "acf", "case_study",
     "check_moment_conditions", "derive_seed", "estimate", "fit_decay",
-    "gaussian_moments", "landscape", "limit_h0", "loss", "m_of_n", "norm_p",
-    "normal_plot_data", "predicted_rate", "run_study", "sandwich",
-    "score_gap", "sigma_bar", "sigma_full", "simulate", "summarize",
-    "tail_variance", "volterra_sigma", "zeta_tail",
+    "gaussian_moments", "landscape", "limit_h0", "loss", "m_of_n",
+    "norm_p", "normal_plot_data", "predicted_rate", "run_study",
+    "sandwich", "score_gap", "simulate", "summarize", "tail_variance",
+    "zeta_tail",
 ]

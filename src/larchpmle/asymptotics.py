@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coeffs import CoeffSpec, NoiseMoments, ParamSpace, Theta
+from .coeffs import CoeffSpec, NoiseMoments, Theta
 from .errors import DomainError, HistoryError, SingularityError
 from .likelihood import LossSpec, PathEvaluator
 from .simulate import Sample, SimConfig, simulate
@@ -116,20 +116,19 @@ def _block_sums(sig: np.ndarray, S: np.ndarray,
 
 
 def _simulate_path(spec: CoeffSpec, theta0: Theta, path_length: int,
-                   burn_in: int, seed: int, space: ParamSpace | None) -> Sample:
+                   burn_in: int, seed: int) -> Sample:
     """The stationary path of an ergodic average, whose burn-in must hold
     the J lags of its first point's sigma; checked before simulating."""
     if burn_in < spec.J:
         raise HistoryError(
             f"burn-in {burn_in} is shorter than the {spec.J} lags of sigma")
     cfg = SimConfig(n=path_length, burn_in=burn_in, seed=seed)
-    return simulate(spec, theta0, cfg, space=space)
+    return simulate(spec, theta0, cfg)
 
 
 def sandwich(spec: CoeffSpec, theta0: Theta, epsilon: float,
              nm: NoiseMoments, path_length: int = 500_000,
-             burn_in: int = 10_000, seed: int = 0,
-             space: ParamSpace | None = None) -> SandwichResult:
+             burn_in: int = 10_000, seed: int = 0) -> SandwichResult:
     """Estimate G, H, and the sandwich covariance at theta0 by simulation.
 
     One long stationary path, truncated at the spec's J lags, is generated
@@ -146,7 +145,7 @@ def sandwich(spec: CoeffSpec, theta0: Theta, epsilon: float,
     if epsilon <= 0.0:
         raise DomainError("epsilon must be positive")
     mu4 = nm.moment(4)
-    samp = _simulate_path(spec, theta0, path_length, burn_in, seed, space)
+    samp = _simulate_path(spec, theta0, path_length, burn_in, seed)
 
     # blocks of (near) equal length that cover the path
     n = samp.n
@@ -210,15 +209,14 @@ def h0_from_arrays(sigma: np.ndarray, S: np.ndarray) -> LimitH0Result:
 
 
 def limit_h0(spec: CoeffSpec, theta0: Theta, path_length: int = 500_000,
-             burn_in: int = 10_000, seed: int = 0,
-             space: ParamSpace | None = None) -> LimitH0Result:
+             burn_in: int = 10_000, seed: int = 0) -> LimitH0Result:
     """Monte-Carlo limit of the unregularized Hessian 4 E[sdot sdot^T / sigma^2].
 
     Returns a divergence flag instead of a matrix when the running average
     does not settle (see :func:`h0_from_arrays`).  A burn-in shorter than
     the spec's J raises :class:`HistoryError` before anything is simulated.
     """
-    samp = _simulate_path(spec, theta0, path_length, burn_in, seed, space)
+    samp = _simulate_path(spec, theta0, path_length, burn_in, seed)
     return h0_from_arrays(*sigma_and_gradient(spec, theta0, samp))
 
 

@@ -41,7 +41,6 @@ __all__ = [
     "MomentReport",
     "ZETA_M3",
     "coeff_weights",
-    "deriv_weights",
     "zeta_tail",
     "norm_p",
     "tail_variance",
@@ -52,6 +51,9 @@ __all__ = [
 
 # Positive root of 3 z^2 - 3 z - 1 = 0, used by the third-moment condition.
 ZETA_M3 = (3.0 + math.sqrt(21.0)) / 6.0
+
+# Slack of ParamSpace.contains at every bound (relative as well at c_max).
+_CONTAINS_TOL = 1e-12
 
 # Lag count at which numerically summed farima norms switch to the
 # asymptotic tail correction.
@@ -124,8 +126,8 @@ class ParamSpace:
         s2 = sum_sq(spec or CoeffSpec(), Theta(d, 1.0, 1.0))
         return self.C / math.sqrt(s2) if s2 > 0.0 else math.inf
 
-    def contains(self, theta: Theta, spec: CoeffSpec | None = None,
-                 tol: float = 1e-12) -> bool:
+    def contains(self, theta: Theta, spec: CoeffSpec | None = None) -> bool:
+        tol = _CONTAINS_TOL
         if not 0.0 - tol <= theta.d <= self.d_u + tol:
             return False
         if not self.a_d - tol <= theta.a <= self.a_u + tol:
@@ -261,25 +263,6 @@ def coeff_weights(spec: CoeffSpec, theta: Theta, J: int) -> np.ndarray:
     """Vector of weights b_1..b_J."""
     unit = _unit_rows(spec.family, theta.d, J, 0)
     return theta.c * _scaled(spec.family, theta.d, unit)[0]
-
-
-def deriv_weights(spec: CoeffSpec, theta: Theta, J: int,
-                  order_d: int = 0, order_c: int = 0) -> np.ndarray:
-    """Partial derivatives of b_1..b_J w.r.t. d and/or c (order 1).
-
-    The weights are linear in c, so order_c <= 1; mixed derivatives are the
-    d-derivative of the c-derivative.  The power family supports d-orders
-    up to 3, the farima family up to 2.
-    """
-    if order_c not in (0, 1):
-        raise DomainError("weights are linear in c: order_c must be 0 or 1")
-    if not 0 <= order_d <= 3:
-        raise DomainError("order_d must be in 0..3")
-    if order_d + order_c < 1:
-        raise DomainError("request at least one derivative order")
-    rows = _unit_rows(spec.family, theta.d, J, order_d)
-    scale = 1.0 if order_c == 1 else theta.c
-    return scale * _scaled(spec.family, theta.d, rows)[order_d]
 
 
 def norm_p(spec: CoeffSpec, theta: Theta, p: float) -> float:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .asymptotics import RatePrediction, predicted_rate
-from .coeffs import CoeffSpec, ParamSpace, Theta
+from .coeffs import CoeffSpec, Theta
 from .errors import InsufficientDataError
 from .likelihood import LossSpec, PathEvaluator, m_of_n
 from .simulate import SimConfig, derive_seed, simulate
@@ -70,29 +70,27 @@ class ScoreGapResult:
 
 def score_gap(spec: CoeffSpec, theta0: Theta, epsilon: float, n: int,
               beta: float, replicates: int, base_seed: int = 0,
-              burn_in: int = 10_000, J: int | None = None,
-              space: ParamSpace | None = None) -> ScoreGapResult:
+              burn_in: int = 10_000) -> ScoreGapResult:
     """Monte-Carlo estimate of the full-vs-observed-past score difference.
 
     Per replicate, the d-component of the truncated-window score is
     evaluated at theta0 twice, once with sigma reconstructed from the whole
-    generated history (J defaults to every available past value) and once
-    from the observed past only; the absolute difference is scaled by the
-    square root of the window size.  The d-component is the one whose
-    central limit theorem the gap decides, and with c = 0 both
-    reconstructions have identically zero d-score, so the gap is exactly
-    zero.
+    generated history (every value before the window's first point, burn-in
+    included, so J = burn_in + n - m(n) - 1 lags) and once from the
+    observed past only; the absolute difference is scaled by the square
+    root of the window size.  The d-component is the one whose central
+    limit theorem the gap decides, and with c = 0 both reconstructions
+    have identically zero d-score, so the gap is exactly zero.
     """
     m = m_of_n(n, beta)
     window = (n - m, n)
-    Jeff = J if J is not None else burn_in + window[0] - 1
+    J = burn_in + window[0] - 1
     gaps = []
     for r in range(replicates):
         seed = derive_seed(base_seed, r)
         sample = simulate(spec, theta0,
-                          SimConfig(n=n, burn_in=burn_in, seed=seed),
-                          space=space)
-        ev_full = PathEvaluator(LossSpec("full", epsilon, J=Jeff), spec,
+                          SimConfig(n=n, burn_in=burn_in, seed=seed))
+        ev_full = PathEvaluator(LossSpec("full", epsilon, J=J), spec,
                                 sample, window=window)
         ev_bar = PathEvaluator(LossSpec("trunc", epsilon, beta=beta), spec,
                                sample.x_obs)

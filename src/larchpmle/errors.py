@@ -25,10 +25,6 @@ class UnsupportedError(LarchError):
     """A coefficient-family / derivative-order combination is not implemented."""
 
 
-class BudgetError(LarchError):
-    """A configurable work budget was exceeded."""
-
-
 class HistoryError(LarchError):
     """Not enough past observations to evaluate the requested quantity."""
 

@@ -38,12 +38,12 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from numpy.polynomial.chebyshev import chebder
 
-from .coeffs import CoeffSpec, Theta, _scaled, _unit_rows, coeff_weights
+from .coeffs import CoeffSpec, Theta, _scaled, _unit_rows
 from .errors import DomainError, HistoryError, NumericError, WindowError
 from .simulate import Sample
 
-__all__ = ["LossSpec", "LossEval", "m_of_n", "sigma_bar", "sigma_full",
-           "loss", "landscape", "PathEvaluator"]
+__all__ = ["LossSpec", "LossEval", "m_of_n", "loss", "landscape",
+           "PathEvaluator"]
 
 _VARIANTS = ("full", "bar", "trunc")
 
@@ -138,44 +138,6 @@ def m_of_n(n: int, beta: float) -> int:
     if m < 1:
         raise WindowError(f"degenerate window: floor(n^beta) - 1 = {m} < 1")
     return m
-
-
-def sigma_bar(spec: CoeffSpec, theta: Theta, x, t: int) -> float:
-    """Conditional sd proxy from the observed past: a + sum_{j<t} b_j x_{t-j}.
-
-    ``t`` is 1-based; t = len(x) + 1 gives the one-step-ahead prediction.
-    """
-    x = np.asarray(x, dtype=float)
-    t = int(t)
-    if t < 1 or t > len(x) + 1:
-        raise DomainError(f"t = {t} outside 1..len(x)+1")
-    k = t - 1
-    if k == 0:
-        return theta.a
-    b_rev = coeff_weights(spec, theta, k)[::-1].copy()
-    return theta.a + float(b_rev @ x[t - 1 - k: t - 1])
-
-
-def sigma_full(spec: CoeffSpec, theta: Theta, sample: Sample, t: int,
-               J: int | None = None) -> float:
-    """Conditional sd from the extended history, truncated at J lags
-    (by default the sample's simulation truncation).
-
-    Uses the sample's pre-sample observations; requires burn_in + t - 1 >= J
-    so that all J lags exist.  ``t`` is 1-based within the analysis window.
-    """
-    if J is None:
-        J = sample.config.J
-    t = int(t)
-    if t < 1 or t > sample.n:
-        raise DomainError(f"t = {t} outside 1..n")
-    avail = sample.first_retained + t - 1
-    if avail < J:
-        raise HistoryError(
-            f"need {J} past values at t = {t} but only {avail} available")
-    b_rev = coeff_weights(spec, theta, J)[::-1].copy()
-    pos = sample.first_retained + t - 1
-    return theta.a + float(b_rev @ sample.x[pos - J: pos])
 
 
 class PathEvaluator:
@@ -324,6 +286,9 @@ class PathEvaluator:
         kernel b_j / c and its first and second d-derivatives; entries
         beyond ``derivatives`` are None.  Requests with d inside
         ``d_range`` come from the Chebyshev table."""
+        if derivatives not in (0, 1, 2):
+            raise DomainError(f"derivatives = {derivatives!r} must be 0, 1 "
+                              f"or 2")
         d, family = theta.d, self.spec.family
         if self.d_range is not None and self.d_range[0] <= d <= self.d_range[1]:
             rows = self._interpolate(d, derivatives)

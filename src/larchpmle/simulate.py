@@ -10,9 +10,8 @@ block and one product with the inverse of the block's triangular system
 for those inside it.  Those inverses depend on the innovations alone and
 are built for a chunk of blocks at once, each from the inverses of its
 two half-blocks, which share one Toeplitz system.  The tests keep the
-step-by-step recursion as its oracle.  A chain-expansion evaluator of
-the stationary-solution series is provided as an independent oracle for
-the recursion.
+step-by-step recursion and the chain expansion of the stationary solution
+as its oracles.
 """
 
 import math
@@ -22,9 +21,9 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .coeffs import CoeffSpec, ParamSpace, Theta, coeff_weights, sum_sq
-from .errors import BudgetError, DomainError, NumericError, ValidationError
+from .errors import DomainError, NumericError, ValidationError
 
-__all__ = ["SimConfig", "Sample", "derive_seed", "simulate", "volterra_sigma"]
+__all__ = ["SimConfig", "Sample", "derive_seed", "simulate"]
 
 # steps the simulator advances per block: each block costs one correlation
 # of length J + B - 1 with the weights and one B x B matrix-vector product
@@ -274,54 +273,3 @@ def simulate(spec: CoeffSpec, theta0: Theta, cfg: SimConfig,
             buf[J + t:] = 0.0
     return Sample(x=x, sigma=sig[:total], eps=eps, config=cfg, theta=theta0,
                   spec=spec, first_retained=cfg.burn_in)
-
-
-def volterra_sigma(spec: CoeffSpec, theta0: Theta, eps_prefix,
-                   t: int, K_max: int, max_ops: int = 10_000_000) -> float:
-    """Evaluate sigma_t by the chain-expansion series of the stationary solution.
-
-    The series is sigma_t = a * (1 + sum_{k>=1} M_t(k)) where M_t(k) sums,
-    over all lag chains j_1, ..., j_k >= 1 that stay inside the available
-    history, the products b_{j_1} ... b_{j_k} eps_{t-j_1} ...
-    eps_{t-j_1-...-j_k}.  Depths are summed layer by layer: the depth-k
-    layer is obtained from the depth-(k-1) layer by one weighted
-    convolution, so no chain is ever enumerated explicitly.  With
-    K_max >= t - 1 the value equals the recursion started from an empty
-    past exactly.
-
-    ``max_ops`` caps the elementary chain-extension operations performed
-    (each multiply-accumulate extends a bundle of chains by one lag).
-    """
-    eps_prefix = np.asarray(eps_prefix, dtype=float)
-    t = int(t)
-    if t < 1 or t > len(eps_prefix) + 1:
-        raise DomainError("index t must satisfy 1 <= t <= len(eps_prefix) + 1")
-    if K_max < 1:
-        raise DomainError("K_max must be >= 1")
-    m = t - 1                      # usable history eps_1..eps_{t-1}
-    if m == 0:
-        return theta0.a
-    depth = min(K_max, m)
-    # one m^2 weighted convolution per depth layer
-    if depth * m * m > max_ops:
-        raise BudgetError(
-            f"chain-expansion budget exceeded: t = {t}, K_max = {K_max}")
-    b = coeff_weights(spec, theta0, m)
-    eps = eps_prefix[:m]
-    # prev[s-1] holds the depth-(k-1) chain sum rooted at time s (1-based).
-    prev = np.ones(m)
-    total = 0.0
-    for _ in range(depth):
-        g = eps * prev
-        # cur[v-1] = sum_{s < v} b_{v-s} eps_s prev_s  for v = 2..t
-        conv = np.convolve(b, g)
-        total += conv[m - 1]       # v = t term
-        if m == 1:
-            break
-        prev = np.concatenate(([0.0], conv[: m - 1]))
-        if not prev.any():
-            break
-    result = theta0.a * (1.0 + total)
-    if not math.isfinite(result):
-        raise NumericError("chain expansion produced a non-finite value")
-    return float(result)

@@ -27,11 +27,11 @@ from larchpmle import (
     sandwich,
     simulate,
     tail_variance,
-    volterra_sigma,
 )
 from larchpmle.likelihood import PathEvaluator
 
 from conftest import CASE1, CASE2
+from oracles import volterra_sigma
 
 SPEC = CoeffSpec("power", 2000)
 WORKERS = 2

@@ -16,7 +16,13 @@ from larchpmle import (
     tail_variance,
     zeta_tail,
 )
-from larchpmle.coeffs import ZETA_M3, coeff_weights, deriv_weights, sum_sq
+from larchpmle.coeffs import (
+    ZETA_M3,
+    _scaled,
+    _unit_rows,
+    coeff_weights,
+    sum_sq,
+)
 from larchpmle.errors import (
     DivergenceError,
     DomainError,
@@ -26,6 +32,13 @@ from larchpmle.errors import (
 )
 
 from conftest import brute_zeta_tail
+
+
+def deriv_weights(spec, theta, J, k):
+    """k-th d-derivatives of b_1..b_J, formed as the package forms its
+    weights and lag-sum kernels."""
+    rows = _unit_rows(spec.family, theta.d, J, k)
+    return theta.c * _scaled(spec.family, theta.d, rows)[k]
 
 
 def farima_pi_deriv_loop(d, J):
@@ -62,27 +75,14 @@ class TestPowerCoeff:
 
 class TestPowerDeriv:
     def test_log1_zero(self, spec):
-        got = deriv_weights(spec, Theta(0.1, 0.2, 1.0), 1, order_d=1)
+        got = deriv_weights(spec, Theta(0.1, 0.2, 1.0), 1, 1)
         assert got[-1] == 0.0
-
-    def test_c_deriv_at_j1(self, spec):
-        got = deriv_weights(spec, Theta(0.1, 0.2, 1.0), 1, order_c=1)
-        assert got[-1] == 1.0
 
     def test_d_deriv_value(self, spec):
         # 0.2 * ln(10) * 10**(-0.9)
-        got = deriv_weights(spec, Theta(0.1, 0.2, 1.0), 10, order_d=1)[-1]
+        got = deriv_weights(spec, Theta(0.1, 0.2, 1.0), 10, 1)[-1]
         assert got == pytest.approx(0.2 * math.log(10) * 10 ** -0.9, rel=1e-12)
         assert got == pytest.approx(0.0579754, abs=5e-7)
-
-    def test_order_validation(self, spec):
-        th = Theta(0.1, 0.2, 1.0)
-        with pytest.raises(DomainError):
-            deriv_weights(spec, th, 5, order_d=0, order_c=0)
-        with pytest.raises(DomainError):
-            deriv_weights(spec, th, 5, order_c=2)
-        with pytest.raises(DomainError):
-            deriv_weights(spec, th, 5, order_d=4)
 
     def test_finite_difference_consistency(self, spec):
         rng = np.random.default_rng(100)
@@ -97,14 +97,14 @@ class TestPowerDeriv:
                 fd = (coeff_weights(spec, up, j)[-1]
                       - coeff_weights(spec, dn, j)[-1]) / (2 * h)
             else:
-                fd = (deriv_weights(spec, up, j, order_d=1)[-1]
-                      - deriv_weights(spec, dn, j, order_d=1)[-1]) / (2 * h)
-            got = deriv_weights(spec, Theta(d, c, 1.0), j, order_d=k)[-1]
+                fd = (deriv_weights(spec, up, j, 1)[-1]
+                      - deriv_weights(spec, dn, j, 1)[-1]) / (2 * h)
+            got = deriv_weights(spec, Theta(d, c, 1.0), j, k)[-1]
             assert got == pytest.approx(fd, rel=1e-6, abs=1e-12)
 
     def test_mixed_deriv(self, spec):
-        th = Theta(0.2, 0.7, 1.0)
-        got = deriv_weights(spec, th, 9, order_d=2, order_c=1)[-1]
+        # d^2/dd^2 of db/dc, the unit-scale weights' second d-derivative
+        got = deriv_weights(spec, Theta(0.2, 1.0, 1.0), 9, 2)[-1]
         assert got == pytest.approx(math.log(9) ** 2 * 9 ** -0.8, rel=1e-12)
 
 
@@ -138,14 +138,12 @@ class TestFarima:
                 fd = (coeff_weights(farima_spec, up, j)[-1]
                       - coeff_weights(farima_spec, dn, j)[-1])
                 fd /= (h if d == 0.0 else 2 * h)
-                got = deriv_weights(farima_spec, Theta(d, 1.0, 1.0), j,
-                                    order_d=1)[-1]
+                got = deriv_weights(farima_spec, Theta(d, 1.0, 1.0), j, 1)[-1]
                 assert got == pytest.approx(fd, rel=1e-4, abs=1e-8)
 
     @pytest.mark.parametrize("d", [0.0, 1e-9, 0.1, 0.25, 0.449])
     def test_deriv_weights_match_recurrence_loop(self, farima_spec, d):
-        got = deriv_weights(farima_spec, Theta(d, 1.0, 1.0), 20_000,
-                            order_d=1)
+        got = deriv_weights(farima_spec, Theta(d, 1.0, 1.0), 20_000, 1)
         want = farima_pi_deriv_loop(d, 20_000)
         assert np.max(np.abs(got - want) / np.abs(want)) < 1e-12
 
@@ -154,16 +152,13 @@ class TestFarima:
         h = 1e-5
         for d in (0.0, 1e-6, 0.1, 0.25, 0.449):
             th = Theta(d, 0.5, 1.0)
-            got = deriv_weights(farima_spec, th, 500, order_d=2)
-            fd = (deriv_weights(farima_spec, Theta(d + h, 0.5, 1.0), 500,
-                                order_d=1)
-                  - deriv_weights(farima_spec, Theta(d - h, 0.5, 1.0), 500,
-                                  order_d=1)) / (2 * h)
+            got = deriv_weights(farima_spec, th, 500, 2)
+            fd = (deriv_weights(farima_spec, Theta(d + h, 0.5, 1.0), 500, 1)
+                  - deriv_weights(farima_spec, Theta(d - h, 0.5, 1.0), 500, 1)
+                  ) / (2 * h)
             assert np.linalg.norm(got - fd) <= 1e-8 * np.linalg.norm(got)
         with pytest.raises(UnsupportedError):
-            deriv_weights(farima_spec, Theta(0.2, 0.5, 1.0), 5, order_d=3)
-        with pytest.raises(UnsupportedError):
-            deriv_weights(farima_spec, Theta(0.2, 0.5, 1.0), 5, order_d=3)
+            _unit_rows("farima", 0.2, 5, 3)
 
     def test_norm_vs_brute_sum(self, farima_spec):
         # direct summation of 400k terms plus a crude asymptotic tail

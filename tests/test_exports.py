@@ -22,6 +22,22 @@ def test_exported_names_resolve(module):
             if not hasattr(module, name)] == []
 
 
+def test_public_surface():
+    # the top-level names, sorted; a name added or removed here is an API
+    # change
+    assert larchpmle.__all__ == [
+        "CoeffSpec", "DecayFit", "EstimationResult", "LarchError",
+        "LimitH0Result", "LossEval", "LossSpec", "MAD_SCALE", "McReport",
+        "MomentReport", "NoiseMoments", "ParamSpace", "RatePrediction",
+        "Sample", "SandwichResult", "ScoreGapResult", "SimConfig",
+        "StudyConfig", "Summary", "Theta", "acf", "case_study",
+        "check_moment_conditions", "derive_seed", "estimate", "fit_decay",
+        "gaussian_moments", "landscape", "limit_h0", "loss", "m_of_n",
+        "norm_p", "normal_plot_data", "predicted_rate", "run_study",
+        "sandwich", "score_gap", "simulate", "summarize", "tail_variance",
+        "zeta_tail"]
+
+
 def test_runs_without_scipy_or_process_pool():
     # the package needs numpy alone at run time, and only a study on
     # several workers starts a process pool (start-up time and memory)

@@ -14,17 +14,16 @@ from larchpmle import (
     landscape,
     loss,
     m_of_n,
-    sigma_bar,
-    sigma_full,
     simulate,
     tail_variance,
 )
-from larchpmle.coeffs import _scaled, _unit_rows, coeff_weights, deriv_weights
-from larchpmle.errors import DomainError, HistoryError, NumericError, WindowError
+from larchpmle.coeffs import _scaled, _unit_rows
+from larchpmle.errors import DomainError, NumericError, WindowError
 from larchpmle.likelihood import PathEvaluator, _fft_size, _kernel_spectra
 
 from conftest import CASE1, CASE1_BETA, _simulate_loop
 from nelder_mead import minimize_box
+from oracles import sigma_bar, sigma_full
 
 
 class TestWindow:
@@ -69,10 +68,6 @@ class TestSigmaReconstruction:
             assert sigma_bar(spec, CASE1, fast.x, t) == pytest.approx(
                 fast.sigma[t - 1], rel=1e-13, abs=0.0)
 
-    def test_sigma_bar_range(self, spec):
-        with pytest.raises(DomainError):
-            sigma_bar(spec, CASE1, np.zeros(5), 7)
-
     def test_sigma_full_reproduces_simulator(self, spec):
         cfg = SimConfig(n=50, burn_in=3000, J=2000, seed=7)
         s = _simulate_loop(spec, CASE1, cfg)
@@ -87,10 +82,23 @@ class TestSigmaReconstruction:
         s = simulate(spec, th, SimConfig(n=20, burn_in=2000, J=1000, seed=8))
         assert sigma_full(spec, th, s, 5, J=1000) == 1.4
 
-    def test_sigma_full_insufficient_history(self, spec):
-        s = simulate(spec, CASE1, SimConfig(n=30, burn_in=100, J=2000, seed=9))
-        with pytest.raises(HistoryError):
-            sigma_full(spec, CASE1, s, 3, J=2000)
+    @pytest.mark.parametrize("J", [2000, 700])
+    @pytest.mark.parametrize("variant", ["bar", "full"])
+    @pytest.mark.parametrize("family", ["power", "farima"])
+    def test_evaluator_sigma_matches_direct_sums(self, family, variant, J):
+        # sigma = a + c v0 from the evaluator's lag sums at every point of
+        # a path whose burn-in holds exactly the J lags of its first point
+        spec = CoeffSpec(family, J)
+        s = simulate(spec, CASE1, SimConfig(n=3000, burn_in=J, J=J, seed=16))
+        data = s if variant == "full" else s.x_obs
+        v0 = PathEvaluator(LossSpec(variant, 0.01), spec, data).lag_sums(
+            CASE1, 0)[0]
+        got = CASE1.a + CASE1.c * v0
+        if variant == "full":
+            want = [sigma_full(spec, CASE1, s, t) for t in range(1, 3001)]
+        else:
+            want = [sigma_bar(spec, CASE1, s.x_obs, t) for t in range(1, 3001)]
+        assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-12
 
     def test_truncation_gap_matches_tail_variance(self, spec):
         # E[(sigma_full - sigma_bar)^2] at time t equals the weight tail
@@ -212,6 +220,19 @@ class TestDerivatives:
             fd = (ev(up, derivatives=0).value
                   - ev(dn, derivatives=0).value) / (2 * h)
             assert le.score[i] == pytest.approx(fd, rel=1e-5, abs=1e-9)
+
+    @pytest.mark.parametrize("derivatives", [3, -1, 2.5])
+    @pytest.mark.parametrize("family", ["power", "farima"])
+    def test_order_outside_0_to_2_rejected(self, family, derivatives,
+                                           case1_path):
+        # on the FFT path and on the table alike
+        spec, lspec = CoeffSpec(family, 2000), LossSpec("bar", 0.01)
+        with pytest.raises(DomainError):
+            loss(lspec, spec, CASE1, case1_path.x_obs, derivatives=derivatives)
+        table = PathEvaluator(lspec, spec, case1_path.x_obs,
+                              d_range=(0.0, 0.45))
+        with pytest.raises(DomainError):
+            table(CASE1, derivatives=derivatives)
 
     @pytest.mark.parametrize("path_seed", [11, 12, 13, 14, 15])
     def test_hessian_matches_score_differences(self, spec, farima_spec,
@@ -359,9 +380,8 @@ def full_size_fft_sums(lspec, spec, sample, d, order=0):
     full = lspec.variant == "full"
     x = sample.x if full else sample.x_obs
     J = sample.config.J if full else sample.n - 1
-    unit = Theta(d, 1.0, 1.0)
-    kernel = (deriv_weights(spec, unit, J, order_d=order) if order
-              else coeff_weights(spec, unit, J))
+    kernel = _scaled(spec.family, d,
+                     _unit_rows(spec.family, d, J, order))[order]
     nfft = 1 << (len(x) + J).bit_length()
     conv = np.fft.irfft(np.fft.rfft(x, nfft) * np.fft.rfft(kernel, nfft),
                         nfft)

@@ -7,23 +7,17 @@ import pytest
 
 from larchpmle import (
     CoeffSpec,
-    ParamSpace,
     SimConfig,
     Theta,
     acf,
     derive_seed,
     simulate,
-    volterra_sigma,
 )
 from larchpmle.coeffs import coeff_weights
-from larchpmle.errors import (
-    BudgetError,
-    DomainError,
-    NumericError,
-    ValidationError,
-)
+from larchpmle.errors import DomainError, NumericError, ValidationError
 
 from conftest import CASE1, CASE2, _simulate_loop
+from oracles import volterra_sigma
 
 # the package exports the function simulate under the module's name
 sim_mod = import_module("larchpmle.simulate")
@@ -288,17 +282,6 @@ class TestVolterra:
         for t in range(1, 31):
             v = volterra_sigma(spec, CASE2, s.eps[: t - 1], t, K_max=t)
             assert v == pytest.approx(s.sigma[t - 1], abs=1e-10)
-
-    def test_budget_exceeded(self, spec):
-        eps = np.zeros(400)
-        with pytest.raises(BudgetError):
-            volterra_sigma(spec, CASE1, eps, 400, K_max=399)
-        # a raised cap allows the same evaluation
-        volterra_sigma(spec, CASE1, eps, 400, K_max=399, max_ops=10 ** 9)
-
-    def test_bad_index(self, spec):
-        with pytest.raises(DomainError):
-            volterra_sigma(spec, CASE1, np.zeros(3), 6, K_max=2)
 
 
 class TestStationarity:
