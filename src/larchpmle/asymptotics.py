@@ -4,7 +4,10 @@ The limiting covariance combines the score outer-product matrix
 G = (E eps^4 - 1) E[4 sigma^6 / (sigma^2 + eps)^4 sdot sdot^T] and the
 expected Hessian H = E[4 sigma^2 / (sigma^2 + eps)^2 sdot sdot^T], both
 evaluated at the true parameter by an ergodic average along one long
-simulated path.  Reported standard deviations come in two flavors:
+simulated path.  ``sandwich`` reads that path from the simulator in
+pieces and sums it block by block, so it keeps no array as long as the
+path; ``limit_h0`` still simulates the whole path.  Reported standard
+deviations come in two flavors:
 
 * ``sd``       : per-component values sqrt(G_ii) / H_ii, the asymptotic sd
   when that parameter alone is estimated and the others are known.  This
@@ -14,14 +17,14 @@ simulated path.  Reported standard deviations come in two flavors:
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .coeffs import CoeffSpec, NoiseMoments, Theta
 from .errors import DomainError, HistoryError, SingularityError
 from .likelihood import LossSpec, PathEvaluator
-from .simulate import Sample, SimConfig, simulate
+from .simulate import Sample, SimConfig, _checked, _pieces, simulate
 
 __all__ = ["SandwichResult", "LimitH0Result", "RatePrediction",
            "sandwich", "limit_h0", "h0_from_arrays", "predicted_rate",
@@ -115,15 +118,14 @@ def _block_sums(sig: np.ndarray, S: np.ndarray,
     return np.stack([(S.T * wG) @ S, (S.T * wH) @ S])
 
 
-def _simulate_path(spec: CoeffSpec, theta0: Theta, path_length: int,
-                   burn_in: int, seed: int) -> Sample:
+def _path_config(spec: CoeffSpec, path_length: int, burn_in: int,
+                 seed: int) -> SimConfig:
     """The stationary path of an ergodic average, whose burn-in must hold
     the J lags of its first point's sigma; checked before simulating."""
     if burn_in < spec.J:
         raise HistoryError(
             f"burn-in {burn_in} is shorter than the {spec.J} lags of sigma")
-    cfg = SimConfig(n=path_length, burn_in=burn_in, seed=seed)
-    return simulate(spec, theta0, cfg)
+    return SimConfig(n=path_length, burn_in=burn_in, seed=seed)
 
 
 def sandwich(spec: CoeffSpec, theta0: Theta, epsilon: float,
@@ -134,9 +136,11 @@ def sandwich(spec: CoeffSpec, theta0: Theta, epsilon: float,
     One long stationary path, truncated at the spec's J lags, is generated
     and the defining expectations are replaced by ergodic averages;
     ``se_G`` and ``se_H`` are the standard errors of those averages from
-    the means of 32 consecutive blocks that cover the path.  sigma, its
-    gradient and the sums of G and H are formed one block at a time, so
-    beyond the sample only block-sized arrays exist.  H
+    the means of 32 consecutive blocks that cover the path.  The path is
+    streamed in the simulator's pieces into one array of J + (largest
+    block) points, and sigma, its gradient and the sums of G and H are
+    formed one block at a time on that array, so no array as long as the
+    path exists.  H
     is factorized by Cholesky; failure raises :class:`SingularityError`
     with eigenvalue diagnostics (this is the expected outcome for
     degenerate parameters such as c = 0).  A burn-in shorter than the
@@ -145,18 +149,40 @@ def sandwich(spec: CoeffSpec, theta0: Theta, epsilon: float,
     if epsilon <= 0.0:
         raise DomainError("epsilon must be positive")
     mu4 = nm.moment(4)
-    samp = _simulate_path(spec, theta0, path_length, burn_in, seed)
+    cfg = _checked(spec, theta0, _path_config(spec, path_length, burn_in,
+                                              seed))
 
     # blocks of (near) equal length that cover the path
-    n = samp.n
+    n, J = path_length, cfg.J
     bounds = np.linspace(0, n, max(2, min(_SE_BLOCKS, n)) + 1).astype(int)
-    sums = np.empty((len(bounds) - 1, 2, 3, 3))
-    for b, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
-        sig, S = sigma_and_gradient(spec, theta0, samp, window=(lo + 1, hi))
-        sums[b] = _block_sums(sig, S, epsilon)
+    widths = np.diff(bounds)
+    # (x, sigma, eps) of a block's points after their J lags: column i is
+    # step h0 + i of the path; two points at least, as the lag sums need
+    m = min(n, max(2, int(widths.max())))
+    hist = np.zeros((3, J + m))
+    block = Sample(*hist, config=replace(cfg, n=m, burn_in=J), theta=theta0,
+                   spec=spec, first_retained=J)
+    sums = np.empty((len(widths), 2, 3, 3))
+    b, h0, start = 0, burn_in - J, 0
+    for piece in _pieces(spec, theta0, cfg):
+        while b < len(widths):
+            end = h0 + J + widths[b]
+            lo, hi = max(start, h0), min(start + len(piece[0]), end)
+            if lo < hi:
+                for dst, src in zip(hist, piece):
+                    dst[lo - h0:hi - h0] = src[lo - start:hi - start]
+            if hi < end:
+                break
+            sig, S = sigma_and_gradient(spec, theta0, block,
+                                        window=(1, widths[b]))
+            sums[b] = _block_sums(sig, S, epsilon)
+            # the block's last J points are the next block's lags
+            hist[:, :J] = hist[:, widths[b]:widths[b] + J]
+            h0, b = h0 + widths[b], b + 1
+        start += len(piece[0])
     sums[:, 0] *= mu4 - 1.0
     G, H = sums.sum(axis=0) / n
-    means = sums / np.diff(bounds)[:, None, None, None]
+    means = sums / widths[:, None, None, None]
     se_G, se_H = means.std(axis=0, ddof=1) / math.sqrt(len(means))
 
     eigH = np.linalg.eigvalsh(H)
@@ -216,7 +242,8 @@ def limit_h0(spec: CoeffSpec, theta0: Theta, path_length: int = 500_000,
     does not settle (see :func:`h0_from_arrays`).  A burn-in shorter than
     the spec's J raises :class:`HistoryError` before anything is simulated.
     """
-    samp = _simulate_path(spec, theta0, path_length, burn_in, seed)
+    cfg = _path_config(spec, path_length, burn_in, seed)
+    samp = simulate(spec, theta0, cfg)
     return h0_from_arrays(*sigma_and_gradient(spec, theta0, samp))
 
 

@@ -9,9 +9,12 @@ steps per iteration with one correlation for the lags reaching before the
 block and one product with the inverse of the block's triangular system
 for those inside it.  Those inverses depend on the innovations alone and
 are built for a chunk of blocks at once, each from the inverses of its
-two half-blocks, which share one Toeplitz system.  The tests keep the
-step-by-step recursion and the chain expansion of the stationary solution
-as its oracles.
+two half-blocks, which share one Toeplitz system.  The path comes in
+pieces of reused work arrays (:func:`_pieces`): ``simulate`` keeps the
+whole path as one piece, while an ergodic average can stream a long path
+in pieces of ``_PIECE`` steps and keep only the J lags between them.  The
+tests keep the step-by-step recursion and the chain expansion of the
+stationary solution as its oracles.
 """
 
 import math
@@ -32,6 +35,9 @@ _BLOCK = 32
 # 64 x 32 x 32 doubles (512 KiB), and their 128 half-block inverses with
 # the eps-scaled copy as much again (1 MiB in all)
 _CHUNK = 64
+# steps per piece of a path streamed by _pieces, a multiple of the steps
+# of one chunk, so that pieces split the path's chunks nowhere
+_PIECE = 8 * _CHUNK * _BLOCK
 
 
 def derive_seed(base_seed: int, stream: int) -> int:
@@ -120,14 +126,6 @@ class Sample:
         return self.eps[self.first_retained:]
 
 
-def _draw_innovations(cfg: SimConfig, total: int) -> np.ndarray:
-    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
-    if isinstance(cfg.noise, str):
-        return rng.standard_normal(total)
-    table = np.asarray(cfg.noise, dtype=float)
-    return rng.choice(table, size=total, replace=True)
-
-
 def _inverses(L, E, X, W):
     """Fill X with the inverses of I - L diag(e) for the K rows e of E.
 
@@ -162,18 +160,16 @@ def _inverses(L, E, X, W):
     X4[1, :, :, 0] = ((X2 @ L[h:, :h]) @ Y1).transpose(1, 0, 2)
 
 
-def _advance(buf, sig, eps, b_rev, L, a, t):
+def _advance(buf, sig, eps, b_rev, L, a, t, work):
     """Blocks of B = len(L) steps from step t (a multiple of B) to the end
-    of the path, which is stored in ``buf`` after J zeros and is still zero
+    of the piece, which is stored in ``buf`` after J lags and is still zero
     from step t on.  ``buf`` and ``sig`` extend to whole blocks; the steps
-    past the path's end get zero innovations.  The in-block inverses of up
-    to ``_CHUNK`` blocks are built from eps before those blocks run."""
+    past the piece's end get zero innovations.  The in-block inverses of
+    the K blocks of a chunk are built from eps before those blocks run, in
+    the work arrays ``work`` = (X, E, W) of :func:`_inverses`."""
     J, B = len(b_rev), len(L)
-    n_blocks = len(sig) // B
-    K = min(_CHUNK, n_blocks - t // B)
-    X, E = np.zeros((B, K, B)), np.zeros((K, B))
-    W = np.zeros((2, B // 2, 2 * K, B // 2))
-    W[0, 0, :, 0] = 1.0
+    X, E, W = work
+    n_blocks, K = len(sig) // B, len(E)
     lags = sliding_window_view(buf, J + B - 1)[::B]
     sig_b, x_b = sig.reshape(-1, B), buf[J:].reshape(-1, B)
     for k0 in range(t // B, n_blocks, K):
@@ -203,6 +199,80 @@ def _replay(buf, sig, eps, b_rev, a, t0, t1):
     return None
 
 
+def _checked(spec: CoeffSpec, theta0: Theta, cfg: SimConfig,
+             space: ParamSpace | None = None) -> SimConfig:
+    """cfg with J resolved, once theta0 is checked (see simulate)."""
+    space = space or ParamSpace()
+    space.validate(theta0, spec)
+    if sum_sq(spec, theta0) >= 1.0:
+        raise ValidationError("sum of squared weights must be < 1")
+    return cfg if cfg.J is not None else replace(cfg, J=spec.J)
+
+
+def _pieces(spec: CoeffSpec, theta0: Theta, cfg: SimConfig,
+            piece: int = _PIECE):
+    """The path of ``cfg`` (from :func:`_checked`), burn-in included, in
+    pieces of ``piece`` steps (the last may be shorter), each an (x, sigma,
+    eps) triple of views of work arrays that the next piece overwrites.
+
+    Drawn piece by piece from one generator, the innovations equal one
+    draw for the whole path.  x is stored after J values: zeros for the
+    empty past, then the last J values of the previous piece.  The chunk
+    work arrays have K = min(_CHUNK, blocks of the path) rows for the whole
+    path, so pieces of a multiple of K blocks give the bits of one piece.
+    Steps in errors count from the path's start.
+    """
+    J, B, a = cfg.J, _BLOCK, theta0.a
+    total = cfg.burn_in + cfg.n
+    b = coeff_weights(spec, theta0, J)
+    b_rev = b[::-1].copy()
+    b_in = np.zeros(B)
+    b_in[1:min(J, B - 1) + 1] = b[:B - 1]
+    i = np.arange(B)
+    L = np.tril(b_in[np.abs(i[:, None] - i[None, :])], -1)
+    piece = min(piece, total)
+    padded = -(-piece // B) * B
+    buf, sig, eps = np.zeros(J + padded), np.empty(padded), np.empty(piece)
+    K = min(_CHUNK, -(-total // B))
+    work = (np.zeros((B, K, B)), np.empty((K, B)),
+            np.zeros((2, B // 2, 2 * K, B // 2)))
+    work[2][0, 0, :, 0] = 1.0
+    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
+    for start in range(0, total, piece):
+        m = min(piece, total - start)
+        mb = -(-m // B) * B
+        x, e, t = buf[J:J + m], eps[:m], 0
+        if isinstance(cfg.noise, str):
+            rng.standard_normal(out=e)
+        else:
+            # the indices are in range; "clip" writes straight into e
+            np.take(np.asarray(cfg.noise, dtype=float),
+                    rng.integers(0, len(cfg.noise), m), out=e, mode="clip")
+        with np.errstate(over="ignore", invalid="ignore"):
+            while t < m:
+                _advance(buf[:J + mb], sig[:mb], e, b_rev, L, a, t, work)
+                # min and max show nan and inf without a piece of flags
+                if math.isfinite(x[t:].min()) and math.isfinite(x[t:].max()):
+                    break
+                # the blocks before the first non-finite value are exact;
+                # replay the block that holds it
+                t0 = t + int(np.argmin(np.isfinite(x[t:])))
+                t0 -= t0 % B
+                t = t0 + B
+                bad = _replay(buf, sig, e, b_rev, a, t0, min(t, m))
+                if bad is not None:
+                    raise NumericError(
+                        f"path is non-finite from step t = "
+                        f"{start + bad + 1} of {total} (burn-in included)")
+                # the block's inverse alone was not finite: redo the
+                # blocks after it
+                buf[J + t:] = 0.0
+        yield x, sig[:m], e
+        # the last J values of the path are the next piece's lags
+        buf[:J] = buf[m:m + J]
+        buf[J:] = 0.0
+
+
 def simulate(spec: CoeffSpec, theta0: Theta, cfg: SimConfig,
              space: ParamSpace | None = None) -> Sample:
     """Generate a path of length burn_in + n by the truncated recursion.
@@ -229,47 +299,10 @@ def simulate(spec: CoeffSpec, theta0: Theta, cfg: SimConfig,
     Results agree with the step-by-step recursion to rounding (the sums
     run in another order).  A block that is not finite is replayed step
     by step, which keeps its values if they are finite and otherwise
-    locates the first non-finite step.
+    locates the first non-finite step.  The sample's arrays are those of
+    the one piece of :func:`_pieces` that holds the whole path.
     """
-    space = space or ParamSpace()
-    space.validate(theta0, spec)
-    if sum_sq(spec, theta0) >= 1.0:
-        raise ValidationError("sum of squared weights must be < 1")
-    if cfg.J is None:
-        cfg = replace(cfg, J=spec.J)
-    J = cfg.J
-    total = cfg.burn_in + cfg.n
-    eps = _draw_innovations(cfg, total)
-    b = coeff_weights(spec, theta0, J)
-    b_rev = b[::-1].copy()
-    B = _BLOCK
-    b_in = np.zeros(B)
-    b_in[1:min(J, B - 1) + 1] = b[:B - 1]
-    i = np.arange(B)
-    L = np.tril(b_in[np.abs(i[:, None] - i[None, :])], -1)
-    padded = -(-total // B) * B
-    buf = np.zeros(J + padded)
-    x = buf[J:J + total]
-    sig = np.empty(padded)
-    t = 0
-    with np.errstate(over="ignore", invalid="ignore"):
-        while t < total:
-            _advance(buf, sig, eps, b_rev, L, theta0.a, t)
-            finite = np.isfinite(x[t:])
-            if finite.all():
-                break
-            # the blocks before the first non-finite value are exact;
-            # replay the block that holds it
-            t0 = t + int(np.argmin(finite))
-            t0 -= t0 % B
-            t = t0 + B
-            bad = _replay(buf, sig, eps, b_rev, theta0.a, t0, min(t, total))
-            if bad is not None:
-                raise NumericError(
-                    f"path is non-finite from step t = {bad + 1} of "
-                    f"{total} (burn-in included)")
-            # the block's inverse alone was not finite: redo the blocks
-            # after it
-            buf[J + t:] = 0.0
-    return Sample(x=x, sigma=sig[:total], eps=eps, config=cfg, theta=theta0,
+    cfg = _checked(spec, theta0, cfg, space)
+    x, sig, eps = next(_pieces(spec, theta0, cfg, cfg.burn_in + cfg.n))
+    return Sample(x=x, sigma=sig, eps=eps, config=cfg, theta=theta0,
                   spec=spec, first_retained=cfg.burn_in)

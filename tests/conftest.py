@@ -5,7 +5,7 @@ import pytest
 
 from larchpmle import CoeffSpec, ParamSpace, SimConfig, Theta, simulate
 from larchpmle.coeffs import coeff_weights
-from larchpmle.simulate import Sample, _draw_innovations
+from larchpmle.simulate import Sample
 
 CASE1 = Theta(0.1, 0.2, 1.0)
 CASE2 = Theta(0.2, 0.2, 1.0)
@@ -37,12 +37,18 @@ def case1_path(spec):
 
 def _simulate_loop(spec, theta0, cfg):
     """The truncated recursion one step at a time: the oracle for the
-    blocked simulator (same innovations, same dot product per step)."""
+    blocked simulator (same innovations, drawn here for the whole path at
+    once, and the same dot product per step)."""
     if cfg.J is None:
         cfg = replace(cfg, J=spec.J)
     J = cfg.J
     total = cfg.burn_in + cfg.n
-    eps = _draw_innovations(cfg, total)
+    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
+    if isinstance(cfg.noise, str):
+        eps = rng.standard_normal(total)
+    else:
+        eps = rng.choice(np.asarray(cfg.noise, dtype=float), size=total,
+                         replace=True)
     b_rev = coeff_weights(spec, theta0, J)[::-1].copy()
     x = np.empty(total)
     sig = np.empty(total)

@@ -172,10 +172,12 @@ class TestBlockedKernel:
     # a block's inverse is not finite, so the pass runs on to the end on
     # non-finite values; that block is replayed step by step and the blocks
     # after it (four after the third block, none after the last) rebuilt
-    # and run afresh.  Nothing in the kernel raises, so a non-finite block
-    # is the only failure a pass can meet.
+    # in the path's one set of 7-block work arrays and run afresh.  The
+    # fault goes into the inverse's upper-left quadrant, which every chunk
+    # rewrites (the upper-right one stays zero).  Nothing in the kernel
+    # raises, so a non-finite block is the only failure a pass can meet.
     @pytest.mark.parametrize("block, fault, sizes", [
-        (2, np.nan, [7, 4]), (2, np.inf, [7, 4]), (6, np.nan, [7])],
+        (2, np.nan, [7, 7]), (2, np.inf, [7, 7]), (6, np.nan, [7])],
         ids=["third-nan", "third-inf", "last-nan"])
     def test_nonfinite_block_is_replayed(self, spec, monkeypatch, block,
                                          fault, sizes):
@@ -188,7 +190,7 @@ class TestBlockedKernel:
             inverses(L, E, X, Y)
             chunks.append(E.copy())
             if len(chunks) == 1:
-                X[:, block] = fault
+                X[:16, block, :16] = fault
 
         def spy(buf, sig, eps, b_rev, a, t0, t1):
             replayed.append((t0, t1))
@@ -223,6 +225,80 @@ class TestBlockedKernel:
         out = subprocess.run([sys.executable, "-c", code], check=True,
                              capture_output=True, text=True)
         assert out.stdout.split() == ["False", "False", "False"]
+
+
+def _joined(spec, theta0, cfg, piece=sim_mod._PIECE):
+    """The pieces of a path copied out of their reused arrays and joined:
+    arrays x, sigma, eps and the length of each piece."""
+    parts = [[a.copy() for a in p]
+             for p in sim_mod._pieces(spec, theta0, cfg, piece)]
+    return [np.concatenate(a) for a in zip(*parts)], [len(p[0]) for p in parts]
+
+
+class TestPieces:
+    """A path streamed in pieces against the one piece of simulate."""
+
+    # 2 whole pieces and a short one; the largest J reaches back across
+    # more than one piece
+    @pytest.mark.parametrize("J", [1, 31, 2000, sim_mod._PIECE + 3000])
+    @pytest.mark.parametrize("noise", ["gaussian", "table"])
+    def test_pieces_equal_whole_path(self, J, noise):
+        spec = CoeffSpec("power", 2000)
+        noise = _unit_table(1000, J) if noise == "table" else noise
+        cfg = SimConfig(n=2 * sim_mod._PIECE - 3000 + 4321, burn_in=3000,
+                        J=J, seed=derive_seed(7, J), noise=noise)
+        (x, sig, eps), sizes = _joined(spec, CASE1, cfg)
+        assert sizes == [sim_mod._PIECE] * 2 + [4321]
+        whole = simulate(spec, CASE1, cfg)
+        assert np.array_equal(x, whole.x)
+        assert np.array_equal(sig, whole.sigma)
+        assert np.array_equal(eps, whole.eps)
+
+    def test_nonfinite_block_in_later_piece_is_replayed(self, spec,
+                                                        monkeypatch):
+        # the fault hits the third block of the second piece's first chunk;
+        # that block is replayed, counted from the piece's start
+        cfg = SimConfig(n=sim_mod._PIECE + 1000, burn_in=0, J=2000, seed=5)
+        expect = simulate(spec, CASE1, cfg)
+        inverses, replay = sim_mod._inverses, sim_mod._replay
+        calls, replayed = [], []
+        per_piece = sim_mod._PIECE // CHUNK_STEPS
+
+        def flaky(L, E, X, W):
+            inverses(L, E, X, W)
+            calls.append(len(calls))
+            if len(calls) == per_piece + 1:
+                X[:16, 2, :16] = np.nan
+
+        def spy(buf, sig, eps, b_rev, a, t0, t1):
+            replayed.append((t0, t1))
+            return replay(buf, sig, eps, b_rev, a, t0, t1)
+
+        monkeypatch.setattr(sim_mod, "_inverses", flaky)
+        monkeypatch.setattr(sim_mod, "_replay", spy)
+        (x, sig, eps), sizes = _joined(spec, CASE1, cfg)
+        assert len(sizes) == 2
+        assert replayed == [(64, 96)]
+        np.testing.assert_allclose(sig, expect.sigma, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(sig, _simulate_loop(spec, CASE1, cfg).sigma,
+                                   rtol=1e-12, atol=0.0)
+        assert np.all(x == eps * sig)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflow_in_later_piece_names_absolute_step(self, spec):
+        # the planted table overflows the path after its first block (see
+        # test_late_overflow_names_step_of_loop), so in a later piece of
+        # one block each
+        piece = 32
+        cfg = SimConfig(n=200, burn_in=0, J=2000, seed=3)
+        object.__setattr__(cfg, "noise", np.array([1e10, -1e10]))
+        with pytest.raises(NumericError) as whole:
+            simulate(spec, CASE1, cfg)
+        step = int(str(whole.value).split("t = ")[1].split()[0])
+        assert step > piece
+        with pytest.raises(NumericError) as pieces:
+            _joined(spec, CASE1, cfg, piece)
+        assert str(pieces.value) == str(whole.value)
 
 
 class TestHalfBlockInverses:
