@@ -4,10 +4,9 @@ The limiting covariance combines the score outer-product matrix
 G = (E eps^4 - 1) E[4 sigma^6 / (sigma^2 + eps)^4 sdot sdot^T] and the
 expected Hessian H = E[4 sigma^2 / (sigma^2 + eps)^2 sdot sdot^T], both
 evaluated at the true parameter by an ergodic average along one long
-simulated path.  ``sandwich`` reads that path from the simulator in
-pieces and sums it block by block, so it keeps no array as long as the
-path; ``limit_h0`` still simulates the whole path.  Reported standard
-deviations come in two flavors:
+simulated path.  ``sandwich`` and ``limit_h0`` read that path from the
+simulator in pieces and sum it block by block, so neither keeps an array
+as long as the path.  Reported standard deviations come in two flavors:
 
 * ``sd``       : per-component values sqrt(G_ii) / H_ii, the asymptotic sd
   when that parameter alone is estimated and the others are known.  This
@@ -24,16 +23,16 @@ import numpy as np
 from .coeffs import CoeffSpec, NoiseMoments, Theta
 from .errors import DomainError, HistoryError, SingularityError
 from .likelihood import LossSpec, PathEvaluator
+# simulate is not called here; bench/tracing.py wraps it by this name
 from .simulate import Sample, SimConfig, _checked, _pieces, simulate
 
 __all__ = ["SandwichResult", "LimitH0Result", "RatePrediction",
-           "sandwich", "limit_h0", "h0_from_arrays", "predicted_rate",
-           "sigma_and_gradient"]
+           "sandwich", "limit_h0", "predicted_rate", "sigma_and_gradient"]
 
 # consecutive blocks, covering the path, whose means give the standard
 # errors of G and H
 _SE_BLOCKS = 32
-# divergence monitor of h0_from_arrays: largest relative span of the prefix
+# divergence monitor of limit_h0: largest relative span of the prefix
 # averages of the trace, and largest share of one time point in its sum
 _H0_SPAN_TOL = 0.05
 _H0_SHARE_TOL = 0.1
@@ -60,7 +59,9 @@ class LimitH0Result:
 
     ``matrix`` is None when the running average failed the convergence
     monitor (the expectation may be infinite); ``checkpoints`` holds the
-    prefix averages of the matrix trace used by the monitor.
+    averages of the matrix trace over the first n/8, n/4, n/2 and n points
+    (block prefixes of the path) used by the monitor, and is empty when a
+    term is non-finite.
     """
 
     matrix: np.ndarray | None
@@ -118,14 +119,50 @@ def _block_sums(sig: np.ndarray, S: np.ndarray,
     return np.stack([(S.T * wG) @ S, (S.T * wH) @ S])
 
 
-def _path_config(spec: CoeffSpec, path_length: int, burn_in: int,
-                 seed: int) -> SimConfig:
-    """The stationary path of an ergodic average, whose burn-in must hold
-    the J lags of its first point's sigma; checked before simulating."""
+def _path_config(spec: CoeffSpec, theta0: Theta, path_length: int,
+                 burn_in: int, seed: int) -> SimConfig:
+    """The path of an ergodic average, with its burn-in (which must hold
+    the J lags of sigma) and theta0 checked before simulating."""
     if burn_in < spec.J:
         raise HistoryError(
             f"burn-in {burn_in} is shorter than the {spec.J} lags of sigma")
-    return SimConfig(n=path_length, burn_in=burn_in, seed=seed)
+    return _checked(spec, theta0,
+                    SimConfig(n=path_length, burn_in=burn_in, seed=seed))
+
+
+def _bounds(n: int) -> np.ndarray:
+    """Bounds of the blocks of (near) equal length that cover n points."""
+    return np.linspace(0, n, max(2, min(_SE_BLOCKS, n)) + 1).astype(int)
+
+
+def _blocks(spec: CoeffSpec, theta0: Theta, cfg: SimConfig):
+    """(sigma, S) of :func:`sigma_and_gradient` for each block of
+    :func:`_bounds` of the path of ``cfg`` (from :func:`_path_config`),
+    streamed in the simulator's pieces into one array of J + (largest
+    block) points, so no array as long as the path exists."""
+    J, widths = cfg.J, np.diff(_bounds(cfg.n))
+    # (x, sigma, eps) of a block's points after their J lags: column i is
+    # step h0 + i of the path; two points at least, as the lag sums need
+    m = min(cfg.n, max(2, int(widths.max())))
+    hist = np.zeros((3, J + m))
+    block = Sample(*hist, config=replace(cfg, n=m, burn_in=J), theta=theta0,
+                   spec=spec, first_retained=J)
+    b, h0, start = 0, cfg.burn_in - J, 0
+    for piece in _pieces(spec, theta0, cfg):
+        while b < len(widths):
+            end = h0 + J + widths[b]
+            lo, hi = max(start, h0), min(start + len(piece[0]), end)
+            if lo < hi:
+                for dst, src in zip(hist, piece):
+                    dst[lo - h0:hi - h0] = src[lo - start:hi - start]
+            if hi < end:
+                break
+            yield sigma_and_gradient(spec, theta0, block,
+                                     window=(1, widths[b]))
+            # the block's last J points are the next block's lags
+            hist[:, :J] = hist[:, widths[b]:widths[b] + J]
+            h0, b = h0 + widths[b], b + 1
+        start += len(piece[0])
 
 
 def sandwich(spec: CoeffSpec, theta0: Theta, epsilon: float,
@@ -136,53 +173,23 @@ def sandwich(spec: CoeffSpec, theta0: Theta, epsilon: float,
     One long stationary path, truncated at the spec's J lags, is generated
     and the defining expectations are replaced by ergodic averages;
     ``se_G`` and ``se_H`` are the standard errors of those averages from
-    the means of 32 consecutive blocks that cover the path.  The path is
-    streamed in the simulator's pieces into one array of J + (largest
-    block) points, and sigma, its gradient and the sums of G and H are
-    formed one block at a time on that array, so no array as long as the
-    path exists.  H
-    is factorized by Cholesky; failure raises :class:`SingularityError`
-    with eigenvalue diagnostics (this is the expected outcome for
-    degenerate parameters such as c = 0).  A burn-in shorter than the
-    spec's J raises :class:`HistoryError` before anything is simulated.
+    the means of 32 consecutive blocks that cover the path.  Sigma, its
+    gradient and the sums of G and H are formed one block at a time
+    (:func:`_blocks`), so no array as long as the path exists.  H is
+    factorized by Cholesky; failure raises :class:`SingularityError` with
+    eigenvalue diagnostics (this is the expected outcome for degenerate
+    parameters such as c = 0).  A burn-in shorter than the spec's J
+    raises :class:`HistoryError` before anything is simulated.
     """
-    if epsilon <= 0.0:
-        raise DomainError("epsilon must be positive")
+    if not 0.0 < epsilon < math.inf:
+        raise DomainError(f"epsilon {epsilon} must be in (0, inf)")
     mu4 = nm.moment(4)
-    cfg = _checked(spec, theta0, _path_config(spec, path_length, burn_in,
-                                              seed))
-
-    # blocks of (near) equal length that cover the path
-    n, J = path_length, cfg.J
-    bounds = np.linspace(0, n, max(2, min(_SE_BLOCKS, n)) + 1).astype(int)
-    widths = np.diff(bounds)
-    # (x, sigma, eps) of a block's points after their J lags: column i is
-    # step h0 + i of the path; two points at least, as the lag sums need
-    m = min(n, max(2, int(widths.max())))
-    hist = np.zeros((3, J + m))
-    block = Sample(*hist, config=replace(cfg, n=m, burn_in=J), theta=theta0,
-                   spec=spec, first_retained=J)
-    sums = np.empty((len(widths), 2, 3, 3))
-    b, h0, start = 0, burn_in - J, 0
-    for piece in _pieces(spec, theta0, cfg):
-        while b < len(widths):
-            end = h0 + J + widths[b]
-            lo, hi = max(start, h0), min(start + len(piece[0]), end)
-            if lo < hi:
-                for dst, src in zip(hist, piece):
-                    dst[lo - h0:hi - h0] = src[lo - start:hi - start]
-            if hi < end:
-                break
-            sig, S = sigma_and_gradient(spec, theta0, block,
-                                        window=(1, widths[b]))
-            sums[b] = _block_sums(sig, S, epsilon)
-            # the block's last J points are the next block's lags
-            hist[:, :J] = hist[:, widths[b]:widths[b] + J]
-            h0, b = h0 + widths[b], b + 1
-        start += len(piece[0])
+    cfg = _path_config(spec, theta0, path_length, burn_in, seed)
+    sums = np.array([_block_sums(sig, S, epsilon)
+                     for sig, S in _blocks(spec, theta0, cfg)])
     sums[:, 0] *= mu4 - 1.0
-    G, H = sums.sum(axis=0) / n
-    means = sums / widths[:, None, None, None]
+    G, H = sums.sum(axis=0) / path_length
+    means = sums / np.diff(_bounds(path_length))[:, None, None, None]
     se_G, se_H = means.std(axis=0, ddof=1) / math.sqrt(len(means))
 
     eigH = np.linalg.eigvalsh(H)
@@ -207,44 +214,37 @@ def sandwich(spec: CoeffSpec, theta0: Theta, epsilon: float,
                           cond_H=cond)
 
 
-def h0_from_arrays(sigma: np.ndarray, S: np.ndarray) -> LimitH0Result:
-    """Running average of 4 sdot sdot^T / sigma^2 with a divergence monitor.
-
-    The average is declared divergent when prefix averages of the trace
-    fail a Cauchy criterion (relative span of the prefix averages above
-    0.05), when any single time point contributes more than 0.1 of the
-    trace sum, or when a term is non-finite.
-    Divergence is a valid outcome: E(sigma^-2) need not be finite.
-    """
-    n = len(sigma)
-    with np.errstate(divide="ignore", over="ignore"):
-        w = 4.0 / (sigma * sigma)
-        trace_terms = w * np.einsum("ij,ij->i", S, S)
-    if not np.all(np.isfinite(trace_terms)):
-        return LimitH0Result(matrix=None, diverged=True, checkpoints=())
-    checkpoints = tuple(
-        float(np.mean(trace_terms[: max(1, n // k)])) for k in (8, 4, 2, 1))
-    span = ((max(checkpoints) - min(checkpoints))
-            / max(abs(checkpoints[-1]), 1e-300))
-    share = float(trace_terms.max() / max(trace_terms.sum(), 1e-300))
-    if span > _H0_SPAN_TOL or share > _H0_SHARE_TOL:
-        return LimitH0Result(matrix=None, diverged=True,
-                             checkpoints=checkpoints)
-    return LimitH0Result(matrix=(S.T * w) @ S / n, diverged=False,
-                         checkpoints=checkpoints)
-
-
 def limit_h0(spec: CoeffSpec, theta0: Theta, path_length: int = 500_000,
              burn_in: int = 10_000, seed: int = 0) -> LimitH0Result:
     """Monte-Carlo limit of the unregularized Hessian 4 E[sdot sdot^T / sigma^2].
 
-    Returns a divergence flag instead of a matrix when the running average
-    does not settle (see :func:`h0_from_arrays`).  A burn-in shorter than
-    the spec's J raises :class:`HistoryError` before anything is simulated.
+    Summed block by block (:func:`_blocks`), the average diverges when the
+    averages of its trace over the first n/8, n/4, n/2 and n points (block
+    bounds) span more than 0.05 of the last, when one time point holds
+    more than 0.1 of the trace sum, or when a term is non-finite: a valid
+    outcome, as E(sigma^-2) need not be finite.  A burn-in shorter than the
+    spec's J raises :class:`HistoryError` before anything is simulated.
     """
-    cfg = _path_config(spec, path_length, burn_in, seed)
-    samp = simulate(spec, theta0, cfg)
-    return h0_from_arrays(*sigma_and_gradient(spec, theta0, samp))
+    cfg = _path_config(spec, theta0, path_length, burn_in, seed)
+    sums, top = [], 0.0
+    for sig, S in _blocks(spec, theta0, cfg):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            w = 4.0 / (sig * sig)
+            sums.append((S.T * w) @ S)
+            top = np.max(w * np.einsum("ij,ij->i", S, S), initial=top)
+        if not np.all(np.isfinite(sums[-1])):
+            return LimitH0Result(matrix=None, diverged=True, checkpoints=())
+    n, sums = path_length, np.array(sums)
+    traces = np.cumsum(np.trace(sums, axis1=1, axis2=2))
+    # the prefixes end on block bounds: n/32 is exact in binary
+    checkpoints = tuple(float(traces[np.searchsorted(_bounds(n), p) - 1] / p)
+                        for p in (max(1, n // k) for k in (8, 4, 2, 1)))
+    span = ((max(checkpoints) - min(checkpoints))
+            / max(abs(checkpoints[-1]), 1e-300))
+    share = float(top / max(traces[-1], 1e-300))
+    diverged = span > _H0_SPAN_TOL or share > _H0_SHARE_TOL
+    return LimitH0Result(matrix=None if diverged else sums.sum(axis=0) / n,
+                         diverged=diverged, checkpoints=checkpoints)
 
 
 def predicted_rate(n: int, beta: float, d: float) -> RatePrediction:

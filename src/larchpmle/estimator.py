@@ -85,7 +85,7 @@ def _search_box(space: ParamSpace, c_max, fix: dict | None):
     if "a" in fix and not space.a_d <= fix["a"] <= space.a_u:
         raise ValidationError(f"fixed a = {fix['a']} outside the box")
     if "c" in fix:
-        if fix["c"] < 0.0:
+        if not fix["c"] >= 0.0:
             raise ValidationError("fixed c must be nonnegative")
         if "d" in fix and fix["c"] > c_max(fix["d"]):
             raise ValidationError("fixed (d, c) violates the scale bound")

@@ -16,7 +16,7 @@ from larchpmle import (
     simulate,
 )
 from larchpmle import asymptotics
-from larchpmle.asymptotics import h0_from_arrays, sigma_and_gradient
+from larchpmle.asymptotics import sigma_and_gradient
 from larchpmle.errors import (
     DomainError,
     HistoryError,
@@ -25,6 +25,7 @@ from larchpmle.errors import (
 )
 
 from conftest import CASE1, CASE2
+from oracles import h0_from_arrays
 
 
 @pytest.fixture(scope="module")
@@ -72,10 +73,8 @@ class TestSandwich:
         def no_simulate(*args, **kwargs):
             raise AssertionError("simulated a path too short for J lags")
 
-        # the sandwich streams the simulator's pieces, limit_h0 simulates
-        # the whole path
+        # both read their path from the simulator's pieces
         monkeypatch.setattr(asymptotics, "_pieces", no_simulate)
-        monkeypatch.setattr(asymptotics, "simulate", no_simulate)
         with pytest.raises(HistoryError):
             sandwich(spec, CASE1, 0.01, nm, path_length=5000,
                      burn_in=spec.J - 1)
@@ -137,8 +136,9 @@ class TestSandwich:
             sandwich(spec, CASE1, 0.01, nm2, path_length=5000, burn_in=2100)
 
     def test_epsilon_positive(self, spec, nm):
-        with pytest.raises(DomainError):
-            sandwich(spec, CASE1, 0.0, nm, path_length=5000)
+        for eps in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(DomainError):
+                sandwich(spec, CASE1, eps, nm, path_length=5000)
 
     def test_kurtosis_scaling_of_G(self, spec, nm):
         # G carries the (E eps^4 - 1) factor; H does not
@@ -214,6 +214,26 @@ class TestSandwich:
         assert np.abs(res.G - G_emp).max() <= 0.10 * np.abs(res.G).max()
 
 
+def blocks_of(sigma, S):
+    """A stand-in for asymptotics._blocks that yields sigma and S split at
+    the bounds of the 32 blocks of a path of their length (at least 32)."""
+    bounds = np.linspace(0, len(sigma), 33).astype(int)
+    return lambda *args: ((sigma[lo:hi], S[lo:hi])
+                          for lo, hi in zip(bounds[:-1], bounds[1:]))
+
+
+# (family, J, theta, path length, burn-in): where the monitor settles and
+# where it does not, at and around the path lengths where the blocks are
+# single points, and with more than one piece of the streamed path
+H0_PATHS = ([("power", 2000, CASE1, n, 2000)
+             for n in (2, 3, 20, 31, 32, 33, 40, 63, 40_001, 200_000)]
+            + [("power", 2000, CASE2, 40_001, 2000),
+               ("farima", 2000, Theta(0.2, 0.3, 1.0), 40_001, 2000),
+               ("power", 2000, Theta(0.1, 0.0, 1.3), 40_001, 2000),
+               ("power", 20_000, CASE1, 40_001, 20_000),
+               ("power", 40, CASE1, 40_001, 40)])
+
+
 class TestLimitH0:
     def test_constant_sigma_closed_form(self, spec):
         th = Theta(0.1, 0.0, 1.3)
@@ -222,28 +242,77 @@ class TestLimitH0:
         assert res.matrix[2, 2] == pytest.approx(4.0 / th.a ** 2, rel=0.02)
         assert res.matrix[0, 0] == 0.0
 
-    def test_synthetic_heavy_tail_diverges(self):
+    @pytest.mark.parametrize("family, J, theta, n, burn_in", H0_PATHS)
+    def test_blocks_match_whole_path_oracle(self, family, J, theta, n,
+                                            burn_in):
+        # summed block by block, the average and its monitor agree with
+        # the same monitor over one whole-path sigma_and_gradient
+        spec = CoeffSpec(family, J)
+        res = limit_h0(spec, theta, path_length=n, burn_in=burn_in, seed=4)
+        s = simulate(spec, theta, SimConfig(n=n, burn_in=burn_in, seed=4))
+        want = h0_from_arrays(*sigma_and_gradient(spec, theta, s))
+        assert res.diverged == want.diverged
+        np.testing.assert_allclose(res.checkpoints, want.checkpoints,
+                                   rtol=1e-13, atol=0.0)
+        if want.diverged:
+            assert res.matrix is None
+        else:
+            np.testing.assert_allclose(res.matrix, want.matrix, rtol=1e-13,
+                                       atol=1e-13 * np.abs(want.matrix).max())
+
+    def test_matrix_is_sandwich_H_at_zero_epsilon(self, farima_spec, nm):
+        # 4 sdot sdot^T / sigma^2 is the weight of H at eps = 0
+        th = Theta(0.2, 0.3, 1.0)
+        res = limit_h0(farima_spec, th, path_length=40_001, burn_in=2000,
+                       seed=4)
+        assert not res.diverged
+        H = sandwich(farima_spec, th, 1e-300, nm, path_length=40_001,
+                     burn_in=2000, seed=4).H
+        np.testing.assert_allclose(res.matrix, H, rtol=1e-13,
+                                   atol=1e-13 * np.abs(H).max())
+
+    def test_memory_beyond_sample_is_block_sized(self, spec):
+        # as the sandwich's: no path-length array exists, so the traced
+        # peak is at most half that of simulating the path alone
+        n, burn_in = 200_000, 10_000
+        tracemalloc.start()
+        try:
+            simulate(spec, CASE1, SimConfig(n=n, burn_in=burn_in, seed=1))
+            sim_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            limit_h0(spec, CASE1, path_length=n, burn_in=burn_in, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= sim_peak / 2
+
+    def test_synthetic_heavy_tail_diverges(self, spec, monkeypatch):
         rng = np.random.default_rng(0)
         sigma = np.abs(rng.standard_normal(200_000))
         S = np.ones((200_000, 3))
-        assert h0_from_arrays(sigma, S).diverged
+        monkeypatch.setattr(asymptotics, "_blocks", blocks_of(sigma, S))
+        assert limit_h0(spec, CASE1, path_length=200_000,
+                        burn_in=2000).diverged
 
-    def test_finite_average_is_plain_mean(self):
+    def test_finite_average_is_plain_mean(self, spec, monkeypatch):
         # a settled, non-diverging average: the matrix is the mean of
         # 4 S_t S_t^T / sigma_t^2 (the plain einsum as oracle)
         rng = np.random.default_rng(7)
         n = 100_000
         sigma = 1.0 + 0.5 * rng.random(n)
         S = rng.standard_normal((n, 3))
-        res = h0_from_arrays(sigma, S)
+        monkeypatch.setattr(asymptotics, "_blocks", blocks_of(sigma, S))
+        res = limit_h0(spec, CASE1, path_length=n, burn_in=2000)
         assert not res.diverged
         want = np.einsum("i,ij,ik->jk", 4.0 / sigma ** 2, S, S) / n
         assert np.max(np.abs(res.matrix - want)) <= 1e-13 * np.max(np.abs(want))
 
-    def test_exact_zero_sigma_diverges(self):
+    def test_exact_zero_sigma_diverges(self, spec, monkeypatch):
         sigma = np.ones(1000)
         sigma[500] = 0.0
-        assert h0_from_arrays(sigma, np.ones((1000, 3))).diverged
+        monkeypatch.setattr(asymptotics, "_blocks",
+                            blocks_of(sigma, np.ones((1000, 3))))
+        assert limit_h0(spec, CASE1, path_length=1000, burn_in=2000).diverged
 
 
 class TestPredictedRate:

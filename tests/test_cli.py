@@ -127,6 +127,15 @@ class TestExitCodes:
         assert run_cli("estimate", "--input", str(p)) == 2
         assert "2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("eps", ["nan", "inf"])
+    def test_asymcov_non_finite_epsilon(self, eps, tmp_path, capsys):
+        assert run_cli("asymcov", "--case", "1", "--eps", eps,
+                       "--path-length", "4000", "--burn-in", "2100",
+                       "--out", str(tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: epsilon") and err.count("\n") == 1
+        assert "Traceback" not in err
+
     def test_estimate_success(self, tmp_path, capsys):
         run_cli("simulate", "--case", "1", "--n", "400", "--burn-in", "100",
                 "--seed", "7", "--out", str(tmp_path))
@@ -295,6 +304,8 @@ def test_rejected_before_any_work(argv, tmp_path, series, capsys,
 
     for module in (cli, montecarlo, diagnostics, asymptotics):
         monkeypatch.setattr(module, "simulate", no_work)
+    # asymcov reads its path from the simulator's pieces
+    monkeypatch.setattr(asymptotics, "_pieces", no_work)
     out = tmp_path / "out"
     args = argv.format(out=out, input=series).split()
     assert run_cli(*args) == 1

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -89,7 +91,8 @@ class TestMinimizeBox:
                      fix={"c": 0.95})
 
     def test_fixed_values_must_lie_in_box(self, spec, space, case1_path):
-        for fix in ({"a": 50.0}, {"d": 0.6}, {"d": 0.4, "c": 0.5}):
+        for fix in ({"a": 50.0}, {"d": 0.6}, {"d": 0.4, "c": 0.5},
+                    {"c": math.nan}, {"d": 0.1, "c": math.nan}):
             with pytest.raises(ValidationError):
                 estimate(LSPEC, spec, case1_path.x_obs, space=space, fix=fix)
 

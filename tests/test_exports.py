@@ -54,6 +54,7 @@ lp.run_study(lp.case_study(1, n_values=(300,), replicates=4, trim=1,
                            burn_in=500), workers=1)
 lp.sandwich(spec, theta, 0.01, lp.gaussian_moments(4), path_length=3000,
             burn_in=2000)
+lp.limit_h0(spec, theta, path_length=3000, burn_in=2000)
 lp.normal_plot_data(np.arange(10.0))
 lp.check_moment_conditions(lp.CoeffSpec("farima", 2000),
                            lp.Theta(0.2, 0.3, 1.0), lp.gaussian_moments())
