@@ -111,9 +111,10 @@ def _block_sums(sig: np.ndarray, S: np.ndarray,
                 epsilon: float) -> np.ndarray:
     """Sums of w_t S_t S_t^T over one block for the weights
     4 sigma^6 / (sigma^2 + eps)^4 of G (without its factor E eps^4 - 1)
-    and 4 sigma^2 / (sigma^2 + eps)^2 of H; shape (2, 3, 3)."""
+    and 4 sigma^2 / (sigma^2 + eps)^2 of H, times k^4 and k^2 for
+    k = max(1, eps) so that no eps under- or overflows them; (2, 3, 3)."""
     s2 = sig ** 2
-    s2e = s2 + epsilon
+    s2e = (s2 + epsilon) / max(1.0, epsilon)
     wH = 4.0 * s2 / s2e ** 2
     wG = wH * (s2 / s2e) ** 2
     return np.stack([(S.T * wG) @ S, (S.T * wH) @ S])
@@ -121,8 +122,10 @@ def _block_sums(sig: np.ndarray, S: np.ndarray,
 
 def _path_config(spec: CoeffSpec, theta0: Theta, path_length: int,
                  burn_in: int, seed: int) -> SimConfig:
-    """The path of an ergodic average, with its burn-in (which must hold
-    the J lags of sigma) and theta0 checked before simulating."""
+    """The path of an ergodic average, with its length (2 at least), its
+    burn-in (J lags of sigma at least) and theta0 checked up front."""
+    if path_length < 2:
+        raise DomainError(f"path length {path_length} must be at least 2")
     if burn_in < spec.J:
         raise HistoryError(
             f"burn-in {burn_in} is shorter than the {spec.J} lags of sigma")
@@ -188,29 +191,34 @@ def sandwich(spec: CoeffSpec, theta0: Theta, epsilon: float,
     sums = np.array([_block_sums(sig, S, epsilon)
                      for sig, S in _blocks(spec, theta0, cfg)])
     sums[:, 0] *= mu4 - 1.0
-    G, H = sums.sum(axis=0) / path_length
+    # the sums hold k^4 G and k^2 H (see _block_sums): k cancels in every
+    # output but these and their errors, divided by k one step at a time
+    # as the float k^4 overflows for eps above 1e77
+    k = max(1.0, epsilon)
+    kG, kH = sums.sum(axis=0) / path_length
     means = sums / np.diff(_bounds(path_length))[:, None, None, None]
-    se_G, se_H = means.std(axis=0, ddof=1) / math.sqrt(len(means))
+    se_kG, se_kH = means.std(axis=0, ddof=1) / math.sqrt(len(means))
 
-    eigH = np.linalg.eigvalsh(H)
+    eigH = np.linalg.eigvalsh(kH)
     try:
-        np.linalg.cholesky(G)
-        np.linalg.cholesky(H)
+        np.linalg.cholesky(kG)
+        np.linalg.cholesky(kH)
     except np.linalg.LinAlgError:
         raise SingularityError(
-            f"G or H is not positive definite; H eigenvalues {eigH}, "
-            f"G eigenvalues {np.linalg.eigvalsh(G)}")
+            f"G or H is not positive definite; eigenvalues of k^2 H {eigH} "
+            f"and of k^4 G {np.linalg.eigvalsh(kG)}, k = max(1, eps)")
     cond = float(eigH[-1] / eigH[0]) if eigH[0] > 0 else math.inf
     if cond > 1e12:
         raise SingularityError(
             f"H is near-singular (condition number {cond:.3g}); "
-            f"eigenvalues {eigH}")
-    Hinv = np.linalg.inv(H)
-    cov = Hinv @ G @ Hinv
-    sd = np.sqrt(np.diag(G)) / np.diag(H)
+            f"eigenvalues of max(1, eps)^2 H {eigH}")
+    Hinv = np.linalg.inv(kH)
+    cov = Hinv @ kG @ Hinv
+    sd = np.sqrt(np.diag(kG)) / np.diag(kH)
     sd_joint = np.sqrt(np.diag(cov))
-    return SandwichResult(G=G, H=H, cov=cov, sd=sd, sd_joint=sd_joint,
-                          mc_samples=path_length, se_G=se_G, se_H=se_H,
+    return SandwichResult(G=kG / k / k / k / k, H=kH / k / k, cov=cov, sd=sd,
+                          sd_joint=sd_joint, mc_samples=path_length,
+                          se_G=se_kG / k / k / k / k, se_H=se_kH / k / k,
                           cond_H=cond)
 
 

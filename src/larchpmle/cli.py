@@ -220,7 +220,7 @@ _FLAGS = {
     "n": dict(type=_int_from(2), default=1000, help="sample size"),
     "burn-in": dict(type=_int_from(0), default=10_000,
                     help="pre-sample length"),
-    "trunc": dict(type=int, default=2000, help="lag truncation order J"),
+    "trunc": dict(type=_int_from(1), default=2000, help="truncation order J"),
     "seed": dict(type=_int_from(0), default=0, help="base seed"),
     "out": dict(default=".", help="output directory"),
     "case": dict(type=int, choices=(1, 2),
@@ -295,11 +295,11 @@ def _build_parser() -> _Parser:
     p = command("asymcov", _cmd_asymcov, "sandwich covariance by simulation",
                 "d", "c", "a", "eps", "burn-in", "trunc", "seed", "out",
                 "case")
-    p.add_argument("--path-length", type=_int_from(1), default=500_000)
+    p.add_argument("--path-length", type=_int_from(2), default=500_000)
 
     p = command("check-moments", _cmd_check_moments,
                 "moment-condition report", "d", "c", "a", "case", "family")
-    p.add_argument("--orders", type=_csv(int), default=(4, 5),
+    p.add_argument("--orders", type=_csv(_int_from(2)), default=(4, 5),
                    help="orders p for the higher-moment conditions")
 
     p = command("rates", _cmd_rates,
@@ -441,11 +441,15 @@ def _cmd_acf(args):
     if args.max_lag >= args.n:
         raise _UsageError(f"--max-lag {args.max_lag} must be below --n "
                           f"{args.n}")
+    lags = range(1, args.max_lag + 1)
+    if args.fit and sum(args.fit[0] <= k <= args.fit[1] for k in lags) < 5:
+        raise _UsageError(f"--fit {_fmt(args.fit)} holds fewer than the 5 "
+                          f"lags of 1..{args.max_lag} a fit needs")
     rho = acf(_simulated(args, args.d).x_obs, args.max_lag,
               on_squares=not args.raw)
     files = {"acf.csv": ("lag,acf", list(enumerate(rho)))}
     if args.fit is not None:
-        pairs = [(k, rho[k]) for k in range(1, args.max_lag + 1)]
+        pairs = [(k, rho[k]) for k in lags]
         fit = fit_decay(pairs, *args.fit)
         print(f"decay fit: slope={_fmt(fit.slope)} r2={_fmt(fit.r2)}")
         files["acf_decay.csv"] = (

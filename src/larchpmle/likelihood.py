@@ -16,11 +16,10 @@ time points are averaged:
 The analytic score and Hessian are exact derivatives of the loss in
 theta = (d, c, a).  Every variant convolves the J + w - 1 history values
 that reach its window of w points (for "bar" and "trunc" J = n - 1 and the
-history before t = 1 is zeros) by overlap-save, in segments of about 16 J
-points or one segment holding the whole series when that is shorter; the
-transforms of the data are cached so repeated evaluation on one path (as
-in estimation or landscape sweeps) costs one kernel transform per lag-sum
-row, and the kernel transforms of the last d are kept for the next
+history before t = 1 is zeros) in one transform of at least J + w - 1
+points; the transform of the data is cached so repeated evaluation on one
+path (as in estimation or landscape sweeps) costs one kernel transform per
+lag-sum row, and the kernel transforms of the last d are kept for the next
 evaluator of the same transform length.  A :class:`PathEvaluator` given a
 d-interval also tabulates the lag sums in Chebyshev form over that
 interval, so an evaluation inside it, score and Hessian included, costs a
@@ -35,7 +34,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 from numpy.polynomial.chebyshev import chebder
 
 from .coeffs import CoeffSpec, Theta, _scaled, _unit_rows
@@ -146,13 +144,12 @@ class PathEvaluator:
     Every variant sums J lags of a history: the sample's stored one for
     ``"full"``; for ``"bar"`` and ``"trunc"`` J = n - 1 lags of the
     observations preceded by n - 1 zeros, the unobserved past.  The J + w - 1
-    values that reach the window are transformed once, in the segments of
-    an overlap-save convolution of length L, about 16 J or the whole series
-    when that is shorter; each parameter point then costs one (value only)
-    to three (score/Hessian) kernel transforms and the inverse transforms of
-    the segments.  The kernel transforms of the last (family, d, J, L) are
-    kept (:func:`_kernel_spectra`), so evaluators of one transform length
-    on one d, such as the sandwich's blocks, transform the kernel once.
+    values that reach the window are transformed once, at the length
+    L = :func:`_fft_size` (J + w - 1); each parameter point then costs one
+    (value only) to three (score/Hessian) kernel transforms and as many
+    inverse ones.  The kernel transforms of the last (family, d, J, L) are
+    kept (:func:`_kernel_spectra`), so evaluators of one length on one d,
+    such as the sandwich's blocks, transform the kernel once.
     Both families support the score and the Hessian: the rows convolved
     are :func:`larchpmle.coeffs._unit_rows`, combined into the weights'
     d-derivatives by :func:`larchpmle.coeffs._scaled`.
@@ -225,17 +222,8 @@ class PathEvaluator:
         # to the last point's first lag reach the window
         series = history[start: start + self.J + self.w - 1]
         self.xw = x_obs[self.t_first - 1: self.t_last]
-        # overlap-save: segment s is series[s P : s P + L] and keeps its
-        # outputs J - 1 .. L - 1, the ones its circular convolution gets
-        # right (P = L - J + 1 of them).  Transforms of about 16 J points
-        # cost a third of a whole-series transform per point; a series
-        # shorter than that is one segment.
-        self._seg_len = _fft_size(min(len(series), 16 * self.J))
-        hop = self._seg_len - self.J + 1
-        padded = np.zeros(-(-self.w // hop) * hop + self.J - 1)
-        padded[:len(series)] = series
-        self._seg_spectra = np.fft.rfft(
-            sliding_window_view(padded, self._seg_len)[::hop])
+        self._nfft = _fft_size(len(series))
+        self._spectrum = np.fft.rfft(series, self._nfft)
 
         self.d_range = None
         if d_range is not None:
@@ -250,7 +238,7 @@ class PathEvaluator:
             values = np.empty((K, self.w))
             for k, d in enumerate(mid + half * np.cos(_CHEB_ANGLES)):
                 values[k] = self._convolve(_kernel_spectra(
-                    spec.family, d, self.J, 0, self._seg_len)[0])
+                    spec.family, d, self.J, 0, self._nfft)[0])
             # coefficient m = (2/K) sum_k values_k cos(m angle_k), the
             # constant term halved
             self._cheb = (2.0 / K) * (_CHEB_COS @ values)
@@ -273,13 +261,12 @@ class PathEvaluator:
 
     def _convolve(self, kernel_spectrum: np.ndarray) -> np.ndarray:
         """Window slice of sum_{j} kernel_j x_{t-j} for t in the window,
-        given the kernel's length-L transform: outputs J - 1 .. L - 1 of
-        each segment, in segment order."""
+        given the kernel's length-L transform: outputs J - 1 .. J + w - 2
+        of the circular convolution, free of wrap-around as L >= J + w - 1."""
         # the kernel spectrum is a cached array, not a temporary, so numpy
         # never writes this product into it and the operand order is fixed
-        conv = np.fft.irfft(self._seg_spectra * kernel_spectrum,
-                            self._seg_len)
-        return conv[:, self.J - 1:].ravel()[:self.w]
+        conv = np.fft.irfft(self._spectrum * kernel_spectrum, self._nfft)
+        return conv[self.J - 1: self.J - 1 + self.w]
 
     def lag_sums(self, theta: Theta, derivatives: int):
         """Window lag sums (v0, v1, v2) of the data against the unit-scale
@@ -294,15 +281,14 @@ class PathEvaluator:
             rows = self._interpolate(d, derivatives)
         else:
             spectra = _kernel_spectra(family, d, self.J, derivatives,
-                                      self._seg_len)
+                                      self._nfft)
             rows = np.empty((derivatives + 1, self.w))
             for k in range(derivatives + 1):
                 rows[k] = self._convolve(spectra[k])
         return tuple(_scaled(family, d, rows)) + (None,) * (2 - derivatives)
 
-    def __call__(self, theta: Theta, epsilon: float | None = None,
-                 derivatives: int = 2) -> LossEval:
-        return self.evaluate(theta, self.lag_sums(theta, derivatives), epsilon)
+    def __call__(self, theta: Theta, derivatives: int = 2) -> LossEval:
+        return self.evaluate(theta, self.lag_sums(theta, derivatives))
 
     def values(self, v0: np.ndarray, c, a, epsilon: float | None = None
                ) -> np.ndarray:

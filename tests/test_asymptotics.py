@@ -81,6 +81,18 @@ class TestSandwich:
         with pytest.raises(HistoryError):
             limit_h0(spec, CASE1, path_length=5000, burn_in=spec.J - 1)
 
+    def test_short_path_fails_before_simulating(self, spec, nm,
+                                                monkeypatch):
+        def no_simulate(*args, **kwargs):
+            raise AssertionError("simulated a path too short for lag sums")
+
+        monkeypatch.setattr(asymptotics, "_pieces", no_simulate)
+        for n in (1, 0):
+            with pytest.raises(DomainError):
+                sandwich(spec, CASE1, 0.01, nm, path_length=n, burn_in=2100)
+            with pytest.raises(DomainError):
+                limit_h0(spec, CASE1, path_length=n, burn_in=2100)
+
     @pytest.mark.parametrize("family", ["power", "farima"])
     def test_blocks_match_whole_path_formula(self, family, nm):
         # sigma and its gradient are formed block by block; the sums
@@ -139,6 +151,27 @@ class TestSandwich:
         for eps in (0.0, -1.0, math.nan, math.inf):
             with pytest.raises(DomainError):
                 sandwich(spec, CASE1, eps, nm, path_length=5000)
+
+    def test_sd_holds_for_any_finite_epsilon(self, spec, nm):
+        # G and H are summed times max(1, eps)^4 and ^2, so sd and
+        # sd_joint hold where G itself underflows (eps above about 1e77),
+        # and no weight overflows (RuntimeWarnings are errors here)
+        ref = sandwich(spec, CASE1, 1e40, nm, path_length=4000,
+                       burn_in=2100)
+        for eps in (1e80, 1e100, 1e160, 1e300):
+            res = sandwich(spec, CASE1, eps, nm, path_length=4000,
+                           burn_in=2100)
+            for got, want in ((res.sd, ref.sd),
+                              (res.sd_joint, ref.sd_joint)):
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+        # G and H keep their own scale: eps^4 G and eps^2 H settle as eps
+        # grows, errors included
+        res = sandwich(spec, CASE1, 1e60, nm, path_length=4000,
+                       burn_in=2100)
+        for name, p in (("G", 4), ("se_G", 4), ("H", 2), ("se_H", 2)):
+            np.testing.assert_allclose(getattr(res, name) * 1e60 ** p,
+                                       getattr(ref, name) * 1e40 ** p,
+                                       rtol=1e-12, atol=0.0)
 
     def test_kurtosis_scaling_of_G(self, spec, nm):
         # G carries the (E eps^4 - 1) factor; H does not

@@ -275,6 +275,9 @@ REJECTED = [
     "simulate --n , --out {out}",
     "simulate --case 1 --conf x --out {out}",
     "simulate --n -5 --out {out}",
+    "simulate --trunc 0 --out {out}",
+    "acf --trunc -1 --out {out}",
+    "landscape --trunc 0 --out {out}",
     "estimate --input {input} --variant bar --beta 0.3 --out {out}",
     "estimate --input {input} --trunc 50 --out {out}",
     "landscape --beta 0 --out {out}",
@@ -287,8 +290,15 @@ REJECTED = [
     "acf --fit 2 --out {out}",
     "acf --max-lag -1 --out {out}",
     "acf --n 500 --max-lag 500 --out {out}",
+    "acf --fit 9,3 --out {out}",                             # empty range
+    "acf --fit 1,3 --out {out}",                             # 3 lags
+    "acf --max-lag 4 --fit 1,50 --out {out}",                # 4 lags
     "asymcov --burn-in 100 --out {out}",                     # below --trunc
+    "asymcov --path-length 1 --out {out}",
+    "asymcov --trunc 0 --burn-in 0 --out {out}",
     "check-moments --orders 4,x",
+    "check-moments --orders 1",
+    "check-moments --orders 4,1",
     "rates --n 300 --replicates 2 --out {out}",             # no --case, --beta
     "rates --case 1 --beta 1.5 --out {out}",
     "rates --case 1 --replicates -1 --out {out}",

@@ -330,7 +330,9 @@ class TestLandscape:
         rows = landscape(lspec, spec, 0.1, 1.0, case1_path.x_obs, grid,
                          eps_list)
         ev = PathEvaluator(lspec, spec, case1_path.x_obs)
-        assert rows == [(e, d, ev(Theta(d, 0.1, 1.0), e, 0).value)
+        th = {d: Theta(d, 0.1, 1.0) for d in grid}
+        assert rows == [(e, d, ev.evaluate(th[d], ev.lag_sums(th[d], 0),
+                                           e).value)
                         for e in eps_list for d in grid]
 
     def test_empty_grid_rejected(self, spec, case1_path):
@@ -375,8 +377,7 @@ def table_paths(table_samples):
 def full_size_fft_sums(lspec, spec, sample, d, order=0):
     """Window lag sums of order 0, 1 or 2 in d by one convolution of the
     whole stored series at a power-of-two length that holds it all: the
-    oracle for the evaluator's window-sized and segmented transforms and
-    its table."""
+    oracle for the evaluator's window-sized transforms and its table."""
     full = lspec.variant == "full"
     x = sample.x if full else sample.x_obs
     J = sample.config.J if full else sample.n - 1
@@ -391,23 +392,17 @@ def full_size_fft_sums(lspec, spec, sample, d, order=0):
     return np.where(idx >= 0, conv[np.maximum(idx, 0)], 0.0)
 
 
-def _segments(ev):
-    """Number of segments the evaluator transforms its series in."""
-    return len(ev._seg_spectra)
-
-
-# a "full" path of length k P + extra, with P = L - J + 1 the outputs a
-# segment of length L = _fft_size(16 J) keeps: one segment, a second segment
-# holding one point, two segments ending on a segment boundary, and many
-# segments ending on a boundary and one point past it; then the table paths,
-# whose "bar", "trunc" and short "full" series are one segment each
-SEGMENT_CASES = [
-    pytest.param("full", J, k * (_fft_size(16 * J) - J + 1) + extra, segments,
-                 id=f"{J}-{k}-{extra}-{segments}")
-    for J, k, extra, segments in [
-        (50, 1, 0, 1), (50, 1, 1, 2), (50, 2, 0, 2), (50, 12, 0, 12),
-        (50, 12, 1, 13), (2000, 2, 0, 2), (2000, 2, 1, 3)]] + [
-    pytest.param(variant, None, n, 1, id=f"{variant}-{n}")
+# "full" paths of length k P + extra, P = _fft_size(16 J) - J + 1, that
+# span k stretches of P points, or k + 1 with extra = 1 (the last id field):
+# the windows that overlap-save once split into segments of about 16 J
+# points.  The table paths' windows are shorter than that.
+LONG_CASES = [
+    pytest.param("full", J, k * (_fft_size(16 * J) - J + 1) + extra,
+                 id=f"{J}-{k}-{extra}-{k + extra}")
+    for J, k, extra in [(50, 1, 0), (50, 1, 1), (50, 2, 0), (50, 12, 0),
+                        (50, 12, 1), (2000, 2, 0), (2000, 2, 1)]]
+TABLE_CASES = [
+    pytest.param(variant, None, n, id=f"{variant}-{n}")
     for variant, n in [("bar", 1000), ("bar", 10_000), ("bar", 100_000),
                        ("trunc", 10_000), ("trunc", 100_000),
                        ("full", 1000), ("full", 10_000)]]
@@ -422,30 +417,75 @@ def _zero_past(sample):
                       for name in ("x", "sigma", "eps")})
 
 
-class TestSegmentedTransform:
-    """Lag sums by overlap-save transforms of about 16 J points, or of one
-    segment holding the whole series when that is shorter."""
+def _case(family, variant, J, n, table_samples):
+    """(loss spec, coefficient spec, sample) of a LONG_CASES or TABLE_CASES
+    entry: a table path, or a "full" path with J lags of burn-in."""
+    spec = CoeffSpec(family, 2000)
+    if J is None:
+        sample = table_samples[n]
+    else:
+        sample = simulate(spec, CASE1, SimConfig(
+            n=n, burn_in=J, J=J, seed=derive_seed(n, J)))
+    lspec = (LossSpec("trunc", 0.01, beta=CASE1_BETA)
+             if variant == "trunc" else LossSpec(variant, 0.01))
+    return lspec, spec, sample
 
-    @pytest.mark.parametrize("variant, J, n, segments", SEGMENT_CASES)
+
+class TestSegmentedTransform:
+    """Lag sums of each window by one transform of the J + w - 1 values
+    that reach it, long windows included (the class is named for the
+    overlap-save segments these once took)."""
+
+    @pytest.mark.parametrize("variant, J, n", LONG_CASES + TABLE_CASES)
     @pytest.mark.parametrize("family", ["power", "farima"])
     def test_full_rows_match_full_size_fft(self, family, variant, J, n,
-                                           segments, table_samples):
-        spec = CoeffSpec(family, 2000)
-        if J is None:
-            sample = table_samples[n]
-        else:
-            sample = simulate(spec, CASE1, SimConfig(
-                n=n, burn_in=J, J=J, seed=derive_seed(n, J)))
-        lspec = (LossSpec("trunc", 0.01, beta=CASE1_BETA)
-                 if variant == "trunc" else LossSpec(variant, 0.01))
+                                           table_samples):
+        lspec, spec, sample = _case(family, variant, J, n, table_samples)
         ev = PathEvaluator(lspec, spec,
                            sample if variant == "full" else sample.x_obs)
-        assert _segments(ev) == segments
         for d in (0.05, 0.25, 0.45):
             rows = ev.lag_sums(Theta(d, 0.2, 1.0), 2)
             for order, got in enumerate(rows):
                 ref = full_size_fft_sums(lspec, spec, sample, d, order)
                 assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    # the table paths, a sandwich block (J = 2000, w = 15625 after J lags
+    # of burn-in) and the J = 50 window of LONG_CASES that spans 13
+    # stretches
+    @pytest.mark.parametrize("variant, J, n", TABLE_CASES + [
+        pytest.param("full", 2000, 15_625, id="block-2000-15625"),
+        LONG_CASES[-3]])
+    @pytest.mark.parametrize("family", ["power", "farima"])
+    def test_one_transform_rows_unchanged(self, family, variant, J, n,
+                                          table_samples):
+        # the rows are those of the written-out formula, bit for bit
+        lspec, spec, sample = _case(family, variant, J, n, table_samples)
+        if variant == "full":
+            ev = PathEvaluator(lspec, spec, sample)
+            J, t_first = sample.config.J, 1
+            history, first = sample.x, sample.first_retained
+        else:
+            ev = PathEvaluator(lspec, spec, sample.x_obs)
+            J = n - 1
+            t_first = n - m_of_n(n, CASE1_BETA) if variant == "trunc" else 1
+            history, first = np.concatenate([np.zeros(J), sample.x_obs]), J
+        w = n - t_first + 1
+        start = first + t_first - 1 - J
+        nfft = _fft_size(J + w - 1)
+        # both spectra are held in names, as the evaluator holds them:
+        # numpy may compute a product into a temporary operand, and so
+        # with the operands swapped, which can round differently
+        spectrum = np.fft.rfft(history[start: start + J + w - 1], nfft)
+        for d in (0.0, 0.1, 0.3):
+            rows = []
+            for kernel in _unit_rows(family, d, J, 2):
+                kernel_spectrum = np.fft.rfft(kernel, nfft)
+                conv = np.fft.irfft(spectrum * kernel_spectrum, nfft)
+                rows.append(conv[J - 1: J - 1 + w])
+            want = _scaled(family, d, np.array(rows))
+            got = ev.lag_sums(Theta(d, 0.2, 1.0), 2)
+            for k in range(3):
+                assert np.array_equal(got[k], want[k])
 
     @pytest.mark.parametrize("variant", ["bar", "trunc"])
     @pytest.mark.parametrize("family", ["power", "farima"])
@@ -477,7 +517,7 @@ class TestKernelSpectra:
         lspec = LossSpec("full", 0.0)
         first = PathEvaluator(lspec, spec, s, window=(1, 2000))
         second = PathEvaluator(lspec, spec, s, window=(2001, 4000))
-        assert first._seg_len == second._seg_len
+        assert first._nfft == second._nfft
         first.lag_sums(CASE1, 2)
         hits = _kernel_spectra.cache_info().hits
         rows = second.lag_sums(CASE1, 2)
@@ -487,7 +527,7 @@ class TestKernelSpectra:
             assert np.array_equal(got, want)
         assert _kernel_spectra.cache_info().hits == 0
         spectra = _kernel_spectra(spec.family, CASE1.d, second.J, 2,
-                                  second._seg_len)
+                                  second._nfft)
         assert not spectra.flags.writeable
         with pytest.raises(ValueError):
             spectra[0, 0] = 0.0
@@ -553,7 +593,7 @@ class TestChebyshevTable:
         for d in (0.0, 0.1, 0.3):
             for order in (1, 2):
                 rows = np.array([
-                    fft._convolve(np.fft.rfft(kernel, fft._seg_len))
+                    fft._convolve(np.fft.rfft(kernel, fft._nfft))
                     for kernel in _unit_rows(family, d, fft.J, order)])
                 want = _scaled(family, d, rows)
                 got = fft.lag_sums(Theta(d, 0.2, 1.0), order)
