@@ -141,31 +141,13 @@ def _bounds(n: int) -> np.ndarray:
 def _blocks(spec: CoeffSpec, theta0: Theta, cfg: SimConfig):
     """(sigma, S) of :func:`sigma_and_gradient` for each block of
     :func:`_bounds` of the path of ``cfg`` (from :func:`_path_config`),
-    streamed in the simulator's pieces into one array of J + (largest
-    block) points, so no array as long as the path exists."""
-    J, widths = cfg.J, np.diff(_bounds(cfg.n))
-    # (x, sigma, eps) of a block's points after their J lags: column i is
-    # step h0 + i of the path; two points at least, as the lag sums need
-    m = min(cfg.n, max(2, int(widths.max())))
-    hist = np.zeros((3, J + m))
-    block = Sample(*hist, config=replace(cfg, n=m, burn_in=J), theta=theta0,
-                   spec=spec, first_retained=J)
-    b, h0, start = 0, cfg.burn_in - J, 0
-    for piece in _pieces(spec, theta0, cfg):
-        while b < len(widths):
-            end = h0 + J + widths[b]
-            lo, hi = max(start, h0), min(start + len(piece[0]), end)
-            if lo < hi:
-                for dst, src in zip(hist, piece):
-                    dst[lo - h0:hi - h0] = src[lo - start:hi - start]
-            if hi < end:
-                break
-            yield sigma_and_gradient(spec, theta0, block,
-                                     window=(1, widths[b]))
-            # the block's last J points are the next block's lags
-            hist[:, :J] = hist[:, widths[b]:widths[b] + J]
-            h0, b = h0 + widths[b], b + 1
-        start += len(piece[0])
+    each one piece of the simulator with its J lags, so no array as long
+    as the path exists."""
+    J = cfg.J
+    for piece in _pieces(spec, theta0, cfg, cfg.burn_in + _bounds(cfg.n)):
+        block = replace(cfg, n=len(piece[0]) - J, burn_in=J)
+        yield sigma_and_gradient(spec, theta0, Sample(
+            *piece, config=block, theta=theta0, spec=spec, first_retained=J))
 
 
 def sandwich(spec: CoeffSpec, theta0: Theta, epsilon: float,

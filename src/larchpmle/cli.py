@@ -6,7 +6,8 @@ the command line's own, so argparse types and checks them and explicit
 flags win.  ``--case 1|2`` then fills each of ``--d --c --a --eps --beta``
 left unset from :func:`~larchpmle.montecarlo.case_study`.  Malformed or
 out-of-range values and conflicting flags are usage errors, raised before
-any work.
+any work, and so is an ``--out`` that is, or lies under, a file other than
+a directory.
 
 A command returns the tables it computed and :func:`_write` emits them
 all: into ``--out``, each CSV starts with a ``#`` comment recording the
@@ -16,7 +17,8 @@ printed with 17 significant digits so files round-trip losslessly.
 ``check-moments``, and ``rates`` without ``--replicates``, only print and
 write no file.
 
-Exit codes: 0 success, 1 usage error, 2 numeric/domain/data error.
+Exit codes: 0 success, 1 usage error, 2 numeric/domain/data error (a
+file that cannot be read or written included).
 """
 
 import argparse
@@ -79,41 +81,49 @@ def load_series(path) -> np.ndarray:
     unparseable entries raise :class:`DataError` with the row location.
     """
     path = Path(path)
-    if not path.exists():
-        raise DataError(f"input file {path} does not exist")
     rows = []
     x_col = None
     header_seen = False
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            fields = [f.strip() for f in line.split(",")]
-            if not header_seen and any(
-                    not _is_number(f) for f in fields if f != ""):
-                if "x" not in fields:
-                    raise DataError(
-                        f"{path}:{lineno}: header has no 'x' column")
-                x_col = fields.index("x")
-                header_seen = True
-                continue
+    for lineno, line in enumerate(_read_lines(path, "input file"), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        fields = [f.strip() for f in line.split(",")]
+        if not header_seen and any(
+                not _is_number(f) for f in fields if f != ""):
+            if "x" not in fields:
+                raise DataError(f"{path}:{lineno}: header has no 'x' column")
+            x_col = fields.index("x")
             header_seen = True
-            col = x_col if x_col is not None else 0
-            if col >= len(fields):
-                raise DataError(f"{path}:{lineno}: missing column {col + 1}")
-            try:
-                v = float(fields[col])
-            except ValueError:
-                raise DataError(
-                    f"{path}:{lineno}: column {col + 1} is not numeric: "
-                    f"{fields[col]!r}")
-            if not math.isfinite(v):
-                raise DataError(f"{path}:{lineno}: non-finite value")
-            rows.append(v)
+            continue
+        header_seen = True
+        col = x_col if x_col is not None else 0
+        if col >= len(fields):
+            raise DataError(f"{path}:{lineno}: missing column {col + 1}")
+        try:
+            v = float(fields[col])
+        except ValueError:
+            raise DataError(
+                f"{path}:{lineno}: column {col + 1} is not numeric: "
+                f"{fields[col]!r}")
+        if not math.isfinite(v):
+            raise DataError(f"{path}:{lineno}: non-finite value")
+        rows.append(v)
     if not rows:
         raise DataError(f"{path}: no data rows found")
     return np.array(rows)
+
+
+def _read_lines(path: Path, what: str) -> list:
+    """The lines of the text file ``path``; a file that is missing or
+    cannot be read as text raises :class:`DataError` naming it as
+    ``what``."""
+    if not path.exists():
+        raise DataError(f"{what} {path} does not exist")
+    try:
+        return path.read_text().splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"cannot read {what} {path}: {exc}") from None
 
 
 def _is_number(s: str) -> bool:
@@ -135,20 +145,17 @@ def _with_config(argv: list) -> list:
     if known.config is None:
         return rest
     path = Path(known.config)
-    if not path.exists():
-        raise DataError(f"config file {path} does not exist")
     flags = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            key, sep, value = (part.strip() for part in line.partition("="))
-            key = key.replace("_", "-")
-            if key in ("", "config"):
-                raise _UsageError(f"{path}:{lineno}: expected 'key = value' "
-                                  f"with a key other than config")
-            flags.append(f"--{key}={value}" if sep else f"--{key}")
+    for lineno, line in enumerate(_read_lines(path, "config file"), start=1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        key, sep, value = (part.strip() for part in line.partition("="))
+        key = key.replace("_", "-")
+        if key in ("", "config"):
+            raise _UsageError(f"{path}:{lineno}: expected 'key = value' "
+                              f"with a key other than config")
+        flags.append(f"--{key}={value}" if sep else f"--{key}")
     return rest[:1] + flags + rest[1:]
 
 
@@ -324,6 +331,15 @@ def _apply_preset(args) -> None:
             setattr(args, flag, value)
 
 
+def _check_out(args) -> None:
+    """Reject an ``--out`` that is, or lies under, an existing file other
+    than a directory, before any work."""
+    path = Path(getattr(args, "out", None) or ".")
+    nearest = next((p for p in (path, *path.parents) if p.exists()), None)
+    if nearest is not None and not nearest.is_dir():
+        raise _UsageError(f"--out {path}: {nearest} is not a directory")
+
+
 def _write(args, files: dict, extra: dict) -> None:
     """Write each CSV of ``files``, name: (header, rows[, trailer line]),
     and the ``<command>_meta.txt`` sidecar into ``--out``.  Both record
@@ -334,18 +350,21 @@ def _write(args, files: dict, extra: dict) -> None:
     resolved |= extra
     comment = " ".join(f"{k}={_fmt(v)}" for k, v in sorted(resolved.items()))
     outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    for name, (header, rows, *trailer) in files.items():
-        with open(outdir / name, "w") as fh:
-            fh.write(f"# {comment}\n{header}\n")
-            for row in rows:
-                fh.write(",".join(_fmt(v) for v in row) + "\n")
-            for line in trailer:
-                fh.write(f"# {line}\n")
     meta = f"{args.command}_meta.txt"
-    with open(outdir / meta, "w") as fh:
-        for k in sorted(resolved):
-            fh.write(f"{k} = {_fmt(resolved[k])}\n")
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+        for name, (header, rows, *trailer) in files.items():
+            with open(outdir / name, "w") as fh:
+                fh.write(f"# {comment}\n{header}\n")
+                for row in rows:
+                    fh.write(",".join(_fmt(v) for v in row) + "\n")
+                for line in trailer:
+                    fh.write(f"# {line}\n")
+        with open(outdir / meta, "w") as fh:
+            for k in sorted(resolved):
+                fh.write(f"{k} = {_fmt(resolved[k])}\n")
+    except OSError as exc:
+        raise DataError(f"cannot write to {outdir}: {exc}") from None
     print(f"wrote {', '.join([*files, meta])} to {outdir}")
 
 
@@ -516,6 +535,7 @@ def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(_with_config(argv))
         _apply_preset(args)
+        _check_out(args)
         output = args.run(args)
         if output is not None:
             _write(args, *output)

@@ -187,8 +187,9 @@ class PathEvaluator:
             if lspec.variant == "full":
                 raise DomainError("full variant requires a Sample with history")
         n = len(x_obs)
-        if n < 2:
-            raise WindowError("need at least two observations")
+        # "bar" and "trunc" sum J = n - 1 >= 1 lags of the observations
+        if n < (1 if lspec.variant == "full" else 2):
+            raise WindowError(f"too few observations: {n}")
         self.n = n
 
         if window is not None:

@@ -240,6 +240,10 @@ def _run_replicate(cfg: StudyConfig, n: int, r: int) -> ReplicateRow:
                         evals=res.evaluations, sim_s=t1 - t0, fit_s=t2 - t1)
 
 
+# replicates a worker process takes from the pool at a time
+_CHUNKSIZE = 8
+
+
 def _task(args):
     return _run_replicate(*args)
 
@@ -250,12 +254,18 @@ def run_study(cfg: StudyConfig, workers: int = 1) -> McReport:
     Replicate r always uses the seed derived from (base_seed, r), so the
     report is identical whether replicates run serially or on any number
     of workers; rows are emitted in (n, replicate) order either way.
+    Workers take the replicates in chunks of ``_CHUNKSIZE``, and a pool
+    starts all its processes at once, so no more workers start than there
+    are chunks; a study of one chunk runs serially.
     """
+    if workers < 1:
+        raise DomainError(f"workers {workers} must be >= 1")
     tasks = [(cfg, n, r) for n in cfg.n_values for r in range(cfg.replicates)]
+    workers = min(workers, -(-len(tasks) // _CHUNKSIZE))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_task, tasks, chunksize=8))
+            rows = list(pool.map(_task, tasks, chunksize=_CHUNKSIZE))
     else:
         rows = [_task(t) for t in tasks]
     rows.sort(key=lambda row: (row.n, row.replicate))

@@ -10,11 +10,10 @@ block and one product with the inverse of the block's triangular system
 for those inside it.  Those inverses depend on the innovations alone and
 are built for a chunk of blocks at once, each from the inverses of its
 two half-blocks, which share one Toeplitz system.  The path comes in
-pieces of reused work arrays (:func:`_pieces`): ``simulate`` keeps the
-whole path as one piece, while an ergodic average can stream a long path
-in pieces of ``_PIECE`` steps and keep only the J lags between them.  The
-tests keep the step-by-step recursion and the chain expansion of the
-stationary solution as its oracles.
+pieces of reused work arrays cut where the caller asks (:func:`_pieces`):
+the whole path for ``simulate``, one averaging block after its J lags for
+an ergodic average.  The tests keep the step-by-step recursion and the
+chain expansion of the stationary solution as its oracles.
 """
 
 import math
@@ -35,8 +34,8 @@ _BLOCK = 32
 # 64 x 32 x 32 doubles (512 KiB), and their 128 half-block inverses with
 # the eps-scaled copy as much again (1 MiB in all)
 _CHUNK = 64
-# steps per piece of a path streamed by _pieces, a multiple of the steps
-# of one chunk, so that pieces split the path's chunks nowhere
+# least steps per piece of the unyielded start of a path streamed by
+# _pieces: eight chunks
 _PIECE = 8 * _CHUNK * _BLOCK
 
 
@@ -209,39 +208,41 @@ def _checked(spec: CoeffSpec, theta0: Theta, cfg: SimConfig,
     return cfg if cfg.J is not None else replace(cfg, J=spec.J)
 
 
-def _pieces(spec: CoeffSpec, theta0: Theta, cfg: SimConfig,
-            piece: int = _PIECE):
-    """The path of ``cfg`` (from :func:`_checked`), burn-in included, in
-    pieces of ``piece`` steps (the last may be shorter), each an (x, sigma,
-    eps) triple of views of work arrays that the next piece overwrites.
+def _pieces(spec: CoeffSpec, theta0: Theta, cfg: SimConfig, ends):
+    """The path of ``cfg`` (from :func:`_checked`) cut at the increasing
+    steps ``ends``, the last burn_in + n: per stretch between consecutive
+    ends an (x, sigma, eps) triple of views of work arrays that the next
+    piece overwrites, each the J steps before the stretch (zeros for the
+    empty past) and the stretch.  Steps before ends[0] run unyielded, in
+    pieces of max(longest yielded piece, ``_PIECE``) steps.
 
     Drawn piece by piece from one generator, the innovations equal one
-    draw for the whole path.  x is stored after J values: zeros for the
-    empty past, then the last J values of the previous piece.  The chunk
-    work arrays have K = min(_CHUNK, blocks of the path) rows for the whole
-    path, so pieces of a multiple of K blocks give the bits of one piece.
-    Steps in errors count from the path's start.
+    draw for the whole path.  Each piece starts its blocks afresh and the
+    chunk work arrays have K = min(_CHUNK, blocks of the path) rows, so
+    cuts on multiples of K blocks give the bits of one piece and others
+    agree with it to rounding.  Steps in errors count from the path's start.
     """
     J, B, a = cfg.J, _BLOCK, theta0.a
-    total = cfg.burn_in + cfg.n
+    step = max(np.diff(ends).max(), _PIECE)
+    cuts = [*range(0, ends[0], step), *ends]
     b = coeff_weights(spec, theta0, J)
     b_rev = b[::-1].copy()
     b_in = np.zeros(B)
     b_in[1:min(J, B - 1) + 1] = b[:B - 1]
     i = np.arange(B)
     L = np.tril(b_in[np.abs(i[:, None] - i[None, :])], -1)
-    piece = min(piece, total)
-    padded = -(-piece // B) * B
-    buf, sig, eps = np.zeros(J + padded), np.empty(padded), np.empty(piece)
-    K = min(_CHUNK, -(-total // B))
+    padded = -(-max(np.diff(cuts)) // B) * B
+    # rows x, sigma and eps, each after the J steps before the piece
+    buf, sig, eps = path = np.zeros((3, J + padded))
+    K = min(_CHUNK, -(-cuts[-1] // B))
     work = (np.zeros((B, K, B)), np.empty((K, B)),
             np.zeros((2, B // 2, 2 * K, B // 2)))
     work[2][0, 0, :, 0] = 1.0
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
-    for start in range(0, total, piece):
-        m = min(piece, total - start)
+    for start, end in zip(cuts[:-1], cuts[1:]):
+        m, t = end - start, 0
         mb = -(-m // B) * B
-        x, e, t = buf[J:J + m], eps[:m], 0
+        x, s, e = buf[J:J + m], sig[J:J + mb], eps[J:J + m]
         if isinstance(cfg.noise, str):
             rng.standard_normal(out=e)
         else:
@@ -250,7 +251,7 @@ def _pieces(spec: CoeffSpec, theta0: Theta, cfg: SimConfig,
                     rng.integers(0, len(cfg.noise), m), out=e, mode="clip")
         with np.errstate(over="ignore", invalid="ignore"):
             while t < m:
-                _advance(buf[:J + mb], sig[:mb], e, b_rev, L, a, t, work)
+                _advance(buf[:J + mb], s, e, b_rev, L, a, t, work)
                 # min and max show nan and inf without a piece of flags
                 if math.isfinite(x[t:].min()) and math.isfinite(x[t:].max()):
                     break
@@ -259,17 +260,18 @@ def _pieces(spec: CoeffSpec, theta0: Theta, cfg: SimConfig,
                 t0 = t + int(np.argmin(np.isfinite(x[t:])))
                 t0 -= t0 % B
                 t = t0 + B
-                bad = _replay(buf, sig, e, b_rev, a, t0, min(t, m))
+                bad = _replay(buf, s, e, b_rev, a, t0, min(t, m))
                 if bad is not None:
                     raise NumericError(
                         f"path is non-finite from step t = "
-                        f"{start + bad + 1} of {total} (burn-in included)")
+                        f"{start + bad + 1} of {cuts[-1]} (burn-in included)")
                 # the block's inverse alone was not finite: redo the
                 # blocks after it
                 buf[J + t:] = 0.0
-        yield x, sig[:m], e
-        # the last J values of the path are the next piece's lags
-        buf[:J] = buf[m:m + J]
+        if start >= ends[0]:
+            yield path[:, :J + m]
+        # the last J steps of the piece are the next piece's lags
+        path[:, :J] = path[:, m:m + J]
         buf[J:] = 0.0
 
 
@@ -299,10 +301,11 @@ def simulate(spec: CoeffSpec, theta0: Theta, cfg: SimConfig,
     Results agree with the step-by-step recursion to rounding (the sums
     run in another order).  A block that is not finite is replayed step
     by step, which keeps its values if they are finite and otherwise
-    locates the first non-finite step.  The sample's arrays are those of
-    the one piece of :func:`_pieces` that holds the whole path.
+    locates the first non-finite step.  The sample's arrays are the one
+    piece of :func:`_pieces`, the whole path, after its J zeros.
     """
     cfg = _checked(spec, theta0, cfg, space)
-    x, sig, eps = next(_pieces(spec, theta0, cfg, cfg.burn_in + cfg.n))
+    path = next(_pieces(spec, theta0, cfg, [0, cfg.burn_in + cfg.n]))
+    x, sig, eps = path[:, cfg.J:]
     return Sample(x=x, sigma=sig, eps=eps, config=cfg, theta=theta0,
                   spec=spec, first_retained=cfg.burn_in)

@@ -257,14 +257,16 @@ def blocks_of(sigma, S):
 
 # (family, J, theta, path length, burn-in): where the monitor settles and
 # where it does not, at and around the path lengths where the blocks are
-# single points, and with more than one piece of the streamed path
+# single points, with lags reaching back across many blocks, and with
+# blocks of one or two points after a burn-in of many unyielded pieces
 H0_PATHS = ([("power", 2000, CASE1, n, 2000)
              for n in (2, 3, 20, 31, 32, 33, 40, 63, 40_001, 200_000)]
             + [("power", 2000, CASE2, 40_001, 2000),
                ("farima", 2000, Theta(0.2, 0.3, 1.0), 40_001, 2000),
                ("power", 2000, Theta(0.1, 0.0, 1.3), 40_001, 2000),
                ("power", 20_000, CASE1, 40_001, 20_000),
-               ("power", 40, CASE1, 40_001, 40)])
+               ("power", 40, CASE1, 40_001, 40),
+               ("power", 40, CASE1, 40, 200_000)])
 
 
 class TestLimitH0:

@@ -136,6 +136,35 @@ class TestExitCodes:
         assert err.startswith("error: epsilon") and err.count("\n") == 1
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("flag, make", [
+        ("--input", "directory"), ("--input", "bytes"),
+        ("--config", "directory")])
+    def test_unreadable_file(self, flag, make, tmp_path, capsys):
+        path = tmp_path / "in"
+        if make == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(b"\xff\xfe\x00\x01")
+        # a config file is read before the flags, the input among them
+        argv = ["estimate", "--input", str(path),
+                "--out", str(tmp_path / "out")]
+        if flag == "--config":
+            argv += ["--config", str(path)]
+        assert run_cli(*argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read {flag[2:]}")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    def test_unwritable_output(self, tmp_path, capsys):
+        # the output directory exists, but a directory takes the name of
+        # the CSV the command writes
+        (tmp_path / "simulate.csv").mkdir()
+        assert run_cli("simulate", "--case", "1", "--n", "50", "--burn-in",
+                       "10", "--out", str(tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write") and err.count("\n") == 1
+
     def test_estimate_success(self, tmp_path, capsys):
         run_cli("simulate", "--case", "1", "--n", "400", "--burn-in", "100",
                 "--seed", "7", "--out", str(tmp_path))
@@ -296,6 +325,8 @@ REJECTED = [
     "asymcov --burn-in 100 --out {out}",                     # below --trunc
     "asymcov --path-length 1 --out {out}",
     "asymcov --trunc 0 --burn-in 0 --out {out}",
+    "simulate --case 1 --out {input}",                       # a file
+    "asymcov --case 1 --out {input}/run",                    # under a file
     "check-moments --orders 4,x",
     "check-moments --orders 1",
     "check-moments --orders 4,1",

@@ -47,6 +47,22 @@ class TestWindow:
         with pytest.raises(DomainError):
             m_of_n(100, 1.5)
 
+    def test_one_observation_only_for_full(self, spec):
+        # "full" sums the sample's stored lags, as the sandwich's one-point
+        # blocks do; "bar" and "trunc" sum J = n - 1 lags of the
+        # observations and need two
+        s = simulate(spec, CASE1, SimConfig(n=1, burn_in=2000, J=2000,
+                                            seed=3))
+        eps = 0.01
+        res = loss(LossSpec("full", eps), spec, CASE1, s)
+        s2e = sigma_full(spec, CASE1, s, 1) ** 2 + eps
+        assert res.t_range == (1, 1)
+        assert res.value == pytest.approx(
+            (s.x_obs[0] ** 2 + eps) / s2e + math.log(s2e), rel=1e-12)
+        for lspec in (LossSpec("bar", eps), LossSpec("trunc", eps, beta=1.0)):
+            with pytest.raises(WindowError):
+                PathEvaluator(lspec, spec, s.x_obs)
+
 
 class TestSigmaReconstruction:
     def test_sigma_bar_t1(self, spec):

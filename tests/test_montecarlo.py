@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 from dataclasses import replace
 
@@ -140,9 +141,45 @@ class TestRunStudy:
         assert r1.summaries == r2.summaries
 
     def test_scheduling_independent(self, tiny_cfg):
-        r1 = run_study(tiny_cfg, workers=1)
-        r2 = run_study(tiny_cfg, workers=2)
+        # two chunks of replicates, so two worker processes run
+        cfg = replace(tiny_cfg, replicates=9)
+        r1 = run_study(cfg, workers=1)
+        r2 = run_study(cfg, workers=2)
         assert r1.rows == r2.rows
+
+    def test_no_more_workers_than_chunks(self, tiny_cfg, monkeypatch):
+        # a pool forks all its workers at its first task: a recording
+        # stand-in, which runs the tasks here, shows how many it was asked
+        # for, and no process starts
+        asked = []
+
+        class Pool:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+        one_chunk = replace(tiny_cfg, replicates=4)
+        assert run_study(one_chunk, workers=64).rows == run_study(
+            one_chunk).rows
+        assert asked == []
+        three_chunks = replace(tiny_cfg, n_values=(300,), replicates=17)
+        assert run_study(three_chunks, workers=64).rows == run_study(
+            three_chunks).rows
+        assert asked == [3]
+
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_rejects_workers_below_one(self, tiny_cfg, workers):
+        with pytest.raises(DomainError, match="workers"):
+            run_study(tiny_cfg, workers=workers)
 
     def test_rows_record_evaluations_and_times(self, tiny_cfg):
         rows = run_study(tiny_cfg).rows

@@ -13,6 +13,7 @@ from larchpmle import (
     derive_seed,
     simulate,
 )
+from larchpmle.asymptotics import _bounds
 from larchpmle.coeffs import coeff_weights
 from larchpmle.errors import DomainError, NumericError, ValidationError
 
@@ -227,16 +228,18 @@ class TestBlockedKernel:
         assert out.stdout.split() == ["False", "False", "False"]
 
 
-def _joined(spec, theta0, cfg, piece=sim_mod._PIECE):
-    """The pieces of a path copied out of their reused arrays and joined:
-    arrays x, sigma, eps and the length of each piece."""
-    parts = [[a.copy() for a in p]
-             for p in sim_mod._pieces(spec, theta0, cfg, piece)]
+def _joined(spec, theta0, cfg, ends):
+    """The pieces of the path of ``cfg`` (J given) cut at ``ends``, copied
+    out of their reused arrays after their J lags and joined: arrays x,
+    sigma, eps and the length of each piece."""
+    parts = [[a[cfg.J:].copy() for a in p]
+             for p in sim_mod._pieces(spec, theta0, cfg, ends)]
     return [np.concatenate(a) for a in zip(*parts)], [len(p[0]) for p in parts]
 
 
 class TestPieces:
-    """A path streamed in pieces against the one piece of simulate."""
+    """A path streamed in pieces against the one piece of simulate and
+    the step-by-step recursion."""
 
     # 2 whole pieces and a short one; the largest J reaches back across
     # more than one piece
@@ -247,12 +250,59 @@ class TestPieces:
         noise = _unit_table(1000, J) if noise == "table" else noise
         cfg = SimConfig(n=2 * sim_mod._PIECE - 3000 + 4321, burn_in=3000,
                         J=J, seed=derive_seed(7, J), noise=noise)
-        (x, sig, eps), sizes = _joined(spec, CASE1, cfg)
+        total = cfg.burn_in + cfg.n
+        ends = [0, sim_mod._PIECE, 2 * sim_mod._PIECE, total]
+        (x, sig, eps), sizes = _joined(spec, CASE1, cfg, ends)
         assert sizes == [sim_mod._PIECE] * 2 + [4321]
         whole = simulate(spec, CASE1, cfg)
         assert np.array_equal(x, whole.x)
         assert np.array_equal(sig, whole.sigma)
         assert np.array_equal(eps, whole.eps)
+
+    @pytest.mark.parametrize("J", [31, 2000])
+    def test_chunk_cuts_equal_whole_path(self, J):
+        # cuts on multiples of one chunk's steps, after an unyielded start
+        # of one chunk: each piece, its J lags included, has the bits of
+        # the same steps of simulate
+        spec = CoeffSpec("power", 2000)
+        cfg = SimConfig(n=30_000, burn_in=1000, J=J, seed=derive_seed(8, J))
+        ends = [CHUNK_STEPS, 3 * CHUNK_STEPS, 3 * CHUNK_STEPS +
+                sim_mod._PIECE, 31_000]
+        whole = simulate(spec, CASE1, cfg)
+        want = [np.concatenate([np.zeros(J), a])
+                for a in (whole.x, whole.sigma, whole.eps)]
+        pieces = [[a.copy() for a in p]
+                  for p in sim_mod._pieces(spec, CASE1, cfg, ends)]
+        assert len(pieces) == 3
+        for start, end, piece in zip(ends, ends[1:], pieces):
+            for got, path in zip(piece, want):
+                assert np.array_equal(got, path[start:end + J])
+
+    # (n, burn-in, J, ends): the sandwich's block bounds, pieces of one
+    # step with lags reaching back across many of them, and one piece
+    # after a long unyielded start
+    @pytest.mark.parametrize("n, burn_in, J, ends", [
+        (40, 2000, 2000, 2000 + _bounds(40)),
+        (40_001, 2000, 2000, 2000 + _bounds(40_001)),
+        (100, 0, 40, range(101)),
+        (100, 50, 1, range(50, 151)),
+        (40, 200_000, 40, [200_000, 200_040])],
+        ids=["bounds-40", "bounds-40001", "one-step", "one-step-J1",
+             "after-long-burn-in"])
+    def test_any_cuts_match_loop(self, n, burn_in, J, ends):
+        spec = CoeffSpec("power", 2000)
+        cfg = SimConfig(n=n, burn_in=burn_in, J=J, seed=derive_seed(n, J))
+        ref = _simulate_loop(spec, CASE1, cfg)
+        # the path after the J zeros of its empty past
+        want = [np.concatenate([np.zeros(J), a])
+                for a in (ref.x, ref.sigma, ref.eps)]
+        pieces = [[a.copy() for a in p]
+                  for p in sim_mod._pieces(spec, CASE1, cfg, ends)]
+        assert len(pieces) == len(ends) - 1
+        for start, end, piece in zip(ends, ends[1:], pieces):
+            for got, path in zip(piece, want):
+                np.testing.assert_allclose(got, path[start:end + J],
+                                           rtol=1e-12, atol=0.0)
 
     def test_nonfinite_block_in_later_piece_is_replayed(self, spec,
                                                         monkeypatch):
@@ -276,7 +326,8 @@ class TestPieces:
 
         monkeypatch.setattr(sim_mod, "_inverses", flaky)
         monkeypatch.setattr(sim_mod, "_replay", spy)
-        (x, sig, eps), sizes = _joined(spec, CASE1, cfg)
+        ends = [0, sim_mod._PIECE, cfg.n]
+        (x, sig, eps), sizes = _joined(spec, CASE1, cfg, ends)
         assert len(sizes) == 2
         assert replayed == [(64, 96)]
         np.testing.assert_allclose(sig, expect.sigma, rtol=1e-12, atol=0.0)
@@ -297,7 +348,7 @@ class TestPieces:
         step = int(str(whole.value).split("t = ")[1].split()[0])
         assert step > piece
         with pytest.raises(NumericError) as pieces:
-            _joined(spec, CASE1, cfg, piece)
+            _joined(spec, CASE1, cfg, [*range(0, 200, piece), 200])
         assert str(pieces.value) == str(whole.value)
 
 
