@@ -9,8 +9,9 @@ steps per iteration with one correlation for the lags reaching before the
 block and one product with the inverse of the block's triangular system
 for those inside it.  Those inverses depend on the innovations alone and
 are built for a chunk of blocks at once, each from the inverses of its
-two half-blocks, which share one Toeplitz system.  The path comes in
-pieces of reused work arrays cut where the caller asks (:func:`_pieces`):
+two half-blocks, which share one Toeplitz system.  The chunks lie on one
+grid from step 0, and the path comes in pieces cut where the caller asks
+(:func:`_pieces`), each with the bits of the same steps of the whole path:
 the whole path for ``simulate``, one averaging block after its J lags for
 an ergodic average.  The tests keep the step-by-step recursion and the
 chain expansion of the stationary solution as its oracles.
@@ -34,9 +35,6 @@ _BLOCK = 32
 # 64 x 32 x 32 doubles (512 KiB), and their 128 half-block inverses with
 # the eps-scaled copy as much again (1 MiB in all)
 _CHUNK = 64
-# least steps per piece of the unyielded start of a path streamed by
-# _pieces: eight chunks
-_PIECE = 8 * _CHUNK * _BLOCK
 
 
 def derive_seed(base_seed: int, stream: int) -> int:
@@ -159,31 +157,49 @@ def _inverses(L, E, X, W):
     X4[1, :, :, 0] = ((X2 @ L[h:, :h]) @ Y1).transpose(1, 0, 2)
 
 
-def _advance(buf, sig, eps, b_rev, L, a, t, work):
-    """Blocks of B = len(L) steps from step t (a multiple of B) to the end
-    of the piece, which is stored in ``buf`` after J lags and is still zero
-    from step t on.  ``buf`` and ``sig`` extend to whole blocks; the steps
-    past the piece's end get zero innovations.  The in-block inverses of
-    the K blocks of a chunk are built from eps before those blocks run, in
-    the work arrays ``work`` = (X, E, W) of :func:`_inverses`."""
+@np.errstate(over="ignore", invalid="ignore")
+def _advance(path, b_rev, L, a, t, n, work):
+    """Chunks of K blocks of B = len(L) steps from step t (a multiple of B)
+    to step n of ``path``, whose rows x, sigma and eps each hold J lags and
+    then whole blocks; x is still zero from step t on and the steps past n
+    get zero innovations.  A chunk's in-block inverses are built from eps
+    once, before its blocks run, in ``work`` = (X, E, W) of
+    :func:`_inverses`.  Returns the first non-finite step, or None."""
     J, B = len(b_rev), len(L)
     X, E, W = work
-    n_blocks, K = len(sig) // B, len(E)
+    buf, sig, eps = path[0], path[1, J:], path[2, J:J + n]
     lags = sliding_window_view(buf, J + B - 1)[::B]
     sig_b, x_b = sig.reshape(-1, B), buf[J:].reshape(-1, B)
-    for k0 in range(t // B, n_blocks, K):
-        k1 = min(k0 + K, n_blocks)
+    for k0 in range(t // B, -(-n // B), len(E)):
+        k1 = min(k0 + len(E), -(-n // B))
         e = eps[k0 * B:k1 * B]
         E.flat[:len(e)] = e
         E.flat[len(e):] = 0.0
         _inverses(L, E, X, W)
         # X (h + a) = X h + a X 1
         u = (X @ np.full(B, a)).T
-        for Xk, uk, w, ek, s, x in zip(X.transpose(1, 0, 2), u, lags[k0:k1],
-                                       E, sig_b[k0:k1], x_b[k0:k1]):
-            np.matmul(Xk, np.correlate(w, b_rev), out=s)
-            s += uk
-            np.multiply(ek, s, out=x)
+        k = k0
+        while k < k1:
+            for Xk, uk, w, ek, s, x in zip(
+                    X.transpose(1, 0, 2)[k - k0:], u[k - k0:], lags[k:k1],
+                    E[k - k0:], sig_b[k:k1], x_b[k:k1]):
+                np.matmul(Xk, np.correlate(w, b_rev), out=s)
+                s += uk
+                np.multiply(ek, s, out=x)
+            x = buf[J + k * B:J + min(k1 * B, n)]
+            # min and max show nan and inf without an array of flags
+            if math.isfinite(x.min()) and math.isfinite(x.max()):
+                break
+            # the blocks before the first non-finite x are exact: replay its
+            # block, and if that is finite run the chunk's later blocks again
+            t0 = k * B + int(np.argmin(np.isfinite(x)))
+            t0 -= t0 % B
+            bad = _replay(buf, sig, eps, b_rev, a, t0, min(t0 + B, n))
+            if bad is not None:
+                return bad
+            k = t0 // B + 1
+            x_b[k:k1] = 0.0
+    return None
 
 
 def _replay(buf, sig, eps, b_rev, a, t0, t1):
@@ -211,68 +227,58 @@ def _checked(spec: CoeffSpec, theta0: Theta, cfg: SimConfig,
 def _pieces(spec: CoeffSpec, theta0: Theta, cfg: SimConfig, ends):
     """The path of ``cfg`` (from :func:`_checked`) cut at the increasing
     steps ``ends``, the last burn_in + n: per stretch between consecutive
-    ends an (x, sigma, eps) triple of views of work arrays that the next
+    ends an (x, sigma, eps) triple of views of one array that the next
     piece overwrites, each the J steps before the stretch (zeros for the
-    empty past) and the stretch.  Steps before ends[0] run unyielded, in
-    pieces of max(longest yielded piece, ``_PIECE``) steps.
-
-    Drawn piece by piece from one generator, the innovations equal one
-    draw for the whole path.  Each piece starts its blocks afresh and the
-    chunk work arrays have K = min(_CHUNK, blocks of the path) rows, so
-    cuts on multiples of K blocks give the bits of one piece and others
-    agree with it to rounding.  Steps in errors count from the path's start.
+    empty past) and the stretch.  Whatever the cuts, the path runs on one
+    grid of chunks of min(_CHUNK, blocks of the path) blocks from step 0,
+    each drawn from the path's one generator and its inverses built once,
+    so every piece has the bits of the same steps of ``simulate``.  The
+    array holds the longest piece and a chunk; steps before ends[0] run
+    unyielded, in pieces of whole chunks that fill it.  Steps in errors
+    count from the path's start.
     """
-    J, B, a = cfg.J, _BLOCK, theta0.a
-    step = max(np.diff(ends).max(), _PIECE)
-    cuts = [*range(0, ends[0], step), *ends]
+    J, B, a, total = cfg.J, _BLOCK, theta0.a, ends[-1]
+    K = min(_CHUNK, -(-total // B))
+    C = K * B
+    size = -(-np.diff(ends).max() // B) * B + C
+    cuts = [*range(0, ends[0], size // C * C), *ends]
     b = coeff_weights(spec, theta0, J)
     b_rev = b[::-1].copy()
     b_in = np.zeros(B)
     b_in[1:min(J, B - 1) + 1] = b[:B - 1]
     i = np.arange(B)
     L = np.tril(b_in[np.abs(i[:, None] - i[None, :])], -1)
-    padded = -(-max(np.diff(cuts)) // B) * B
-    # rows x, sigma and eps, each after the J steps before the piece
-    buf, sig, eps = path = np.zeros((3, J + padded))
-    K = min(_CHUNK, -(-cuts[-1] // B))
+    # rows x, sigma and eps: column J + t - base holds step t, for the
+    # steps from J before base (a multiple of B) up to done
+    buf, sig, eps = path = np.zeros((3, J + size))
     work = (np.zeros((B, K, B)), np.empty((K, B)),
             np.zeros((2, B // 2, 2 * K, B // 2)))
     work[2][0, 0, :, 0] = 1.0
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
+    base = done = 0
     for start, end in zip(cuts[:-1], cuts[1:]):
-        m, t = end - start, 0
-        mb = -(-m // B) * B
-        x, s, e = buf[J:J + m], sig[J:J + mb], eps[J:J + m]
-        if isinstance(cfg.noise, str):
-            rng.standard_normal(out=e)
-        else:
-            # the indices are in range; "clip" writes straight into e
-            np.take(np.asarray(cfg.noise, dtype=float),
-                    rng.integers(0, len(cfg.noise), m), out=e, mode="clip")
-        with np.errstate(over="ignore", invalid="ignore"):
-            while t < m:
-                _advance(buf[:J + mb], s, e, b_rev, L, a, t, work)
-                # min and max show nan and inf without a piece of flags
-                if math.isfinite(x[t:].min()) and math.isfinite(x[t:].max()):
-                    break
-                # the blocks before the first non-finite value are exact;
-                # replay the block that holds it
-                t0 = t + int(np.argmin(np.isfinite(x[t:])))
-                t0 -= t0 % B
-                t = t0 + B
-                bad = _replay(buf, s, e, b_rev, a, t0, min(t, m))
-                if bad is not None:
-                    raise NumericError(
-                        f"path is non-finite from step t = "
-                        f"{start + bad + 1} of {cuts[-1]} (burn-in included)")
-                # the block's inverse alone was not finite: redo the
-                # blocks after it
-                buf[J + t:] = 0.0
+        # keep the steps from J before the block that holds start
+        old, base = base, start - start % B
+        path[:, :J + done - base] = path[:, base - old:J + done - old]
+        buf[J + done - base:] = 0.0
+        stop = min(-(-end // C) * C, total)
+        if done < stop:
+            e = eps[J + done - base:J + stop - base]
+            if isinstance(cfg.noise, str):
+                rng.standard_normal(out=e)
+            else:
+                # the indices are in range; "clip" writes straight into e
+                np.take(np.asarray(cfg.noise, dtype=float),
+                        rng.integers(0, len(cfg.noise), len(e)), out=e,
+                        mode="clip")
+            bad = _advance(path, b_rev, L, a, done - base, stop - base, work)
+            if bad is not None:
+                raise NumericError(
+                    f"path is non-finite from step t = {base + bad + 1} "
+                    f"of {total} (burn-in included)")
+            done = stop
         if start >= ends[0]:
-            yield path[:, :J + m]
-        # the last J steps of the piece are the next piece's lags
-        path[:, :J] = path[:, m:m + J]
-        buf[J:] = 0.0
+            yield path[:, start - base:J + end - base]
 
 
 def simulate(spec: CoeffSpec, theta0: Theta, cfg: SimConfig,
@@ -286,23 +292,17 @@ def simulate(spec: CoeffSpec, theta0: Theta, cfg: SimConfig,
     cfg.J, or spec.J when cfg.J is None; the sample records it in its
     ``config``, so code reading a sample never resolves J again.
 
-    The recursion is linear in x, so the path is advanced ``_BLOCK`` = B
-    steps at a time, exactly.  x is stored after J zeros that stand for
-    the empty past.  For a block starting at t0, the lags reaching before
-    t0 give h = a + the correlation of the weights with x[t0-J : t0+B-1]
-    (the block's own entries are still zero, so they add nothing); the
-    lags inside the block leave the unit lower-triangular system
-    (I - L diag(eps)) sigma = h, with L the strictly lower-triangular
-    Toeplitz matrix of b_1..b_{B-1} (zero beyond J).  Its inverse depends
-    on eps alone, so the inverses of ``_CHUNK`` blocks are built at once
-    before those blocks run, by forward substitution on the blocks' 16-step
-    halves and one product for each lower-left quadrant; a block then costs
-    the correlation, one B x B product sigma = X h, and x = eps * sigma.
-    Results agree with the step-by-step recursion to rounding (the sums
-    run in another order).  A block that is not finite is replayed step
-    by step, which keeps its values if they are finite and otherwise
-    locates the first non-finite step.  The sample's arrays are the one
-    piece of :func:`_pieces`, the whole path, after its J zeros.
+    The path is advanced ``_BLOCK`` steps at a time, exactly, after J
+    zeros that stand for the empty past: the lags reaching before a block
+    are one correlation with the weights, and those inside it one product
+    with the inverse of the block's unit lower-triangular system, built
+    from eps for a chunk of ``_CHUNK`` blocks at once (:func:`_inverses`;
+    the chunks lie on one grid from step 0).  Results agree with the
+    step-by-step recursion to rounding (the sums run in another order).
+    A block that is not finite is replayed step by step, which keeps its
+    values if they are finite and otherwise locates the first non-finite
+    step.  The sample's arrays are the one piece of :func:`_pieces`, the
+    whole path; any cut of it into pieces keeps these bits.
     """
     cfg = _checked(spec, theta0, cfg, space)
     path = next(_pieces(spec, theta0, cfg, [0, cfg.burn_in + cfg.n]))

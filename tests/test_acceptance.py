@@ -35,6 +35,10 @@ from oracles import volterra_sigma
 
 SPEC = CoeffSpec("power", 2000)
 WORKERS = 2
+# criterion 4b: the sandwich's G and H lie within this many standard errors
+# of the moments of criterion 3's scores and Hessians; the largest measured
+# distance is 1.95 (G's d entry), and every H entry is within 1.03
+Z_4B = 3.0
 
 
 def report(num, name, ok, detail):
@@ -48,6 +52,20 @@ def sandwich_results():
     r1 = sandwich(SPEC, CASE1, 0.01, nm, path_length=500_000, seed=2)
     r2 = sandwich(SPEC, CASE2, 0.01, nm, path_length=500_000, seed=2)
     return r1, r2
+
+
+@pytest.fixture(scope="module")
+def truth_terms():
+    """Scores (500, 3) and Hessians (500, 3, 3) of the "full" loss at the
+    case-1 truth on 500 paths of 2000 points, asked for once."""
+    terms = [loss(LossSpec("full", 0.01), SPEC, CASE1,
+                  simulate(SPEC, CASE1,
+                           SimConfig(n=2000, burn_in=10_000, J=2000,
+                                     seed=derive_seed(7, r))),
+                  derivatives=2)
+             for r in range(500)]
+    return (np.array([t.score for t in terms]),
+            np.array([t.hessian for t in terms]))
 
 
 @pytest.fixture(scope="module")
@@ -110,15 +128,8 @@ def test_02_score_and_hessian_vs_finite_differences(space):
            f"score rel {worst_g:.2e}, hessian rel {worst_h:.2e}, {elapsed:.1f}s")
 
 
-def test_03_martingale_score_at_truth():
-    scores = []
-    for r in range(500):
-        s = simulate(SPEC, CASE1,
-                     SimConfig(n=2000, burn_in=10_000, J=2000,
-                               seed=derive_seed(7, r)))
-        scores.append(loss(LossSpec("full", 0.01), SPEC, CASE1, s,
-                           derivatives=1).score)
-    S = np.array(scores)
+def test_03_martingale_score_at_truth(truth_terms):
+    S = truth_terms[0]
     mean = S.mean(axis=0)
     se = S.std(axis=0, ddof=1) / math.sqrt(len(S))
     ratio = np.abs(mean) / se
@@ -133,6 +144,26 @@ def test_04_sandwich_sd_reference_values(sandwich_results):
     report(4, "asymptotic sd of the memory exponent", ok1 and ok2,
            f"case1 sd_d = {r1.sd[0]:.3f} (target 1.68 +- 0.15), "
            f"case2 sd_d = {r2.sd[0]:.3f} (target 1.14 +- 0.15)")
+
+
+def test_04b_sandwich_matches_score_and_hessian(sandwich_results,
+                                                truth_terms):
+    # at the truth the per-step scores are martingale differences, so
+    # n Cov(mean score) estimates G and the mean Hessian estimates H
+    S, hessians = truth_terms
+    G, H = sandwich_results[0].G, sandwich_results[0].H
+    n, rng = 2000, np.random.default_rng(4)
+    boot = [n * S[rng.integers(0, len(S), len(S))].var(axis=0, ddof=1)
+            for _ in range(1000)]
+    z_G = ((np.diag(G) - n * S.var(axis=0, ddof=1))
+           / np.std(boot, axis=0, ddof=1))
+    z_H = ((H - hessians.mean(axis=0))
+           / (hessians.std(axis=0, ddof=1) / math.sqrt(len(hessians))))
+    worst = max(np.abs(z_G).max(), np.abs(z_H).max())
+    report("4b", "sandwich G and H match the loss at the truth",
+           worst < Z_4B,
+           f"diag G z = {np.round(z_G, 2)}, max |H z| = "
+           f"{np.abs(z_H).max():.2f} (bound {Z_4B})")
 
 
 def test_05_replication_study_summary_stats(study_case1, study_case2):

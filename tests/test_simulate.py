@@ -170,18 +170,19 @@ class TestBlockedKernel:
         with pytest.raises(NumericError, match=f"t = {first + 1} of 200"):
             simulate(spec, CASE1, cfg)
 
-    # a block's inverse is not finite, so the pass runs on to the end on
-    # non-finite values; that block is replayed step by step and the blocks
-    # after it (four after the third block, none after the last) rebuilt
-    # in the path's one set of 7-block work arrays and run afresh.  The
-    # fault goes into the inverse's upper-left quadrant, which every chunk
-    # rewrites (the upper-right one stays zero).  Nothing in the kernel
-    # raises, so a non-finite block is the only failure a pass can meet.
-    @pytest.mark.parametrize("block, fault, sizes", [
-        (2, np.nan, [7, 7]), (2, np.inf, [7, 7]), (6, np.nan, [7])],
+    # a block's inverse is not finite, so the chunk's pass runs on to its
+    # end on non-finite values; that block is replayed step by step and the
+    # chunk's blocks after it (four after the third block, none after the
+    # last) run again with the inverses already built for the path's one
+    # chunk of 7 blocks.  The fault goes into the inverse's upper-left
+    # quadrant, which every chunk rewrites (the upper-right one stays
+    # zero).  Nothing in the kernel raises, so a non-finite block is the
+    # only failure a pass can meet.
+    @pytest.mark.parametrize("block, fault", [
+        (2, np.nan), (2, np.inf), (6, np.nan)],
         ids=["third-nan", "third-inf", "last-nan"])
     def test_nonfinite_block_is_replayed(self, spec, monkeypatch, block,
-                                         fault, sizes):
+                                         fault):
         cfg = SimConfig(n=150, burn_in=50, J=2000, seed=12)
         expect = simulate(spec, CASE1, cfg)
         inverses, replay = sim_mod._inverses, sim_mod._replay
@@ -201,10 +202,7 @@ class TestBlockedKernel:
         monkeypatch.setattr(sim_mod, "_replay", spy)
         got = simulate(spec, CASE1, cfg)
         assert replayed == [(32 * block, min(32 * block + 32, 200))]
-        assert [len(E) for E in chunks] == sizes
-        if len(chunks) > 1:
-            np.testing.assert_array_equal(chunks[1].ravel()[:104],
-                                          got.eps[96:])
+        assert [len(E) for E in chunks] == [7]
         ref = _simulate_loop(spec, CASE1, cfg)
         np.testing.assert_allclose(got.sigma, ref.sigma, rtol=1e-12, atol=0.0)
         np.testing.assert_allclose(got.sigma, expect.sigma, rtol=1e-12,
@@ -228,59 +226,74 @@ class TestBlockedKernel:
         assert out.stdout.split() == ["False", "False", "False"]
 
 
+def _cut(spec, theta0, cfg, ends):
+    """The pieces of the path of ``cfg`` (J given) cut at ``ends``, each
+    with its J lags, copied out of their reused array."""
+    pieces = [[a.copy() for a in p]
+              for p in sim_mod._pieces(spec, theta0, cfg, ends)]
+    assert len(pieces) == len(ends) - 1
+    return pieces
+
+
 def _joined(spec, theta0, cfg, ends):
-    """The pieces of the path of ``cfg`` (J given) cut at ``ends``, copied
-    out of their reused arrays after their J lags and joined: arrays x,
+    """The pieces of :func:`_cut` after their J lags, joined: arrays x,
     sigma, eps and the length of each piece."""
-    parts = [[a[cfg.J:].copy() for a in p]
-             for p in sim_mod._pieces(spec, theta0, cfg, ends)]
+    parts = [[a[cfg.J:] for a in p] for p in _cut(spec, theta0, cfg, ends)]
     return [np.concatenate(a) for a in zip(*parts)], [len(p[0]) for p in parts]
 
 
-class TestPieces:
-    """A path streamed in pieces against the one piece of simulate and
-    the step-by-step recursion."""
+def _lagged(sample):
+    """x, sigma and eps of ``sample`` after the J zeros of its empty past,
+    so that steps start..end with their J lags are [start : end + J]."""
+    J = sample.config.J
+    return [np.concatenate([np.zeros(J), a])
+            for a in (sample.x, sample.sigma, sample.eps)]
 
-    # 2 whole pieces and a short one; the largest J reaches back across
-    # more than one piece
-    @pytest.mark.parametrize("J", [1, 31, 2000, sim_mod._PIECE + 3000])
+
+def _assert_pieces_equal(spec, theta0, cfg, ends, whole):
+    """Each piece of the path of ``cfg`` cut at ``ends``, its J lags
+    included, has the bits of the same steps of ``whole``."""
+    want = _lagged(whole)
+    for start, end, piece in zip(ends, ends[1:],
+                                 _cut(spec, theta0, cfg, ends)):
+        for got, path in zip(piece, want):
+            assert np.array_equal(got, path[start:end + cfg.J])
+
+
+class TestPieces:
+    """A path streamed in pieces against simulate, bit for bit, and the
+    step-by-step recursion."""
+
+    # random cuts around a run of one-step pieces across a chunk's end; the
+    # longest J reaches back across many pieces
+    @pytest.mark.parametrize("J", [1, 31, 2000, 20_000])
     @pytest.mark.parametrize("noise", ["gaussian", "table"])
     def test_pieces_equal_whole_path(self, J, noise):
         spec = CoeffSpec("power", 2000)
         noise = _unit_table(1000, J) if noise == "table" else noise
-        cfg = SimConfig(n=2 * sim_mod._PIECE - 3000 + 4321, burn_in=3000,
-                        J=J, seed=derive_seed(7, J), noise=noise)
+        cfg = SimConfig(n=30_000, burn_in=3000, J=J, seed=derive_seed(7, J),
+                        noise=noise)
         total = cfg.burn_in + cfg.n
-        ends = [0, sim_mod._PIECE, 2 * sim_mod._PIECE, total]
-        (x, sig, eps), sizes = _joined(spec, CASE1, cfg, ends)
-        assert sizes == [sim_mod._PIECE] * 2 + [4321]
-        whole = simulate(spec, CASE1, cfg)
-        assert np.array_equal(x, whole.x)
-        assert np.array_equal(sig, whole.sigma)
-        assert np.array_equal(eps, whole.eps)
+        rng = np.random.default_rng(J)
+        ends = [*np.unique(rng.integers(0, CHUNK_STEPS - 10, 6)),
+                *range(CHUNK_STEPS - 10, CHUNK_STEPS + 10),
+                *np.unique(rng.integers(CHUNK_STEPS + 10, total, 10)), total]
+        _assert_pieces_equal(spec, CASE1, cfg, ends,
+                             simulate(spec, CASE1, cfg))
 
     @pytest.mark.parametrize("J", [31, 2000])
     def test_chunk_cuts_equal_whole_path(self, J):
         # cuts on multiples of one chunk's steps, after an unyielded start
-        # of one chunk: each piece, its J lags included, has the bits of
-        # the same steps of simulate
+        # of one chunk
         spec = CoeffSpec("power", 2000)
         cfg = SimConfig(n=30_000, burn_in=1000, J=J, seed=derive_seed(8, J))
-        ends = [CHUNK_STEPS, 3 * CHUNK_STEPS, 3 * CHUNK_STEPS +
-                sim_mod._PIECE, 31_000]
-        whole = simulate(spec, CASE1, cfg)
-        want = [np.concatenate([np.zeros(J), a])
-                for a in (whole.x, whole.sigma, whole.eps)]
-        pieces = [[a.copy() for a in p]
-                  for p in sim_mod._pieces(spec, CASE1, cfg, ends)]
-        assert len(pieces) == 3
-        for start, end, piece in zip(ends, ends[1:], pieces):
-            for got, path in zip(piece, want):
-                assert np.array_equal(got, path[start:end + J])
+        ends = [CHUNK_STEPS, 3 * CHUNK_STEPS, 11 * CHUNK_STEPS, 31_000]
+        _assert_pieces_equal(spec, CASE1, cfg, ends,
+                             simulate(spec, CASE1, cfg))
 
     # (n, burn-in, J, ends): the sandwich's block bounds, pieces of one
     # step with lags reaching back across many of them, and one piece
-    # after a long unyielded start
+    # after a long unyielded start; each with both noises
     @pytest.mark.parametrize("n, burn_in, J, ends", [
         (40, 2000, 2000, 2000 + _bounds(40)),
         (40_001, 2000, 2000, 2000 + _bounds(40_001)),
@@ -291,55 +304,90 @@ class TestPieces:
              "after-long-burn-in"])
     def test_any_cuts_match_loop(self, n, burn_in, J, ends):
         spec = CoeffSpec("power", 2000)
+        for noise in ("gaussian", _unit_table(1000, n)):
+            cfg = SimConfig(n=n, burn_in=burn_in, J=J, seed=derive_seed(n, J),
+                            noise=noise)
+            exact = _lagged(simulate(spec, CASE1, cfg))
+            loop = _lagged(_simulate_loop(spec, CASE1, cfg))
+            for start, end, piece in zip(ends, ends[1:],
+                                         _cut(spec, CASE1, cfg, ends)):
+                for got, path, ref in zip(piece, exact, loop):
+                    assert np.array_equal(got, path[start:end + J])
+                    np.testing.assert_allclose(got, ref[start:end + J],
+                                               rtol=1e-12, atol=0.0)
+
+    # the 500k-point sandwich, whose 15625-step pieces end inside chunks, a
+    # 40-point one after 20000 steps of burn-in, whose pieces of one or two
+    # steps share a chunk, pieces of one step, random cuts and the one
+    # piece of simulate: one chunk of inverses per 2048 steps of the path,
+    # whatever J
+    @pytest.mark.parametrize("n, burn_in, J, ends", [
+        (500_000, 10_000, 31, 10_000 + _bounds(500_000)),
+        (40, 20_000, 2000, 20_000 + _bounds(40)),
+        (100, 0, 40, range(101)),
+        (9000, 1000, 2000, [1000, 1234, 4097, 4098, 7777, 10_000]),
+        (9000, 1000, 2000, [0, 10_000])],
+        ids=["sandwich-500000", "sandwich-40", "one-step", "random",
+             "simulate"])
+    def test_inverses_built_once_per_chunk(self, monkeypatch, n, burn_in, J,
+                                           ends):
+        spec = CoeffSpec("power", 2000)
         cfg = SimConfig(n=n, burn_in=burn_in, J=J, seed=derive_seed(n, J))
-        ref = _simulate_loop(spec, CASE1, cfg)
-        # the path after the J zeros of its empty past
-        want = [np.concatenate([np.zeros(J), a])
-                for a in (ref.x, ref.sigma, ref.eps)]
-        pieces = [[a.copy() for a in p]
-                  for p in sim_mod._pieces(spec, CASE1, cfg, ends)]
-        assert len(pieces) == len(ends) - 1
-        for start, end, piece in zip(ends, ends[1:], pieces):
-            for got, path in zip(piece, want):
-                np.testing.assert_allclose(got, path[start:end + J],
-                                           rtol=1e-12, atol=0.0)
+        inverses, calls = sim_mod._inverses, []
+
+        def spy(L, E, X, W):
+            calls.append(None)
+            inverses(L, E, X, W)
+
+        monkeypatch.setattr(sim_mod, "_inverses", spy)
+        for _ in sim_mod._pieces(spec, CASE1, cfg, ends):
+            pass
+        assert len(calls) == -(-(burn_in + n) // CHUNK_STEPS)
 
     def test_nonfinite_block_in_later_piece_is_replayed(self, spec,
                                                         monkeypatch):
-        # the fault hits the third block of the second piece's first chunk;
-        # that block is replayed, counted from the piece's start
-        cfg = SimConfig(n=sim_mod._PIECE + 1000, burn_in=0, J=2000, seed=5)
+        # the fault hits the third block of the path's fourth chunk, which
+        # the second piece reaches; that block alone is replayed and the
+        # chunk's inverses are not built again
+        cfg = SimConfig(n=9000, burn_in=0, J=2000, seed=5)
+        ends = [0, 5000, cfg.n]
         expect = simulate(spec, CASE1, cfg)
         inverses, replay = sim_mod._inverses, sim_mod._replay
         calls, replayed = [], []
-        per_piece = sim_mod._PIECE // CHUNK_STEPS
 
         def flaky(L, E, X, W):
             inverses(L, E, X, W)
             calls.append(len(calls))
-            if len(calls) == per_piece + 1:
+            if len(calls) == 4:
                 X[:16, 2, :16] = np.nan
 
         def spy(buf, sig, eps, b_rev, a, t0, t1):
-            replayed.append((t0, t1))
+            replayed.append(t1 - t0)
             return replay(buf, sig, eps, b_rev, a, t0, t1)
 
         monkeypatch.setattr(sim_mod, "_inverses", flaky)
         monkeypatch.setattr(sim_mod, "_replay", spy)
-        ends = [0, sim_mod._PIECE, cfg.n]
         (x, sig, eps), sizes = _joined(spec, CASE1, cfg, ends)
-        assert len(sizes) == 2
-        assert replayed == [(64, 96)]
+        assert sizes == [5000, 4000]
+        assert replayed == [32] and len(calls) == 5
         np.testing.assert_allclose(sig, expect.sigma, rtol=1e-12, atol=0.0)
         np.testing.assert_allclose(sig, _simulate_loop(spec, CASE1, cfg).sigma,
                                    rtol=1e-12, atol=0.0)
         assert np.all(x == eps * sig)
+        # a replay that meets a non-finite step names it from the path's
+        # start: here the replayed block's first step, 3 * 2048 + 2 * 32
+        monkeypatch.setattr(sim_mod, "_replay",
+                            lambda buf, sig, eps, b_rev, a, t0, t1: t0)
+        calls.clear()
+        with pytest.raises(NumericError,
+                           match=f"t = {3 * CHUNK_STEPS + 65} of 9000"):
+            _joined(spec, CASE1, cfg, ends)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflow_in_later_piece_names_absolute_step(self, spec):
         # the planted table overflows the path after its first block (see
-        # test_late_overflow_names_step_of_loop), so in a later piece of
-        # one block each
+        # test_late_overflow_names_step_of_loop), here cut in pieces of one
+        # block each
         piece = 32
         cfg = SimConfig(n=200, burn_in=0, J=2000, seed=3)
         object.__setattr__(cfg, "noise", np.array([1e10, -1e10]))
