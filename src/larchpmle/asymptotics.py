@@ -47,7 +47,6 @@ class SandwichResult:
     cov: np.ndarray
     sd: np.ndarray
     sd_joint: np.ndarray
-    mc_samples: int
     se_G: np.ndarray
     se_H: np.ndarray
     cond_H: float
@@ -85,19 +84,16 @@ class RatePrediction:
     regime: str
 
 
-def sigma_and_gradient(spec: CoeffSpec, theta: Theta, sample: Sample,
-                       window: tuple | None = None):
-    """sigma_t(theta) and its theta-gradient over the analysis window, or
-    over ``window`` (1-based, inclusive) when it is given.
+def sigma_and_gradient(spec: CoeffSpec, theta: Theta, sample: Sample):
+    """sigma_t(theta) and its theta-gradient over the analysis window.
 
     Both are built from the full-history lag sums of
     :class:`~larchpmle.likelihood.PathEvaluator` (J lags into the
     pre-sample, J the sample's simulation truncation), so the sample's
-    burn-in must be at least J.
-    Returns (sigma, S) with S of shape (w, 3) in (d, c, a) order, w the
-    number of points in the window.
+    burn-in must be at least J.  Returns (sigma, S), S of shape (n, 3) in
+    (d, c, a) order, for the sample's n points.
     """
-    ev = PathEvaluator(LossSpec("full", 0.0), spec, sample, window=window)
+    ev = PathEvaluator(LossSpec("full", 0.0), spec, sample)
     v0, v1, _ = ev.lag_sums(theta, derivatives=1)
     sig = theta.a + theta.c * v0
     S = np.empty((ev.w, 3))
@@ -147,7 +143,7 @@ def _blocks(spec: CoeffSpec, theta0: Theta, cfg: SimConfig):
     for piece in _pieces(spec, theta0, cfg, cfg.burn_in + _bounds(cfg.n)):
         block = replace(cfg, n=len(piece[0]) - J, burn_in=J)
         yield sigma_and_gradient(spec, theta0, Sample(
-            *piece, config=block, theta=theta0, spec=spec, first_retained=J))
+            *piece, config=block, first_retained=J))
 
 
 def sandwich(spec: CoeffSpec, theta0: Theta, epsilon: float,
@@ -199,9 +195,8 @@ def sandwich(spec: CoeffSpec, theta0: Theta, epsilon: float,
     sd = np.sqrt(np.diag(kG)) / np.diag(kH)
     sd_joint = np.sqrt(np.diag(cov))
     return SandwichResult(G=kG / k / k / k / k, H=kH / k / k, cov=cov, sd=sd,
-                          sd_joint=sd_joint, mc_samples=path_length,
-                          se_G=se_kG / k / k / k / k, se_H=se_kH / k / k,
-                          cond_H=cond)
+                          sd_joint=sd_joint, se_G=se_kG / k / k / k / k,
+                          se_H=se_kH / k / k, cond_H=cond)
 
 
 def limit_h0(spec: CoeffSpec, theta0: Theta, path_length: int = 500_000,
@@ -237,15 +232,13 @@ def limit_h0(spec: CoeffSpec, theta0: Theta, path_length: int = 500_000,
                          diverged=diverged, checkpoints=checkpoints)
 
 
-def predicted_rate(n: int, beta: float, d: float) -> RatePrediction:
+def predicted_rate(beta: float, d: float) -> RatePrediction:
     """Exponents predicted for the truncated-window estimator at (beta, d).
 
     The score-gap order is beta/2 + d - 1/2.  For beta below the border
     1 - 2d the estimator converges at rate n^(-beta/2); exactly at the
     border the rate is n^(-(1/2 - d)); beyond it no rate is established.
     """
-    if n < 2:
-        raise DomainError("n must be >= 2")
     if not 0.0 < beta <= 1.0:
         raise DomainError("beta must be in (0, 1]")
     if not 0.0 <= d < 0.5:

@@ -259,9 +259,9 @@ def _build_parser() -> _Parser:
     p = command("estimate", _cmd_estimate,
                 "estimate parameters from a series",
                 "eps", "beta", "out", "family")
+    p.set_defaults(beta=0.799)
     p.add_argument("--input", required=True,
                    help="input CSV of observations")
-    p.add_argument("--variant", choices=("trunc", "bar"), default="trunc")
     p.add_argument("--fix-d", type=float)
     p.add_argument("--fix-c", type=float)
     p.add_argument("--fix-a", type=float)
@@ -368,26 +368,21 @@ def _write(args, files: dict, extra: dict) -> None:
     print(f"wrote {', '.join([*files, meta])} to {outdir}")
 
 
-def _simulated(args, d: float, family: str = "power") -> Sample:
-    """The path the flags describe, with long-memory exponent ``d``."""
-    return simulate(CoeffSpec(family, args.trunc), Theta(d, args.c, args.a),
+def _simulated(args, spec: CoeffSpec, d: float) -> Sample:
+    """The path the flags describe, with weights ``spec`` and long-memory
+    exponent ``d``."""
+    return simulate(spec, Theta(d, args.c, args.a),
                     SimConfig(n=args.n, burn_in=args.burn_in, seed=args.seed))
 
 
 def _cmd_simulate(args):
-    s = _simulated(args, args.d, args.family)
+    s = _simulated(args, CoeffSpec(args.family, args.trunc), args.d)
     rows = zip(range(1, s.n + 1), s.x_obs, s.sigma_obs, s.eps_obs)
     return {"simulate.csv": ("t,x,sigma,eps", rows)}, {}
 
 
 def _cmd_estimate(args):
-    if args.variant == "bar":
-        if args.beta is not None:
-            raise _UsageError("--beta applies only to --variant trunc")
-        lspec = LossSpec("bar", args.eps)
-    else:
-        args.beta = 0.799 if args.beta is None else args.beta
-        lspec = LossSpec("trunc", args.eps, beta=args.beta)
+    lspec = LossSpec("trunc", args.eps, beta=args.beta)
     x = load_series(args.input)
     fix = {k: getattr(args, f"fix_{k}") for k in "dca"
            if getattr(args, f"fix_{k}") is not None}
@@ -411,7 +406,7 @@ def _cmd_mc(args):
                           f"{args.replicates} minus 2")
     label = f"case{args.case}" if args.case else "custom"
     try:
-        cfg = StudyConfig(label=label, theta0=Theta(args.d, args.c, args.a),
+        cfg = StudyConfig(theta0=Theta(args.d, args.c, args.a),
                           epsilon=args.eps, beta=args.beta, n_values=args.n,
                           replicates=args.replicates, base_seed=args.seed,
                           trim=args.trim, burn_in=args.burn_in, J=args.trunc,
@@ -448,11 +443,12 @@ def _cmd_landscape(args):
     for eps in args.eps_list:
         if not 0.0 <= eps < math.inf:
             raise _UsageError(f"--eps-list entry {eps} must be >= 0 and finite")
-    sample = _simulated(args, args.true_d)
+    spec = CoeffSpec("power", args.trunc)
+    x = _simulated(args, spec, args.true_d).x_obs
     lo, hi, count = args.d_grid
-    rows = landscape(LossSpec("trunc", 0.01, beta=args.beta), sample.spec,
-                     args.c, args.a, sample.x_obs, np.linspace(lo, hi, count),
-                     args.eps_list)
+    # the epsilon of the loss spec is replaced by each of --eps-list
+    rows = landscape(LossSpec("trunc", 0.01, beta=args.beta), spec, args.c,
+                     args.a, x, np.linspace(lo, hi, count), args.eps_list)
     return {"landscape.csv": ("epsilon,d,loss", rows)}, {}
 
 
@@ -464,8 +460,8 @@ def _cmd_acf(args):
     if args.fit and sum(args.fit[0] <= k <= args.fit[1] for k in lags) < 5:
         raise _UsageError(f"--fit {_fmt(args.fit)} holds fewer than the 5 "
                           f"lags of 1..{args.max_lag} a fit needs")
-    rho = acf(_simulated(args, args.d).x_obs, args.max_lag,
-              on_squares=not args.raw)
+    rho = acf(_simulated(args, CoeffSpec("power", args.trunc), args.d).x_obs,
+              args.max_lag, on_squares=not args.raw)
     files = {"acf.csv": ("lag,acf", list(enumerate(rho)))}
     if args.fit is not None:
         pairs = [(k, rho[k]) for k in lags]
@@ -513,7 +509,7 @@ def _cmd_rates(args):
     if args.beta is None:
         raise _UsageError("rates requires --beta or --case")
     theta = Theta(args.d, args.c, args.a)
-    pred = predicted_rate(args.n, args.beta, args.d)
+    pred = predicted_rate(args.beta, args.d)
     print(f"score_gap_order={_fmt(pred.score_gap_order)} "
           f"rate_exponent={_fmt(pred.rate_exponent)} regime={pred.regime}")
     if args.replicates == 0:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .asymptotics import RatePrediction, predicted_rate
 from .coeffs import CoeffSpec, Theta
-from .errors import InsufficientDataError
+from .errors import DomainError, InsufficientDataError
 from .likelihood import LossSpec, PathEvaluator, m_of_n
 from .simulate import SimConfig, derive_seed, simulate
 
@@ -37,17 +37,18 @@ def fit_decay(pairs, k_min: float, k_max: float) -> DecayFit:
     """Least-squares log-log decay fit.
 
     ``pairs`` is a sequence of (k, value); pairs outside [k_min, k_max] or
-    with nonpositive k or value are excluded.  At least 5 usable pairs are
-    required.
+    with a nonpositive or non-finite k or value are excluded.  At least 5
+    usable pairs are required.
     """
     arr = np.asarray(pairs, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise InsufficientDataError("pairs must be a sequence of (k, value)")
     k, v = arr[:, 0], arr[:, 1]
-    keep = (k >= k_min) & (k <= k_max) & (k > 0.0) & (v > 0.0)
+    keep = ((k >= k_min) & (k <= k_max) & (k > 0.0) & (v > 0.0)
+            & np.isfinite(k) & np.isfinite(v))
     if keep.sum() < 5:
         raise InsufficientDataError(
-            f"only {int(keep.sum())} positive pairs in range, need >= 5")
+            f"only {int(keep.sum())} usable pairs in range, need >= 5")
     lk, lv = np.log(k[keep]), np.log(v[keep])
     slope, intercept = np.polyfit(lk, lv, 1)
     resid = lv - (slope * lk + intercept)
@@ -80,8 +81,11 @@ def score_gap(spec: CoeffSpec, theta0: Theta, epsilon: float, n: int,
     observed past only; the absolute difference is scaled by the square
     root of the window size.  The d-component is the one whose central
     limit theorem the gap decides, and with c = 0 both reconstructions
-    have identically zero d-score, so the gap is exactly zero.
+    have identically zero d-score, so the gap is exactly zero.  Fewer than
+    one replicate raises :class:`DomainError` before any work.
     """
+    if replicates < 1:
+        raise DomainError(f"replicates {replicates} must be >= 1")
     m = m_of_n(n, beta)
     window = (n - m, n)
     J = burn_in + window[0] - 1
@@ -99,4 +103,4 @@ def score_gap(spec: CoeffSpec, theta0: Theta, epsilon: float, n: int,
         gaps.append(math.sqrt(m + 1) * abs(s_full - s_bar))
     return ScoreGapResult(empirical=float(np.mean(gaps)),
                           per_replicate=tuple(gaps),
-                          predicted=predicted_rate(n, beta, theta0.d))
+                          predicted=predicted_rate(beta, theta0.d))

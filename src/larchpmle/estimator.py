@@ -48,7 +48,6 @@ class EstimationResult:
     converged: bool
     at_boundary: bool
     evaluations: int
-    variant: str | None = None
     grid_s: float = field(default=0.0, compare=False)
     newton_s: float = field(default=0.0, compare=False)
 
@@ -269,5 +268,4 @@ def estimate(lspec: LossSpec, spec: CoeffSpec, data,
                   or np.any(hi - x <= _BOUNDARY_MARGIN))
     return EstimationResult(theta_hat=theta, loss_at_opt=f, converged=conv,
                             at_boundary=at_bnd, evaluations=evaluations,
-                            variant=lspec.variant, grid_s=t1 - t0,
-                            newton_s=t2 - t1)
+                            grid_s=t1 - t0, newton_s=t2 - t1)

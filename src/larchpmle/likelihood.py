@@ -1,22 +1,21 @@
 """Epsilon-regularized pseudo-likelihood losses for LARCH processes.
 
-Three variants of the per-observation loss
+Two variants of the per-observation loss
 l_t = (x_t^2 + eps) / (sigma_t^2(theta) + eps) + ln(sigma_t^2(theta) + eps)
 are provided, differing in how sigma_t(theta) is reconstructed and which
 time points are averaged:
 
 * ``"full"``  : sigma_t from the extended history (pre-sample included),
   truncated at J lags; averages t = 1..n.
-* ``"bar"``   : sigma_t from the observed past x_1..x_{t-1} only, i.e.
+* ``"trunc"`` : sigma_t from the observed past x_1..x_{t-1} only, i.e.
   the full-history sum with the unobserved past set to zero; averages
-  t = 1..n.
-* ``"trunc"`` : same sigma as "bar" but averages only the last
-  floor(n^beta) points t = n - m(n)..n, where m(n) = floor(n^beta) - 1.
+  the last floor(n^beta) points t = n - m(n)..n, where
+  m(n) = floor(n^beta) - 1, so beta = 1 averages all n points.
 
 The analytic score and Hessian are exact derivatives of the loss in
 theta = (d, c, a).  Every variant convolves the J + w - 1 history values
-that reach its window of w points (for "bar" and "trunc" J = n - 1 and the
-history before t = 1 is zeros) in one transform of at least J + w - 1
+that reach its window of w points (for "trunc" J = n - 1 and the history
+before t = 1 is zeros) in one transform of at least J + w - 1
 points; the transform of the data is cached so repeated evaluation on one
 path (as in estimation or landscape sweeps) costs one kernel transform per
 lag-sum row, and the kernel transforms of the last d are kept for the next
@@ -31,7 +30,7 @@ geometrically and its term-by-term derivatives give the d-derivative rows
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.polynomial.chebyshev import chebder
@@ -43,7 +42,7 @@ from .simulate import Sample
 __all__ = ["LossSpec", "LossEval", "m_of_n", "loss", "landscape",
            "PathEvaluator"]
 
-_VARIANTS = ("full", "bar", "trunc")
+_VARIANTS = ("full", "trunc")
 
 # Chebyshev nodes of the lag-sum table, and how far (as a fraction of the
 # served d-interval) the node interval reaches beyond each end of it: the
@@ -90,8 +89,8 @@ class LossSpec:
 
     ``epsilon`` must be positive for estimation; zero is tolerated only for
     exploratory landscape evaluation.  ``beta`` selects the truncated
-    window (``"trunc"`` only); ``J`` overrides the history truncation of
-    the ``"full"`` variant.
+    window (``"trunc"`` only; 1 averages the whole sample); ``J`` overrides
+    the history truncation of the ``"full"`` variant.
     """
 
     variant: str = "trunc"
@@ -142,8 +141,8 @@ class PathEvaluator:
     """Evaluates one loss variant repeatedly on a fixed data path.
 
     Every variant sums J lags of a history: the sample's stored one for
-    ``"full"``; for ``"bar"`` and ``"trunc"`` J = n - 1 lags of the
-    observations preceded by n - 1 zeros, the unobserved past.  The J + w - 1
+    ``"full"``; for ``"trunc"`` J = n - 1 lags of the observations
+    preceded by n - 1 zeros, the unobserved past.  The J + w - 1
     values that reach the window are transformed once, at the length
     L = :func:`_fft_size` (J + w - 1); each parameter point then costs one
     (value only) to three (score/Hessian) kernel transforms and as many
@@ -187,7 +186,7 @@ class PathEvaluator:
             if lspec.variant == "full":
                 raise DomainError("full variant requires a Sample with history")
         n = len(x_obs)
-        # "bar" and "trunc" sum J = n - 1 >= 1 lags of the observations
+        # "trunc" sums J = n - 1 >= 1 lags of the observations
         if n < (1 if lspec.variant == "full" else 2):
             raise WindowError(f"too few observations: {n}")
         self.n = n
@@ -291,11 +290,10 @@ class PathEvaluator:
     def __call__(self, theta: Theta, derivatives: int = 2) -> LossEval:
         return self.evaluate(theta, self.lag_sums(theta, derivatives))
 
-    def values(self, v0: np.ndarray, c, a, epsilon: float | None = None
-               ) -> np.ndarray:
+    def values(self, v0: np.ndarray, c, a) -> np.ndarray:
         """Loss values at the scale pairs (c_i, a_i), all sharing the lag
         sums ``v0`` of one d; a non-finite term raises NumericError."""
-        eps = self.lspec.epsilon if epsilon is None else float(epsilon)
+        eps = self.lspec.epsilon
         # in place: the (pairs, w) block is the largest array of a fit
         s2e = np.multiply.outer(np.asarray(c, dtype=float), v0)
         s2e += np.asarray(a, dtype=float)[:, None]
@@ -310,17 +308,16 @@ class PathEvaluator:
                 f"non-finite loss term at t = {self.t_first + int(bad)}")
         return terms.sum(axis=1) / self.w
 
-    def evaluate(self, theta: Theta, sums, epsilon: float | None = None
-                 ) -> LossEval:
+    def evaluate(self, theta: Theta, sums) -> LossEval:
         """Loss at theta from the lag sums (v0, v1, v2) of theta.d, with
         the score when v1 is given and the Hessian when v2 is too."""
         v0, v1, v2 = sums
-        value = float(self.values(v0, [theta.c], [theta.a], epsilon)[0])
+        value = float(self.values(v0, [theta.c], [theta.a])[0])
         t_range = (self.t_first, self.t_last)
         if v1 is None:
             return LossEval(value, None, None, t_range)
 
-        eps = self.lspec.epsilon if epsilon is None else float(epsilon)
+        eps = self.lspec.epsilon
         c = theta.c
         sig = theta.a + c * v0
         s2e = sig * sig + eps
@@ -358,7 +355,7 @@ def loss(lspec: LossSpec, spec: CoeffSpec, theta: Theta, data,
          derivatives: int = 2) -> LossEval:
     """Evaluate the selected loss variant at theta on the given data.
 
-    ``data`` is a plain series for the "bar"/"trunc" variants or a
+    ``data`` is a plain series for the "trunc" variant or a
     :class:`Sample` (whose pre-sample supplies the history) for "full".
     ``derivatives`` = 0, 1 or 2 selects value only, value + score, or
     value + score + Hessian.
@@ -371,20 +368,20 @@ def landscape(lspec: LossSpec, spec: CoeffSpec, c: float, a: float, x,
     """Loss profile in d with c and a held fixed, one curve per epsilon.
 
     Returns rows (epsilon, d, value), epsilon outer; pure evaluation, no
-    optimization.  The lag sums of each d serve every epsilon.
+    optimization.  Each epsilon evaluates with ``lspec`` at that epsilon,
+    so ``lspec``'s own epsilon is not used; the lag sums of each d serve
+    every epsilon.
     """
     d_grid = [float(d) for d in np.atleast_1d(d_grid)]
-    eps_list = [float(e) for e in np.atleast_1d(eps_list)]
-    if not d_grid or not eps_list:
+    evs = [PathEvaluator(replace(lspec, epsilon=float(e)), spec, x)
+           for e in np.atleast_1d(eps_list)]
+    if not d_grid or not evs:
         raise DomainError("d_grid and eps_list must be nonempty")
-    if not all(0.0 <= e < math.inf for e in eps_list):
-        raise DomainError(f"epsilons {eps_list} must be >= 0 and finite")
-    ev = PathEvaluator(lspec, spec, x)
     by_d = []
     for d in d_grid:
         theta = Theta(d, c, a)
-        sums = ev.lag_sums(theta, 0)
-        by_d.append([ev.evaluate(theta, sums, eps).value for eps in eps_list])
-    return [(eps, d, values[i])
-            for i, eps in enumerate(eps_list)
+        sums = evs[0].lag_sums(theta, 0)
+        by_d.append([ev.evaluate(theta, sums).value for ev in evs])
+    return [(ev.lspec.epsilon, d, values[i])
+            for i, ev in enumerate(evs)
             for d, values in zip(d_grid, by_d)]

@@ -37,7 +37,6 @@ MAD_SCALE = 0.6744897501960817
 class StudyConfig:
     """Study description: truth, loss constants, sizes, seeds, trimming."""
 
-    label: str
     theta0: Theta
     epsilon: float
     beta: float
@@ -87,10 +86,9 @@ def case_study(case: int, n_values=(1000, 2500, 5000, 10_000),
         theta0, beta = Theta(0.2, 0.2, 1.0), 0.599
     else:
         raise DomainError("case must be 1 or 2")
-    return StudyConfig(label=f"case{case}", theta0=theta0, epsilon=0.01,
-                       beta=beta, n_values=tuple(n_values),
-                       replicates=replicates, base_seed=base_seed,
-                       **overrides)
+    return StudyConfig(theta0=theta0, epsilon=0.01, beta=beta,
+                       n_values=tuple(n_values), replicates=replicates,
+                       base_seed=base_seed, **overrides)
 
 
 @dataclass(frozen=True)
@@ -133,18 +131,17 @@ class StatRow:
 
 @dataclass(frozen=True)
 class Summary:
-    """Statistics on all values and with the trim_k smallest removed."""
+    """Statistics on all values and with the k smallest removed (the
+    ``trim_k`` of :func:`summarize`)."""
 
     all: StatRow
     trimmed: StatRow
-    trim_k: int
 
 
 @dataclass(frozen=True)
 class McReport:
     """Per-replicate rows plus per-n summaries of the d estimates."""
 
-    config: StudyConfig
     rows: tuple
     summaries: dict
 
@@ -183,7 +180,7 @@ def summarize(values, n: int, beta: float, trim_k: int = 10) -> Summary:
     if not 0 <= trim_k < len(v):
         raise DomainError("require 0 <= trim_k < len(values)")
     return Summary(all=_stat_row(v, n, beta),
-                   trimmed=_stat_row(v[trim_k:], n, beta), trim_k=trim_k)
+                   trimmed=_stat_row(v[trim_k:], n, beta))
 
 
 def normal_plot_data(values) -> np.ndarray:
@@ -277,4 +274,4 @@ def run_study(cfg: StudyConfig, workers: int = 1) -> McReport:
             summaries[n] = summarize(d_hats, n, cfg.beta, trim_k=cfg.trim)
         else:
             summaries[n] = None
-    return McReport(config=cfg, rows=tuple(rows), summaries=summaries)
+    return McReport(rows=tuple(rows), summaries=summaries)

@@ -101,8 +101,6 @@ class Sample:
     sigma: np.ndarray
     eps: np.ndarray
     config: SimConfig
-    theta: Theta
-    spec: CoeffSpec
     first_retained: int
 
     @property
@@ -307,5 +305,5 @@ def simulate(spec: CoeffSpec, theta0: Theta, cfg: SimConfig,
     cfg = _checked(spec, theta0, cfg, space)
     path = next(_pieces(spec, theta0, cfg, [0, cfg.burn_in + cfg.n]))
     x, sig, eps = path[:, cfg.J:]
-    return Sample(x=x, sigma=sig, eps=eps, config=cfg, theta=theta0,
-                  spec=spec, first_retained=cfg.burn_in)
+    return Sample(x=x, sigma=sig, eps=eps, config=cfg,
+                  first_retained=cfg.burn_in)

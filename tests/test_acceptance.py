@@ -98,7 +98,7 @@ def test_01_volterra_recursion_equivalence():
 def test_02_score_and_hessian_vs_finite_differences(space):
     t0 = time.time()
     s = simulate(SPEC, CASE1, SimConfig(n=500, burn_in=4000, J=2000, seed=314))
-    ev = PathEvaluator(LossSpec("bar", 0.01), SPEC, s.x_obs)
+    ev = PathEvaluator(LossSpec("trunc", 0.01, beta=1.0), SPEC, s.x_obs)
     rng = np.random.default_rng(2024)
     worst_g, worst_h = 0.0, 0.0
     for _ in range(20):
@@ -221,7 +221,7 @@ def test_08_loss_identifies_truth_on_grid(space):
     t0 = time.time()
     s = simulate(SPEC, CASE1, SimConfig(n=20_000, burn_in=10_000, J=2000,
                                         seed=2024))
-    ev = PathEvaluator(LossSpec("bar", 0.01), SPEC, s.x_obs)
+    ev = PathEvaluator(LossSpec("trunc", 0.01, beta=1.0), SPEC, s.x_obs)
     v0 = ev(CASE1, derivatives=0).value
     wins = total = 0
     for d in np.linspace(0.0, 0.44, 5):
@@ -269,7 +269,8 @@ def test_10_consistency_trend():
 def test_11_degenerate_closed_form():
     th0 = Theta(0.0, 0.0, 1.3)
     s = simulate(SPEC, th0, SimConfig(n=2000, burn_in=100, J=100, seed=5))
-    res = estimate(LossSpec("bar", 0.01), SPEC, s.x_obs, fix={"c": 0.0})
+    res = estimate(LossSpec("trunc", 0.01, beta=1.0), SPEC, s.x_obs,
+                   fix={"c": 0.0})
     oracle = math.sqrt(np.mean(s.x_obs ** 2))
     dev = abs(res.theta_hat.a - oracle)
     report(11, "frozen-scale intercept equals root mean square", dev < 1e-4,

@@ -59,13 +59,6 @@ class TestSigmaGradient:
         with pytest.raises(HistoryError):
             sigma_and_gradient(spec, CASE1, s)
 
-    def test_window_returns_window_length(self, spec):
-        s = simulate(spec, CASE1, SimConfig(n=400, burn_in=3000, J=2000,
-                                            seed=3))
-        sig, S = sigma_and_gradient(spec, CASE1, s, window=(101, 250))
-        assert sig.shape == (150,) and S.shape == (150, 3)
-        assert sig == pytest.approx(s.sigma_obs[100:250], abs=1e-10)
-
 
 class TestSandwich:
     def test_short_burn_in_fails_before_simulating(self, spec, nm,
@@ -352,29 +345,29 @@ class TestLimitH0:
 
 class TestPredictedRate:
     def test_border_rate(self):
-        r = predicted_rate(1000, 0.6, 0.2)
+        r = predicted_rate(0.6, 0.2)
         assert r.regime == "border"
         assert r.rate_exponent == pytest.approx(-0.3)
 
     def test_short_memory_edge(self):
-        r = predicted_rate(1000, 1.0, 0.0)
+        r = predicted_rate(1.0, 0.0)
         assert r.score_gap_order == pytest.approx(0.0)
         assert r.rate_exponent == pytest.approx(-0.5)
         assert r.regime == "border"
 
     def test_clt_regime_case2_like(self):
-        r = predicted_rate(1000, 0.599, 0.2)
+        r = predicted_rate(0.599, 0.2)
         assert r.score_gap_order == pytest.approx(-0.0005, abs=1e-12)
         assert r.regime == "clt"
         assert r.rate_exponent == pytest.approx(-0.2995)
 
     def test_open_regime(self):
-        r = predicted_rate(1000, 0.9, 0.2)
+        r = predicted_rate(0.9, 0.2)
         assert r.regime == "open"
         assert math.isnan(r.rate_exponent)
 
     def test_validation(self):
         with pytest.raises(DomainError):
-            predicted_rate(1000, 0.0, 0.1)
+            predicted_rate(0.0, 0.1)
         with pytest.raises(DomainError):
-            predicted_rate(1000, 0.5, 0.6)
+            predicted_rate(0.5, 0.6)

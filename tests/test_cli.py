@@ -307,7 +307,7 @@ REJECTED = [
     "simulate --trunc 0 --out {out}",
     "acf --trunc -1 --out {out}",
     "landscape --trunc 0 --out {out}",
-    "estimate --input {input} --variant bar --beta 0.3 --out {out}",
+    "estimate --input {input} --variant bar --out {out}",    # no such flag
     "estimate --input {input} --trunc 50 --out {out}",
     "landscape --beta 0 --out {out}",
     "landscape --beta 1.5 --out {out}",
@@ -379,7 +379,7 @@ HONOURED = [
      "--eps 0.5 --beta 0.5 --d 0.3 --trunc 50", "rows.csv",
      dict(eps=0.5, beta=0.5, d=0.3, c=0.2, trunc=50, replicates=4)),
     ("estimate --input {input} --fix-c 0.2 --fix-a 1.0", "--beta 0.5",
-     "estimate.csv", dict(beta=0.5, variant="trunc", eps=0.01)),
+     "estimate.csv", dict(beta=0.5, eps=0.01)),
     ("acf --case 2 --n 500 --burn-in 200 --max-lag 7", "--trunc 100 --c 0.3",
      "acf.csv", dict(trunc=100, c=0.3, d=0.2)),
     ("landscape --n 300 --burn-in 200 --eps-list 0.01 --d-grid 0,0.4,3",

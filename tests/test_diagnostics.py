@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -10,7 +13,8 @@ from larchpmle import (
     simulate,
     tail_variance,
 )
-from larchpmle.errors import InsufficientDataError
+from larchpmle import diagnostics
+from larchpmle.errors import DomainError, InsufficientDataError
 
 from conftest import CASE2
 
@@ -36,6 +40,20 @@ class TestFitDecay:
                  (5.0, 0.0), (6.0, 0.2), (7.0, 0.15)]
         fit = fit_decay(pairs, 1, 7)
         assert fit.n_points == 5
+
+    def test_nonfinite_pairs_excluded(self):
+        # an inf value and an inf k drop out like nonpositive ones, with
+        # no warning from the fit
+        k = np.arange(1.0, 8.0)
+        pairs = np.stack([k, k ** -0.8], axis=1)
+        bad = np.vstack([pairs, [(8.0, math.inf), (math.inf, 0.1),
+                                 (9.0, math.nan)]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit = fit_decay(bad, 1, math.inf)
+        assert fit.n_points == 7
+        assert fit.k_range == (1.0, 7.0)
+        assert fit == fit_decay(pairs, 1, math.inf)
 
     def test_insufficient_data(self):
         pairs = [(k, 1.0 / k) for k in range(1, 5)]
@@ -92,3 +110,14 @@ class TestScoreGap:
                       burn_in=2500)
         assert g.predicted.regime == "clt"
         assert len(g.per_replicate) == 2
+
+    @pytest.mark.parametrize("replicates", [0, -1])
+    def test_no_replicates_rejected_before_any_work(self, spec, replicates,
+                                                    monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("a path was simulated before the check")
+
+        monkeypatch.setattr(diagnostics, "simulate", no_work)
+        with pytest.raises(DomainError, match="replicates"):
+            score_gap(spec, CASE2, 0.01, 500, 0.599, replicates,
+                      burn_in=2000)

@@ -227,14 +227,15 @@ class TestEstimate:
     def test_frozen_c_closed_form(self, spec):
         th0 = Theta(0.0, 0.0, 1.3)
         s = simulate(spec, th0, SimConfig(n=2000, burn_in=100, J=100, seed=5))
-        res = estimate(LossSpec("bar", 0.01), spec, s.x_obs, fix={"c": 0.0})
+        res = estimate(LossSpec("trunc", 0.01, beta=1.0), spec, s.x_obs,
+                       fix={"c": 0.0})
         assert res.theta_hat.a == pytest.approx(
             np.sqrt(np.mean(s.x_obs ** 2)), abs=1e-6)
-        assert res.variant == "bar"
 
     def test_epsilon_zero_rejected(self, spec, case1_path):
         with pytest.raises(ValidationError):
-            estimate(LossSpec("bar", 0.0), spec, case1_path.x_obs)
+            estimate(LossSpec("trunc", 0.0, beta=1.0), spec,
+                     case1_path.x_obs)
 
     def test_tiny_window_rejected(self, spec):
         rng = np.random.default_rng(1)
@@ -256,7 +257,7 @@ class TestEstimate:
         th0 = Theta(0.25, 0.4, 1.0)
         s = simulate(fspec, th0, SimConfig(n=1200, burn_in=3000, J=500,
                                            seed=20))
-        res = estimate(LossSpec("bar", 0.01), fspec, s.x_obs,
+        res = estimate(LossSpec("trunc", 0.01, beta=1.0), fspec, s.x_obs,
                        fix={"c": th0.c, "a": th0.a})
         assert res.converged
         assert abs(res.theta_hat.d - th0.d) < 0.1

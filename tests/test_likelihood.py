@@ -25,6 +25,13 @@ from conftest import CASE1, CASE1_BETA, _simulate_loop
 from nelder_mead import minimize_box
 from oracles import sigma_bar, sigma_full
 
+# the observed-past loss averaged over the whole sample (beta = 1): its
+# sigma is the oracles' sigma_bar, and test ids name it "bar"
+BAR = LossSpec("trunc", 0.01, beta=1.0)
+# the loss of each test-id label
+LSPECS = {"bar": BAR, "trunc": LossSpec("trunc", 0.01, beta=CASE1_BETA),
+          "full": LossSpec("full", 0.01)}
+
 
 class TestWindow:
     def test_reference_counts_low_beta(self):
@@ -49,8 +56,8 @@ class TestWindow:
 
     def test_one_observation_only_for_full(self, spec):
         # "full" sums the sample's stored lags, as the sandwich's one-point
-        # blocks do; "bar" and "trunc" sum J = n - 1 lags of the
-        # observations and need two
+        # blocks do; "trunc" sums J = n - 1 lags of the observations and
+        # needs two
         s = simulate(spec, CASE1, SimConfig(n=1, burn_in=2000, J=2000,
                                             seed=3))
         eps = 0.01
@@ -59,9 +66,8 @@ class TestWindow:
         assert res.t_range == (1, 1)
         assert res.value == pytest.approx(
             (s.x_obs[0] ** 2 + eps) / s2e + math.log(s2e), rel=1e-12)
-        for lspec in (LossSpec("bar", eps), LossSpec("trunc", eps, beta=1.0)):
-            with pytest.raises(WindowError):
-                PathEvaluator(lspec, spec, s.x_obs)
+        with pytest.raises(WindowError):
+            PathEvaluator(LossSpec("trunc", eps, beta=1.0), spec, s.x_obs)
 
 
 class TestSigmaReconstruction:
@@ -107,8 +113,7 @@ class TestSigmaReconstruction:
         spec = CoeffSpec(family, J)
         s = simulate(spec, CASE1, SimConfig(n=3000, burn_in=J, J=J, seed=16))
         data = s if variant == "full" else s.x_obs
-        v0 = PathEvaluator(LossSpec(variant, 0.01), spec, data).lag_sums(
-            CASE1, 0)[0]
+        v0 = PathEvaluator(LSPECS[variant], spec, data).lag_sums(CASE1, 0)[0]
         got = CASE1.a + CASE1.c * v0
         if variant == "full":
             want = [sigma_full(spec, CASE1, s, t) for t in range(1, 3001)]
@@ -139,7 +144,7 @@ class TestLossValue:
         x = 1.3 * rng.standard_normal(400)
         eps = 0.01
         th = Theta(0.3, 0.0, 1.1)
-        le = loss(LossSpec("bar", eps), spec, th, x)
+        le = loss(LossSpec("trunc", eps, beta=1.0), spec, th, x)
         m2 = np.mean(x ** 2)
         expect = (m2 + eps) / (th.a ** 2 + eps) + math.log(th.a ** 2 + eps)
         assert le.value == pytest.approx(expect, rel=1e-12)
@@ -151,8 +156,8 @@ class TestLossValue:
     def test_value_above_log_epsilon(self, spec, case1_path):
         eps = 0.01
         for th in (CASE1, Theta(0.3, 0.4, 0.5), Theta(0.0, 0.0, 5.0)):
-            le = loss(LossSpec("bar", eps), spec, th, case1_path.x_obs,
-                      derivatives=0)
+            le = loss(LossSpec("trunc", eps, beta=1.0), spec, th,
+                      case1_path.x_obs, derivatives=0)
             assert le.value >= math.log(eps)
 
     def test_trunc_window_annotation(self, spec, case1_path):
@@ -176,7 +181,7 @@ class TestLossValue:
         np.testing.assert_array_equal(ev.values(v0, c, a), ref)
 
     def test_values_reject_nonfinite_term(self, spec):
-        ev = PathEvaluator(LossSpec("bar", 0.0), spec, np.zeros(30))
+        ev = PathEvaluator(replace(BAR, epsilon=0.0), spec, np.zeros(30))
         v0 = ev.lag_sums(Theta(0.1, 0.0, 0.0), 0)[0]
         with pytest.raises(NumericError, match="t = 1"):
             ev.values(v0, [0.0, 0.2], [1.0, 0.0])
@@ -188,13 +193,13 @@ class TestLossValue:
     def test_nonfinite_term_reports_t(self, spec):
         x = np.zeros(30)
         with pytest.raises(NumericError, match="t = 1"):
-            loss(LossSpec("bar", 0.0), spec, Theta(0.1, 0.0, 0.0), x)
+            loss(replace(BAR, epsilon=0.0), spec, Theta(0.1, 0.0, 0.0), x)
 
     def test_nonfinite_input_rejected(self, spec):
         x = np.ones(30)
         x[7] = np.nan
         with pytest.raises(NumericError, match="t = 8"):
-            loss(LossSpec("bar", 0.01), spec, CASE1, x)
+            loss(BAR, spec, CASE1, x)
 
     def test_nonfinite_observation_in_full_window_lags(self, spec):
         # a "full" evaluator checks the observations its window reaches,
@@ -215,7 +220,7 @@ class TestLossValue:
         rng = np.random.default_rng(5)
         x = rng.standard_normal(200)
         th = Theta(0.2, 0.3, 1.0)
-        le = loss(LossSpec("bar", 0.01), farima_spec, th, x, derivatives=2)
+        le = loss(BAR, farima_spec, th, x, derivatives=2)
         assert np.all(np.isfinite(le.score))
         assert np.all(np.isfinite(le.hessian))
         assert np.abs(le.hessian - le.hessian.T).max() < 1e-12
@@ -227,7 +232,7 @@ class TestDerivatives:
         rng = np.random.default_rng(seed)
         th = Theta(rng.uniform(0.05, 0.4), rng.uniform(0.05, 0.5),
                    rng.uniform(0.4, 2.0))
-        ev = PathEvaluator(LossSpec("bar", 0.01), spec, case1_path.x_obs)
+        ev = PathEvaluator(BAR, spec, case1_path.x_obs)
         le = ev(th)
         h = 1e-6
         for i, e in enumerate(np.eye(3)):
@@ -242,7 +247,7 @@ class TestDerivatives:
     def test_order_outside_0_to_2_rejected(self, family, derivatives,
                                            case1_path):
         # on the FFT path and on the table alike
-        spec, lspec = CoeffSpec(family, 2000), LossSpec("bar", 0.01)
+        spec, lspec = CoeffSpec(family, 2000), BAR
         with pytest.raises(DomainError):
             loss(lspec, spec, CASE1, case1_path.x_obs, derivatives=derivatives)
         table = PathEvaluator(lspec, spec, case1_path.x_obs,
@@ -257,7 +262,7 @@ class TestDerivatives:
                                             seed=path_seed))
         th = Theta(0.15, 0.3, 0.9)
         for family_spec in (spec, farima_spec):
-            ev = PathEvaluator(LossSpec("bar", 0.01), family_spec, s.x_obs)
+            ev = PathEvaluator(BAR, family_spec, s.x_obs)
             le = ev(th)
             h = 1e-5
             fd = np.empty((3, 3))
@@ -297,8 +302,7 @@ class TestVariantAgreement:
                 s = simulate(spec, CASE1,
                              SimConfig(n=n, burn_in=10_000, J=2000,
                                        seed=derive_seed(101, r)))
-                lb = loss(LossSpec("bar", 0.01), spec, CASE1, s.x_obs,
-                          derivatives=0)
+                lb = loss(BAR, spec, CASE1, s.x_obs, derivatives=0)
                 lf = loss(LossSpec("full", 0.01), spec, CASE1, s,
                           derivatives=0)
                 gaps.append(abs(lb.value - lf.value))
@@ -340,41 +344,47 @@ class TestLandscape:
         assert all(a <= b for a, b in zip(counts, counts[1:]))
 
     def test_rows_match_pointwise_loss(self, spec, case1_path):
-        # epsilon outer, d inner; each d's lag sums serve every epsilon
-        lspec = LossSpec("trunc", 0.01, beta=0.7)
+        # epsilon outer, d inner; each value is that of the loss spec at
+        # its epsilon, whose own epsilon (here 0.5) is not used
+        lspec = LossSpec("trunc", 0.5, beta=0.7)
         grid, eps_list = [0.0, 0.15, 0.3], [0.01, 0.001, 0.0]
         rows = landscape(lspec, spec, 0.1, 1.0, case1_path.x_obs, grid,
                          eps_list)
-        ev = PathEvaluator(lspec, spec, case1_path.x_obs)
-        th = {d: Theta(d, 0.1, 1.0) for d in grid}
-        assert rows == [(e, d, ev.evaluate(th[d], ev.lag_sums(th[d], 0),
-                                           e).value)
+        assert rows == [(e, d, loss(replace(lspec, epsilon=e), spec,
+                                    Theta(d, 0.1, 1.0), case1_path.x_obs,
+                                    derivatives=0).value)
                         for e in eps_list for d in grid]
 
     def test_empty_grid_rejected(self, spec, case1_path):
         with pytest.raises(DomainError):
-            landscape(LossSpec("bar", 0.01), spec, 0.1, 1.0,
-                      case1_path.x_obs, [], [0.01])
+            landscape(BAR, spec, 0.1, 1.0, case1_path.x_obs, [], [0.01])
+
+    @pytest.mark.parametrize("eps", [-1.0, math.inf, math.nan])
+    def test_bad_epsilon_rejected(self, spec, case1_path, eps):
+        # by the loss spec that each epsilon of the list makes
+        with pytest.raises(DomainError, match="epsilon"):
+            landscape(BAR, spec, 0.1, 1.0, case1_path.x_obs, [0.2],
+                      [0.01, eps])
 
 
 class TestLossSpecValidation:
     def test_variants(self):
-        LossSpec("bar", 0.01)
         LossSpec("full", 0.01, J=500)
         LossSpec("trunc", 0.01, beta=0.5)
-        with pytest.raises(DomainError):
-            LossSpec("exact", 0.01)
+        # the whole-sample observed-past loss is "trunc" at beta = 1
+        for variant in ("exact", "bar"):
+            with pytest.raises(DomainError):
+                LossSpec(variant, 0.01)
         with pytest.raises(DomainError):
             LossSpec("trunc", 0.01)             # beta missing
         with pytest.raises(DomainError):
-            LossSpec("bar", -0.5)
+            LossSpec("trunc", -0.5, beta=1.0)
         with pytest.raises(DomainError):
             LossSpec("full", 0.01, J=0)
 
 
 TABLE_SPECS = [LossSpec("trunc", 0.01, beta=0.799),
-               LossSpec("trunc", 0.01, beta=0.599),
-               LossSpec("bar", 0.01)]
+               LossSpec("trunc", 0.01, beta=0.599), BAR]
 TABLE_IDS = ["trunc0.799", "trunc0.599", "bar"]
 
 
@@ -442,9 +452,7 @@ def _case(family, variant, J, n, table_samples):
     else:
         sample = simulate(spec, CASE1, SimConfig(
             n=n, burn_in=J, J=J, seed=derive_seed(n, J)))
-    lspec = (LossSpec("trunc", 0.01, beta=CASE1_BETA)
-             if variant == "trunc" else LossSpec(variant, 0.01))
-    return lspec, spec, sample
+    return LSPECS[variant], spec, sample
 
 
 class TestSegmentedTransform:
@@ -507,17 +515,12 @@ class TestSegmentedTransform:
     @pytest.mark.parametrize("family", ["power", "farima"])
     def test_observed_past_is_zero_filled_full(self, family, variant,
                                                table_samples):
-        # "bar" and "trunc" are the "full" variant with J = n - 1 lags of a
-        # history whose pre-sample values are zero, bit for bit, t = 1
-        # included
-        spec = CoeffSpec(family, 2000)
+        # "trunc" is the "full" variant with J = n - 1 lags of a history
+        # whose pre-sample values are zero, bit for bit, t = 1 included
+        spec, lspec = CoeffSpec(family, 2000), LSPECS[variant]
         sample = table_samples[10_000]
         n = sample.n
-        if variant == "trunc":
-            lspec, t_first = (LossSpec("trunc", 0.01, beta=CASE1_BETA),
-                              n - m_of_n(n, CASE1_BETA))
-        else:
-            lspec, t_first = LossSpec("bar", 0.01), 1
+        t_first = n - m_of_n(n, lspec.beta)
         ev = PathEvaluator(lspec, spec, sample.x_obs)
         full = PathEvaluator(LossSpec("full", 0.01, J=n - 1), spec,
                              _zero_past(sample), window=(t_first, n))
@@ -624,9 +627,7 @@ class TestChebyshevTable:
         # the table's value rows, and the window-sized FFT path, against a
         # transform of the whole series; farima's relative accuracy holds
         # down to d = 1e-6 because its table holds the sums of pi_j / d
-        spec = CoeffSpec(family, 2000)
-        lspec = (LossSpec("trunc", 0.01, beta=CASE1_BETA)
-                 if variant == "trunc" else LossSpec(variant, 0.01))
+        spec, lspec = CoeffSpec(family, 2000), LSPECS[variant]
         sample = table_samples[n]
         data = sample if variant == "full" else sample.x_obs
         table = PathEvaluator(lspec, spec, data, d_range=(0.0, 0.45))
@@ -690,8 +691,7 @@ class TestChebyshevTable:
     def test_invalid_range_rejected(self, spec, case1_path):
         for bad in ((0.3, 0.3), (0.4, 0.1), (0.0, math.inf)):
             with pytest.raises(DomainError):
-                PathEvaluator(LossSpec("bar", 0.01), spec, case1_path.x_obs,
-                              d_range=bad)
+                PathEvaluator(BAR, spec, case1_path.x_obs, d_range=bad)
 
     @pytest.mark.parametrize("r", range(5))
     def test_estimate_matches_fft_objective(self, spec, space, r):

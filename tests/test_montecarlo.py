@@ -212,7 +212,7 @@ class TestRunStudy:
 
     def test_zero_scale_study_recovers_intercept(self, spec):
         # with c frozen at zero the intercept estimate is sqrt(mean x^2)
-        cfg = StudyConfig(label="flat", theta0=Theta(0.0, 0.0, 1.3),
+        cfg = StudyConfig(theta0=Theta(0.0, 0.0, 1.3),
                           epsilon=0.01, beta=0.9, n_values=(600,),
                           replicates=1, base_seed=3, trim=0,
                           estimate_params="dca", burn_in=200, J=100)

@@ -217,7 +217,8 @@ class TestBlockedKernel:
                 "s = larchpmle.simulate(spec, larchpmle.Theta(0.1, 0.2, 1.0),\n"
                 "    larchpmle.SimConfig(n=100, burn_in=100, seed=1))\n"
                 "print('scipy.linalg' in sys.modules)\n"
-                "larchpmle.estimate(larchpmle.LossSpec('bar', 0.01), spec,\n"
+                "larchpmle.estimate(\n"
+                "    larchpmle.LossSpec('trunc', 0.01, beta=1.0), spec,\n"
                 "    s.x_obs)\n"
                 "print('scipy.linalg' in sys.modules,\n"
                 "      'scipy.optimize' in sys.modules)\n")
