@@ -269,6 +269,7 @@ def _build_parser() -> _Parser:
     p = command("mc", _cmd_mc, "replication study (rows + summary CSVs)",
                 "case", "seed", "out", "eps", "beta", "d", "c", "a",
                 "burn-in", "trunc")
+    p.set_defaults(seed=StudyConfig.base_seed)
     p.add_argument("--n", type=_csv(_int_from(2)), default=(1000,),
                    help="sample sizes, comma separated")
     p.add_argument("--replicates", type=_int_from(1), default=100,

@@ -312,7 +312,8 @@ def tail_variance(spec: CoeffSpec, theta: Theta, t: int) -> float:
 
 @dataclass
 class NoiseMoments:
-    """Signed moments mu_p and absolute moments |mu|_p of the innovations."""
+    """Signed moments mu_p and absolute moments |mu|_p of the innovations;
+    the consistency checks allow a relative rounding of 1e-12."""
 
     mu: dict = field(default_factory=dict)
     mu_abs: dict = field(default_factory=dict)
@@ -324,12 +325,12 @@ class NoiseMoments:
             raise ValidationError("innovations must be standardized: mu_2 = 1")
         for p, m in self.mu.items():
             ma = self.mu_abs.get(p)
-            if ma is not None and ma < abs(m) - 1e-12:
+            if ma is not None and ma < abs(m) - 1e-12 * max(1.0, abs(m)):
                 raise ValidationError(f"|mu|_{p} < |mu_{p}| is inconsistent")
         orders = sorted(self.mu_abs)
         roots = [self.mu_abs[p] ** (1.0 / p) for p in orders]
         for lo, hi in zip(roots, roots[1:]):
-            if hi < lo - 1e-12:
+            if hi < lo - 1e-12 * max(1.0, lo):
                 raise ValidationError("|mu|_p^(1/p) must be nondecreasing in p")
 
     def moment(self, p: int) -> float:
@@ -349,17 +350,22 @@ def gaussian_moments(p_max: int = 8) -> NoiseMoments:
     """Moments of the standard normal up to order p_max.
 
     mu_p = (p-1)!! for even p and 0 for odd p;
-    |mu|_p = 2**(p/2) * Gamma((p+1)/2) / sqrt(pi).
+    |mu|_p = 2**(p/2) * Gamma((p+1)/2) / sqrt(pi); from p = 302 on they
+    overflow a double, and :class:`DomainError` is raised.
     """
     if p_max < 2:
         raise DomainError("p_max must be >= 2")
     mu, mu_abs = {}, {}
     for p in range(1, p_max + 1):
-        if p % 2 == 0:
-            mu[p] = float(math.prod(range(p - 1, 0, -2)))
-        else:
-            mu[p] = 0.0
-        mu_abs[p] = 2.0 ** (p / 2.0) * math.gamma((p + 1) / 2.0) / math.sqrt(math.pi)
+        try:
+            mu[p] = 0.0 if p % 2 else float(math.prod(range(p - 1, 0, -2)))
+            mu_abs[p] = (2.0 ** (p / 2.0) * math.gamma((p + 1) / 2.0)
+                         / math.sqrt(math.pi))
+        except OverflowError:
+            mu_abs[p] = math.inf
+        if mu_abs[p] == math.inf:
+            raise DomainError(f"the normal moment of order {p} overflows a "
+                              f"double; p_max = {p_max} must be below {p}")
     return NoiseMoments(mu=mu, mu_abs=mu_abs)
 
 

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .asymptotics import RatePrediction, predicted_rate
 from .coeffs import CoeffSpec, Theta
 from .errors import DomainError, InsufficientDataError
 from .likelihood import LossSpec, PathEvaluator, m_of_n
@@ -62,11 +61,10 @@ def fit_decay(pairs, k_min: float, k_max: float) -> DecayFit:
 
 @dataclass(frozen=True)
 class ScoreGapResult:
-    """Empirical scaled score gap on the truncated window plus prediction."""
+    """Empirical scaled score gap on the truncated window."""
 
     empirical: float
     per_replicate: tuple
-    predicted: RatePrediction
 
 
 def score_gap(spec: CoeffSpec, theta0: Theta, epsilon: float, n: int,
@@ -74,33 +72,32 @@ def score_gap(spec: CoeffSpec, theta0: Theta, epsilon: float, n: int,
               burn_in: int = 10_000) -> ScoreGapResult:
     """Monte-Carlo estimate of the full-vs-observed-past score difference.
 
-    Per replicate, the d-component of the truncated-window score is
-    evaluated at theta0 twice, once with sigma reconstructed from the whole
-    generated history (every value before the window's first point, burn-in
-    included, so J = burn_in + n - m(n) - 1 lags) and once from the
-    observed past only; the absolute difference is scaled by the square
-    root of the window size.  The d-component is the one whose central
-    limit theorem the gap decides, and with c = 0 both reconstructions
-    have identically zero d-score, so the gap is exactly zero.  Fewer than
-    one replicate raises :class:`DomainError` before any work.
+    Per replicate, the d-component of the score is evaluated at theta0
+    twice on the window that beta gives both variants, the last
+    m(n) + 1 = floor(n^beta) points: once by ``"full"`` with sigma
+    reconstructed from the whole generated history (every value before
+    the window's first point, burn-in included, so J = burn_in + n - m(n)
+    - 1 lags) and once by ``"trunc"`` from the observed past only; the
+    absolute difference is scaled by the square root of the window size.
+    The d-component is the one whose central limit theorem the gap
+    decides, and with c = 0 both reconstructions have identically zero
+    d-score, so the gap is exactly zero.  The predicted order of the gap is
+    :func:`larchpmle.asymptotics.predicted_rate`.  Fewer than one replicate
+    raises :class:`DomainError` before any work.
     """
     if replicates < 1:
         raise DomainError(f"replicates {replicates} must be >= 1")
     m = m_of_n(n, beta)
-    window = (n - m, n)
-    J = burn_in + window[0] - 1
+    full = LossSpec("full", epsilon, beta=beta, J=burn_in + n - m - 1)
+    trunc = LossSpec("trunc", epsilon, beta=beta)
     gaps = []
     for r in range(replicates):
         seed = derive_seed(base_seed, r)
         sample = simulate(spec, theta0,
                           SimConfig(n=n, burn_in=burn_in, seed=seed))
-        ev_full = PathEvaluator(LossSpec("full", epsilon, J=J), spec,
-                                sample, window=window)
-        ev_bar = PathEvaluator(LossSpec("trunc", epsilon, beta=beta), spec,
-                               sample.x_obs)
-        s_full = ev_full(theta0, derivatives=1).score[0]
-        s_bar = ev_bar(theta0, derivatives=1).score[0]
+        evs = (PathEvaluator(full, spec, sample),
+               PathEvaluator(trunc, spec, sample.x_obs))
+        s_full, s_bar = (ev(theta0, derivatives=1).score[0] for ev in evs)
         gaps.append(math.sqrt(m + 1) * abs(s_full - s_bar))
     return ScoreGapResult(empirical=float(np.mean(gaps)),
-                          per_replicate=tuple(gaps),
-                          predicted=predicted_rate(beta, theta0.d))
+                          per_replicate=tuple(gaps))

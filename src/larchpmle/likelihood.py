@@ -1,16 +1,18 @@
 """Epsilon-regularized pseudo-likelihood losses for LARCH processes.
 
-Two variants of the per-observation loss
+The per-observation loss
 l_t = (x_t^2 + eps) / (sigma_t^2(theta) + eps) + ln(sigma_t^2(theta) + eps)
-are provided, differing in how sigma_t(theta) is reconstructed and which
-time points are averaged:
+comes in two variants, which differ only in the past sigma_t(theta) is
+reconstructed from:
 
-* ``"full"``  : sigma_t from the extended history (pre-sample included),
-  truncated at J lags; averages t = 1..n.
-* ``"trunc"`` : sigma_t from the observed past x_1..x_{t-1} only, i.e.
-  the full-history sum with the unobserved past set to zero; averages
-  the last floor(n^beta) points t = n - m(n)..n, where
-  m(n) = floor(n^beta) - 1, so beta = 1 averages all n points.
+* ``"full"``  : the extended history (pre-sample included), truncated at
+  J lags;
+* ``"trunc"`` : the observed past x_1..x_{t-1} only, i.e. the
+  full-history sum with the unobserved past set to zero.
+
+Both average the last floor(n^beta) points t = n - m(n)..n, where
+m(n) = floor(n^beta) - 1; beta = 1, like ``"full"`` without beta, averages
+all n points, and ``"trunc"`` requires beta.
 
 The analytic score and Hessian are exact derivatives of the loss in
 theta = (d, c, a).  Every variant convolves the J + w - 1 history values
@@ -85,12 +87,13 @@ def _kernel_spectra(family: str, d: float, J: int, derivatives: int,
 
 @dataclass(frozen=True)
 class LossSpec:
-    """Loss variant, regularization constant, and window/truncation knobs.
+    """Loss variant, regularization constant, window and truncation.
 
     ``epsilon`` must be positive for estimation; zero is tolerated only for
-    exploratory landscape evaluation.  ``beta`` selects the truncated
-    window (``"trunc"`` only; 1 averages the whole sample); ``J`` overrides
-    the history truncation of the ``"full"`` variant.
+    exploratory landscape evaluation.  ``beta`` in (0, 1] windows either
+    variant (see the module docstring); ``J`` overrides the history
+    truncation of ``"full"``, the only variant that reads a stored history.
+    A field the variant cannot use is refused.
     """
 
     variant: str = "trunc"
@@ -103,11 +106,15 @@ class LossSpec:
             raise DomainError(f"unknown loss variant {self.variant!r}")
         if not math.isfinite(self.epsilon) or self.epsilon < 0.0:
             raise DomainError("epsilon must be >= 0 and finite")
-        if self.variant == "trunc":
-            if self.beta is None or not 0.0 < self.beta <= 1.0:
-                raise DomainError("trunc variant requires beta in (0, 1]")
-        if self.J is not None and self.J < 1:
-            raise DomainError("truncation order J must be >= 1")
+        # "full" without beta averages all n points, as beta = 1 does
+        beta = (1.0 if self.beta is None and self.variant == "full"
+                else self.beta)
+        if beta is None or not 0.0 < beta <= 1.0:
+            raise DomainError(f"{self.variant} variant: beta = {self.beta} "
+                              f"is not in (0, 1]")
+        if self.J is not None and (self.variant != "full" or self.J < 1):
+            raise DomainError(f"truncation order J = {self.J} must be >= 1 "
+                              f"and is read by the full variant only")
 
 
 @dataclass(frozen=True)
@@ -117,13 +124,12 @@ class LossEval:
     value: float
     score: np.ndarray
     hessian: np.ndarray | None
-    t_range: tuple
 
 
 def m_of_n(n: int, beta: float) -> int:
     """Window parameter m(n) = floor(n^beta) - 1.
 
-    The truncated loss then averages the m(n) + 1 = floor(n^beta) points
+    A loss with beta then averages the m(n) + 1 = floor(n^beta) points
     t = n - m(n)..n.
     """
     n = int(n)
@@ -153,12 +159,10 @@ class PathEvaluator:
     are :func:`larchpmle.coeffs._unit_rows`, combined into the weights'
     d-derivatives by :func:`larchpmle.coeffs._scaled`.
 
-    ``window`` overrides the averaged t-range (1-based, inclusive), e.g. to
-    evaluate the full-history loss on a truncated window when comparing it
-    against the observed-past loss, or to sum a long path block by block.
-    Only the observations that reach the window, its points and their J
-    lags, are checked to be finite, so construction costs O(J + w) and not
-    O(n).
+    The window is the last floor(n^beta) points, t = ``t_first``..n with
+    ``w`` points, or all n points for ``"full"`` without beta.  Only the
+    observations that reach the window, its points and their J lags, are
+    checked to be finite, so construction costs O(J + w) and not O(n).
 
     ``d_range = (lo, hi)`` builds, at construction, a table of the lag sums
     in Chebyshev form: one kernel transform at each of 20 Chebyshev nodes
@@ -174,7 +178,7 @@ class PathEvaluator:
     """
 
     def __init__(self, lspec: LossSpec, spec: CoeffSpec, data,
-                 window: tuple | None = None, d_range: tuple | None = None):
+                 d_range: tuple | None = None):
         self.lspec = lspec
         self.spec = spec
         if isinstance(data, Sample):
@@ -191,16 +195,8 @@ class PathEvaluator:
             raise WindowError(f"too few observations: {n}")
         self.n = n
 
-        if window is not None:
-            self.t_first, self.t_last = int(window[0]), int(window[1])
-            if not 1 <= self.t_first <= self.t_last <= n:
-                raise DomainError(f"window {window} outside 1..{n}")
-        elif lspec.variant == "trunc":
-            m = m_of_n(n, lspec.beta)
-            self.t_first, self.t_last = n - m, n
-        else:
-            self.t_first, self.t_last = 1, n
-        self.w = self.t_last - self.t_first + 1
+        self.t_first = 1 if lspec.beta is None else n - m_of_n(n, lspec.beta)
+        self.w = n - self.t_first + 1
 
         if lspec.variant == "full":
             self.J = lspec.J if lspec.J is not None else data.config.J
@@ -210,7 +206,7 @@ class PathEvaluator:
             history, first = np.concatenate([np.zeros(self.J), x_obs]), self.J
         # only the window's points and their J lags enter the loss
         lo = max(0, self.t_first - 1 - self.J)
-        used = np.isfinite(x_obs[lo: self.t_last])
+        used = np.isfinite(x_obs[lo:])
         if not used.all():
             bad = lo + int(np.flatnonzero(~used)[0]) + 1
             raise NumericError(f"non-finite observation at t = {bad}")
@@ -221,7 +217,7 @@ class PathEvaluator:
         # only the J + w - 1 values from the first window point's J-th lag
         # to the last point's first lag reach the window
         series = history[start: start + self.J + self.w - 1]
-        self.xw = x_obs[self.t_first - 1: self.t_last]
+        self.xw = x_obs[self.t_first - 1:]
         self._nfft = _fft_size(len(series))
         self._spectrum = np.fft.rfft(series, self._nfft)
 
@@ -313,9 +309,8 @@ class PathEvaluator:
         the score when v1 is given and the Hessian when v2 is too."""
         v0, v1, v2 = sums
         value = float(self.values(v0, [theta.c], [theta.a])[0])
-        t_range = (self.t_first, self.t_last)
         if v1 is None:
-            return LossEval(value, None, None, t_range)
+            return LossEval(value, None, None)
 
         eps = self.lspec.epsilon
         c = theta.c
@@ -329,7 +324,7 @@ class PathEvaluator:
         if not np.all(np.isfinite(score)):
             raise NumericError("non-finite score")
         if v2 is None:
-            return LossEval(value, score, None, t_range)
+            return LossEval(value, score, None)
 
         # Hessian: (A + B) sdot sdot^T + B sigma sddot, with
         # A = 4 sigma^2 / s2e^2 (2r - 1) and B = 2 (1 - r) / s2e.
@@ -348,7 +343,7 @@ class PathEvaluator:
         h /= self.w
         if not np.all(np.isfinite(h)):
             raise NumericError("non-finite Hessian")
-        return LossEval(value, score, h, t_range)
+        return LossEval(value, score, h)
 
 
 def loss(lspec: LossSpec, spec: CoeffSpec, theta: Theta, data,

@@ -261,6 +261,17 @@ class TestOtherCommands:
         out = capsys.readouterr().out
         assert "M3" in out and "lhs=" in out
 
+    def test_check_moments_high_order(self, capsys):
+        assert run_cli("check-moments", "--case", "1", "--orders",
+                       "4,24") == 0
+        assert "M'_24" in capsys.readouterr().out
+
+    def test_check_moments_overflowing_order(self, capsys):
+        assert run_cli("check-moments", "--case", "1", "--orders", "400") == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert "order 302" in err[0]
+
     def test_rates_output(self, capsys):
         assert run_cli("rates", "--case", "2", "--n", "10000") == 0
         out = capsys.readouterr().out
@@ -275,6 +286,24 @@ class TestOtherCommands:
         assert lines[1] == "case,n,trimmed,stat,value"
         assert (tmp_path / "normplot_all_n300.csv").exists()
         assert (tmp_path / "normplot_trimmed_n300.csv").exists()
+
+    def test_mc_default_seed_is_the_studys(self, tmp_path):
+        # without --seed, mc runs the replicates of the library's study
+        rc = run_cli("mc", "--case", "1", "--n", "300", "--replicates", "4",
+                     "--trim", "1", "--out", str(tmp_path))
+        assert rc == 0
+        meta = (tmp_path / "mc_meta.txt").read_text().splitlines()
+        assert "seed = 42" in meta
+        report = montecarlo.run_study(montecarlo.case_study(
+            1, n_values=(300,), replicates=4, trim=1))
+        lines = (tmp_path / "rows.csv").read_text().splitlines()[2:]
+        assert len(lines) == len(report.rows) == 4
+        for line, row in zip(lines, report.rows):
+            fields = line.split(",")
+            assert int(fields[3]) == row.seed
+            assert [float(v) for v in fields[4:8]] == [
+                row.d_hat, row.c_hat, row.a_hat, row.loss]
+            assert int(fields[10]) == row.evals
 
 
 @pytest.fixture(scope="module")

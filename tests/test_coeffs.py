@@ -357,6 +357,25 @@ class TestMoments:
         with pytest.raises(MissingMomentError):
             nm.abs_moment(7)
 
+    @pytest.mark.parametrize("p_max", [24, 300, 301])
+    def test_high_orders_construct(self, p_max):
+        # the Gamma formula gives |mu|_24 one rounding below mu_24, which
+        # the relative consistency check accepts
+        nm = gaussian_moments(p_max)
+        assert nm.moment(24) == 316234143225.0
+        assert nm.abs_moment(24) == pytest.approx(nm.moment(24), rel=1e-15)
+        assert math.isfinite(nm.abs_moment(p_max))
+
+    def test_overflowing_order_rejected(self):
+        with pytest.raises(DomainError, match="order 302"):
+            gaussian_moments(400)
+
+    def test_relative_checks_reject_large_moments(self):
+        with pytest.raises(ValidationError):
+            NoiseMoments(mu={2: 1.0, 24: 3.16e11}, mu_abs={24: 3.15e11})
+        with pytest.raises(ValidationError):
+            NoiseMoments(mu={}, mu_abs={2: 1e6, 4: 1e6})
+
     def test_inconsistent_moments_rejected(self):
         with pytest.raises(ValidationError):
             NoiseMoments(mu={1: 0.5, 2: 1.0}, mu_abs={})

@@ -9,6 +9,7 @@ from larchpmle import (
     Theta,
     acf,
     fit_decay,
+    predicted_rate,
     score_gap,
     simulate,
     tail_variance,
@@ -93,7 +94,8 @@ class TestScoreGap:
         g4 = score_gap(spec, th, 0.01, 4000, 0.799, replicates=80,
                        base_seed=3)
         assert g4.empirical < g1.empirical
-        assert g1.predicted.score_gap_order == pytest.approx(-0.1005)
+        assert predicted_rate(0.799, th.d).score_gap_order == pytest.approx(
+            -0.1005)
 
     def test_clt_regime_gap_shrinks(self, spec):
         # beta below the long-memory border: the gap is o(1)
@@ -103,12 +105,11 @@ class TestScoreGap:
         g8 = score_gap(spec, th, 0.01, 8000, 0.599, replicates=80,
                        base_seed=3)
         assert g8.empirical < g1.empirical
-        assert g1.predicted.regime == "clt"
+        assert predicted_rate(0.599, th.d).regime == "clt"
 
     def test_prediction_attached(self, spec):
         g = score_gap(spec, CASE2, 0.01, 500, 0.599, replicates=2,
                       burn_in=2500)
-        assert g.predicted.regime == "clt"
         assert len(g.per_replicate) == 2
 
     @pytest.mark.parametrize("replicates", [0, -1])

@@ -61,9 +61,10 @@ class TestWindow:
         s = simulate(spec, CASE1, SimConfig(n=1, burn_in=2000, J=2000,
                                             seed=3))
         eps = 0.01
-        res = loss(LossSpec("full", eps), spec, CASE1, s)
+        ev = PathEvaluator(LossSpec("full", eps), spec, s)
+        res = ev(CASE1)
         s2e = sigma_full(spec, CASE1, s, 1) ** 2 + eps
-        assert res.t_range == (1, 1)
+        assert (ev.t_first, ev.w) == (1, 1)
         assert res.value == pytest.approx(
             (s.x_obs[0] ** 2 + eps) / s2e + math.log(s2e), rel=1e-12)
         with pytest.raises(WindowError):
@@ -161,11 +162,31 @@ class TestLossValue:
             assert le.value >= math.log(eps)
 
     def test_trunc_window_annotation(self, spec, case1_path):
-        le = loss(LossSpec("trunc", 0.01, beta=0.599), spec, CASE1,
-                  case1_path.x_obs, derivatives=0)
+        ev = PathEvaluator(LossSpec("trunc", 0.01, beta=0.599), spec,
+                           case1_path.x_obs)
         n = case1_path.n
         m = m_of_n(n, 0.599)
-        assert le.t_range == (n - m, n)
+        assert (ev.t_first, ev.w) == (n - m, m + 1)
+
+    def test_full_beta_averages_last_points(self, spec, case1_path):
+        # beta windows "full" as it windows "trunc": the last floor(n^beta)
+        # points, each sigma from the stored history
+        eps, n = 0.01, case1_path.n
+        w = math.floor(n ** 0.5)
+        ev = PathEvaluator(LossSpec("full", eps, beta=0.5), spec, case1_path)
+        assert (ev.t_first, ev.w) == (n - w + 1, w)
+        terms = []
+        for t in range(n - w + 1, n + 1):
+            s2e = sigma_full(spec, CASE1, case1_path, t) ** 2 + eps
+            terms.append((case1_path.x_obs[t - 1] ** 2 + eps) / s2e
+                         + math.log(s2e))
+        assert ev(CASE1, derivatives=0).value == pytest.approx(
+            np.mean(terms), rel=1e-12)
+        # the same terms as the whole-sample loss of a block of those
+        # points, bit for bit
+        block = _window_view(case1_path, n - w + 1, n)
+        assert ev(CASE1).value == loss(LossSpec("full", eps), spec, CASE1,
+                                       block).value
 
     def test_values_match_pointwise_loss(self, spec, case1_path):
         # the fit's grid block against one evaluation per (c, a) pair
@@ -208,12 +229,11 @@ class TestLossValue:
         x = s.x.copy()
         x[s.first_retained + 99] = np.inf
         bad = replace(s, x=x)
-        lspec = LossSpec("full", 0.01)
         for window in ((100, 300), (150, 300)):
             with pytest.raises(NumericError, match="t = 100"):
-                PathEvaluator(lspec, spec, bad, window=window)
+                _beta_window(spec, bad, *window)
         for window in ((151, 300), (10, 99)):
-            ev = PathEvaluator(lspec, spec, bad, window=window)
+            ev = _beta_window(spec, bad, *window)
             assert np.all(np.isfinite(ev.lag_sums(CASE1, 0)[0]))
 
     def test_farima_score_available(self, farima_spec):
@@ -382,6 +402,17 @@ class TestLossSpecValidation:
         with pytest.raises(DomainError):
             LossSpec("full", 0.01, J=0)
 
+    def test_beta_outside_unit_interval_rejected(self):
+        for variant in ("full", "trunc"):
+            for beta in (1.5, 0.0, -0.5, math.nan):
+                with pytest.raises(DomainError, match="beta"):
+                    LossSpec(variant, 0.01, beta=beta)
+
+    def test_J_rejected_for_trunc(self):
+        # "trunc" reads no stored history, so a J would change nothing
+        with pytest.raises(DomainError, match="J"):
+            LossSpec("trunc", 0.01, beta=0.8, J=5)
+
 
 TABLE_SPECS = [LossSpec("trunc", 0.01, beta=0.799),
                LossSpec("trunc", 0.01, beta=0.599), BAR]
@@ -432,6 +463,32 @@ TABLE_CASES = [
     for variant, n in [("bar", 1000), ("bar", 10_000), ("bar", 100_000),
                        ("trunc", 10_000), ("trunc", 100_000),
                        ("full", 1000), ("full", 10_000)]]
+
+
+def _window_view(sample, t_first, t_last):
+    """The sample's points t_first..t_last (1-based) as a sample of their
+    own whose history is the simulation's J values before t_first, the way
+    the sandwich cuts its blocks."""
+    J = sample.config.J
+    cut = slice(sample.first_retained + t_first - 1 - J,
+                sample.first_retained + t_last)
+    return replace(sample, first_retained=J,
+                   **{name: getattr(sample, name)[cut]
+                      for name in ("x", "sigma", "eps")})
+
+
+def _beta_window(spec, sample, t_first, t_last):
+    """A "full" evaluator of the sample's points t_first..t_last (1-based),
+    as the last floor(t_last^beta) points of its first t_last points."""
+    prefix = replace(sample, **{
+        name: getattr(sample, name)[: sample.first_retained + t_last]
+        for name in ("x", "sigma", "eps")})
+    # floor(t_last^beta) = t_last - t_first + 1, half a point clear of the
+    # neighbouring counts
+    beta = math.log(t_last - t_first + 1.5) / math.log(t_last)
+    ev = PathEvaluator(LossSpec("full", 0.01, beta=beta), spec, prefix)
+    assert (ev.t_first, ev.n) == (t_first, t_last)
+    return ev
 
 
 def _zero_past(sample):
@@ -520,10 +577,9 @@ class TestSegmentedTransform:
         spec, lspec = CoeffSpec(family, 2000), LSPECS[variant]
         sample = table_samples[10_000]
         n = sample.n
-        t_first = n - m_of_n(n, lspec.beta)
         ev = PathEvaluator(lspec, spec, sample.x_obs)
-        full = PathEvaluator(LossSpec("full", 0.01, J=n - 1), spec,
-                             _zero_past(sample), window=(t_first, n))
+        full = PathEvaluator(LossSpec("full", 0.01, beta=lspec.beta,
+                                      J=n - 1), spec, _zero_past(sample))
         for d in (0.0, 0.1, 0.3):
             th = Theta(d, 0.2, 1.0)
             for got, want in zip(ev.lag_sums(th, 2), full.lag_sums(th, 2)):
@@ -534,8 +590,8 @@ class TestKernelSpectra:
     def test_evaluators_of_one_length_share_kernel_spectra(self, spec):
         s = simulate(spec, CASE1, SimConfig(n=4000, burn_in=2000, seed=9))
         lspec = LossSpec("full", 0.0)
-        first = PathEvaluator(lspec, spec, s, window=(1, 2000))
-        second = PathEvaluator(lspec, spec, s, window=(2001, 4000))
+        first = PathEvaluator(lspec, spec, _window_view(s, 1, 2000))
+        second = PathEvaluator(lspec, spec, _window_view(s, 2001, 4000))
         assert first._nfft == second._nfft
         first.lag_sums(CASE1, 2)
         hits = _kernel_spectra.cache_info().hits
