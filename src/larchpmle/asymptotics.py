@@ -5,8 +5,10 @@ G = (E eps^4 - 1) E[4 sigma^6 / (sigma^2 + eps)^4 sdot sdot^T] and the
 expected Hessian H = E[4 sigma^2 / (sigma^2 + eps)^2 sdot sdot^T], both
 evaluated at the true parameter by an ergodic average along one long
 simulated path.  ``sandwich`` and ``limit_h0`` read that path from the
-simulator in pieces and sum it block by block, so neither keeps an array
-as long as the path.  Reported standard deviations come in two flavors:
+simulator in pieces of at most max(2 J, 2048) points, J the truncation,
+and add up each of their 32 standard-error blocks over its pieces, so
+neither keeps an array that grows with the path.  Reported standard
+deviations come in two flavors:
 
 * ``sd``       : per-component values sqrt(G_ii) / H_ii, the asymptotic sd
   when that parameter alone is estimated and the others are known.  This
@@ -32,6 +34,11 @@ __all__ = ["SandwichResult", "LimitH0Result", "RatePrediction",
 # consecutive blocks, covering the path, whose means give the standard
 # errors of G and H
 _SE_BLOCKS = 32
+# a block is summed over pieces of at most max(2 J, _PIECE) points, so the
+# lag sums' transforms and the simulator's array are bounded by J and not
+# by the path; at least 2 J, so that a piece cut from a longer block holds
+# at least J points, as many as the lags it reads before it
+_PIECE = 2048
 # divergence monitor of limit_h0: largest relative span of the prefix
 # averages of the trace, and largest share of one time point in its sum
 _H0_SPAN_TOL = 0.05
@@ -91,12 +98,14 @@ def sigma_and_gradient(spec: CoeffSpec, theta: Theta, sample: Sample):
     :class:`~larchpmle.likelihood.PathEvaluator` (J lags into the
     pre-sample, J the sample's simulation truncation), so the sample's
     burn-in must be at least J.  Returns (sigma, S), S of shape (n, 3) in
-    (d, c, a) order, for the sample's n points.
+    (d, c, a) order and in column-major layout, for the sample's n points.
     """
     ev = PathEvaluator(LossSpec("full", 0.0), spec, sample)
     v0, v1, _ = ev.lag_sums(theta, derivatives=1)
     sig = theta.a + theta.c * v0
-    S = np.empty((ev.w, 3))
+    # column-major: the weighted sums S^T diag(w) S read contiguous rows of
+    # S^T, twice as fast as strided ones
+    S = np.empty((3, ev.w)).T
     np.multiply(theta.c, v1, out=S[:, 0])
     S[:, 1] = v0
     S[:, 2] = 1.0
@@ -105,7 +114,7 @@ def sigma_and_gradient(spec: CoeffSpec, theta: Theta, sample: Sample):
 
 def _block_sums(sig: np.ndarray, S: np.ndarray,
                 epsilon: float) -> np.ndarray:
-    """Sums of w_t S_t S_t^T over one block for the weights
+    """Sums of w_t S_t S_t^T over one piece for the weights
     4 sigma^6 / (sigma^2 + eps)^4 of G (without its factor E eps^4 - 1)
     and 4 sigma^2 / (sigma^2 + eps)^2 of H, times k^4 and k^2 for
     k = max(1, eps) so that no eps under- or overflows them; (2, 3, 3)."""
@@ -135,15 +144,23 @@ def _bounds(n: int) -> np.ndarray:
 
 
 def _blocks(spec: CoeffSpec, theta0: Theta, cfg: SimConfig):
-    """(sigma, S) of :func:`sigma_and_gradient` for each block of
-    :func:`_bounds` of the path of ``cfg`` (from :func:`_path_config`),
-    each one piece of the simulator with its J lags, so no array as long
-    as the path exists."""
-    J = cfg.J
-    for piece in _pieces(spec, theta0, cfg, cfg.burn_in + _bounds(cfg.n)):
-        block = replace(cfg, n=len(piece[0]) - J, burn_in=J)
-        yield sigma_and_gradient(spec, theta0, Sample(
-            *piece, config=block, first_retained=J))
+    """(i, sigma, S), sigma and S of :func:`sigma_and_gradient`, for the
+    pieces of the path of ``cfg`` (from :func:`_path_config`) that make up
+    block i of :func:`_bounds`: each block in the fewest pieces of (near)
+    equal length of at most max(2 J, _PIECE) points, each one piece of the
+    simulator with its J lags, so no array grows with the path."""
+    J, bounds = cfg.J, _bounds(cfg.n)
+    longest = max(2 * J, _PIECE)
+    cuts, block = [bounds[:1]], []
+    for i, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+        p = -(-(hi - lo) // longest)
+        cuts.append(lo + np.arange(1, p + 1) * (hi - lo) // p)
+        block += [i] * p
+    pieces = _pieces(spec, theta0, cfg, cfg.burn_in + np.concatenate(cuts))
+    for i, piece in zip(block, pieces):
+        sample = Sample(*piece, config=replace(
+            cfg, n=len(piece[0]) - J, burn_in=J), first_retained=J)
+        yield i, *sigma_and_gradient(spec, theta0, sample)
 
 
 def sandwich(spec: CoeffSpec, theta0: Theta, epsilon: float,
@@ -155,8 +172,9 @@ def sandwich(spec: CoeffSpec, theta0: Theta, epsilon: float,
     and the defining expectations are replaced by ergodic averages;
     ``se_G`` and ``se_H`` are the standard errors of those averages from
     the means of 32 consecutive blocks that cover the path.  Sigma, its
-    gradient and the sums of G and H are formed one block at a time
-    (:func:`_blocks`), so no array as long as the path exists.  H is
+    gradient and the sums of G and H are formed one piece of at most
+    max(2 J, 2048) points at a time and added up per block
+    (:func:`_blocks`), so no array grows with the path.  H is
     factorized by Cholesky; failure raises :class:`SingularityError` with
     eigenvalue diagnostics (this is the expected outcome for degenerate
     parameters such as c = 0).  A burn-in shorter than the spec's J
@@ -166,15 +184,17 @@ def sandwich(spec: CoeffSpec, theta0: Theta, epsilon: float,
         raise DomainError(f"epsilon {epsilon} must be in (0, inf)")
     mu4 = nm.moment(4)
     cfg = _path_config(spec, theta0, path_length, burn_in, seed)
-    sums = np.array([_block_sums(sig, S, epsilon)
-                     for sig, S in _blocks(spec, theta0, cfg)])
+    bounds = _bounds(path_length)
+    sums = np.zeros((len(bounds) - 1, 2, 3, 3))
+    for i, sig, S in _blocks(spec, theta0, cfg):
+        sums[i] += _block_sums(sig, S, epsilon)
     sums[:, 0] *= mu4 - 1.0
     # the sums hold k^4 G and k^2 H (see _block_sums): k cancels in every
     # output but these and their errors, divided by k one step at a time
     # as the float k^4 overflows for eps above 1e77
     k = max(1.0, epsilon)
     kG, kH = sums.sum(axis=0) / path_length
-    means = sums / np.diff(_bounds(path_length))[:, None, None, None]
+    means = sums / np.diff(bounds)[:, None, None, None]
     se_kG, se_kH = means.std(axis=0, ddof=1) / math.sqrt(len(means))
 
     eigH = np.linalg.eigvalsh(kH)
@@ -203,7 +223,7 @@ def limit_h0(spec: CoeffSpec, theta0: Theta, path_length: int = 500_000,
              burn_in: int = 10_000, seed: int = 0) -> LimitH0Result:
     """Monte-Carlo limit of the unregularized Hessian 4 E[sdot sdot^T / sigma^2].
 
-    Summed block by block (:func:`_blocks`), the average diverges when the
+    Summed piece by piece (:func:`_blocks`), the average diverges when the
     averages of its trace over the first n/8, n/4, n/2 and n points (block
     bounds) span more than 0.05 of the last, when one time point holds
     more than 0.1 of the trace sum, or when a term is non-finite: a valid
@@ -211,18 +231,18 @@ def limit_h0(spec: CoeffSpec, theta0: Theta, path_length: int = 500_000,
     spec's J raises :class:`HistoryError` before anything is simulated.
     """
     cfg = _path_config(spec, theta0, path_length, burn_in, seed)
-    sums, top = [], 0.0
-    for sig, S in _blocks(spec, theta0, cfg):
+    n, bounds, top = path_length, _bounds(path_length), 0.0
+    sums = np.zeros((len(bounds) - 1, 3, 3))
+    for i, sig, S in _blocks(spec, theta0, cfg):
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             w = 4.0 / (sig * sig)
-            sums.append((S.T * w) @ S)
+            sums[i] += (S.T * w) @ S
             top = np.max(w * np.einsum("ij,ij->i", S, S), initial=top)
-        if not np.all(np.isfinite(sums[-1])):
+        if not np.all(np.isfinite(sums[i])):
             return LimitH0Result(matrix=None, diverged=True, checkpoints=())
-    n, sums = path_length, np.array(sums)
     traces = np.cumsum(np.trace(sums, axis1=1, axis2=2))
     # the prefixes end on block bounds: n/32 is exact in binary
-    checkpoints = tuple(float(traces[np.searchsorted(_bounds(n), p) - 1] / p)
+    checkpoints = tuple(float(traces[np.searchsorted(bounds, p) - 1] / p)
                         for p in (max(1, n // k) for k in (8, 4, 2, 1)))
     span = ((max(checkpoints) - min(checkpoints))
             / max(abs(checkpoints[-1]), 1e-300))

@@ -35,7 +35,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from numpy.polynomial.chebyshev import chebder
 
 from .coeffs import CoeffSpec, Theta, _scaled, _unit_rows
 from .errors import DomainError, HistoryError, NumericError, WindowError
@@ -57,14 +56,33 @@ _VARIANTS = ("full", "trunc")
 # tests/test_likelihood.py.
 _CHEB_NODES = 20
 _CHEB_REACH = 0.05
+
+
+def _chebder(c: np.ndarray) -> np.ndarray:
+    """Coefficients of the derivative of the Chebyshev series with
+    coefficient rows c, one row fewer, by the recurrence (and rounding) of
+    numpy's ``chebder``, which the package does not import."""
+    c = c.copy()
+    n = len(c) - 1
+    der = np.empty((n,) + c.shape[1:])
+    for j in range(n, 2, -1):
+        der[j - 1] = (2 * j) * c[j]
+        c[j - 2] += (j * c[j]) / (j - 2)
+    if n > 1:
+        der[1] = 4 * c[2]
+    der[0] = c[1]
+    return der
+
+
 # node angles, the cosine transform from node values to coefficients, and
 # the maps from coefficients on [-1, 1] to those of the first and second
 # derivatives (zero-padded to K rows), shared by every table
 _CHEB_ANGLES = np.pi * (np.arange(_CHEB_NODES) + 0.5) / _CHEB_NODES
 _CHEB_COS = np.cos(np.outer(np.arange(_CHEB_NODES), _CHEB_ANGLES))
-_CHEB_DER = np.stack([np.eye(_CHEB_NODES)] + [
-    np.vstack([chebder(np.eye(_CHEB_NODES), m),
-               np.zeros((m, _CHEB_NODES))]) for m in (1, 2)])
+_CHEB_DER = np.zeros((3, _CHEB_NODES, _CHEB_NODES))
+_CHEB_DER[0] = np.eye(_CHEB_NODES)
+_CHEB_DER[1, :-1] = _chebder(_CHEB_DER[0])
+_CHEB_DER[2, :-2] = _chebder(_CHEB_DER[1, :-1])
 
 
 def _fft_size(m: int) -> int:
@@ -79,7 +97,7 @@ def _kernel_spectra(family: str, d: float, J: int, derivatives: int,
     """Length-L transforms of the unit-weight rows of orders
     0..derivatives (:func:`larchpmle.coeffs._unit_rows`), read-only.  The
     last request is kept, so evaluators of one (family, d, J, L), such as
-    the blocks of a sandwich path, transform the kernel once."""
+    the pieces of a sandwich path, transform the kernel once."""
     spectra = np.fft.rfft(_unit_rows(family, d, J, derivatives), L)
     spectra.flags.writeable = False
     return spectra
@@ -154,15 +172,17 @@ class PathEvaluator:
     (value only) to three (score/Hessian) kernel transforms and as many
     inverse ones.  The kernel transforms of the last (family, d, J, L) are
     kept (:func:`_kernel_spectra`), so evaluators of one length on one d,
-    such as the sandwich's blocks, transform the kernel once.
+    such as the pieces of the sandwich's path, transform the kernel once.
     Both families support the score and the Hessian: the rows convolved
     are :func:`larchpmle.coeffs._unit_rows`, combined into the weights'
     d-derivatives by :func:`larchpmle.coeffs._scaled`.
 
     The window is the last floor(n^beta) points, t = ``t_first``..n with
     ``w`` points, or all n points for ``"full"`` without beta.  Only the
-    observations that reach the window, its points and their J lags, are
-    checked to be finite, so construction costs O(J + w) and not O(n).
+    values that reach the window, its points and their J lags (stored
+    pre-sample steps t <= 0 included), are checked to be finite, so
+    construction costs O(J + w) and not O(n); a non-finite one raises
+    :class:`NumericError` naming its step.
 
     ``d_range = (lo, hi)`` builds, at construction, a table of the lag sums
     in Chebyshev form: one kernel transform at each of 20 Chebyshev nodes
@@ -204,20 +224,21 @@ class PathEvaluator:
         else:
             self.J = n - 1
             history, first = np.concatenate([np.zeros(self.J), x_obs]), self.J
-        # only the window's points and their J lags enter the loss
-        lo = max(0, self.t_first - 1 - self.J)
-        used = np.isfinite(x_obs[lo:])
-        if not used.all():
-            bad = lo + int(np.flatnonzero(~used)[0]) + 1
-            raise NumericError(f"non-finite observation at t = {bad}")
         start = first + self.t_first - 1 - self.J
         if start < 0:
             raise HistoryError(
                 f"full variant needs burn-in >= {self.J - self.t_first + 1}")
         # only the J + w - 1 values from the first window point's J-th lag
-        # to the last point's first lag reach the window
+        # to the last point's first lag reach the window; they and the
+        # window's last point, t = t_first - J..n (t <= 0: the stored
+        # pre-sample), must be finite
         series = history[start: start + self.J + self.w - 1]
         self.xw = x_obs[self.t_first - 1:]
+        for values, t in ((series, self.t_first - self.J), (self.xw[-1:], n)):
+            finite = np.isfinite(values)
+            if not finite.all():
+                raise NumericError(f"non-finite observation at t = "
+                                   f"{t + int(np.argmin(finite))}")
         self._nfft = _fft_size(len(series))
         self._spectrum = np.fft.rfft(series, self._nfft)
 

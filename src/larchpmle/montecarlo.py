@@ -8,14 +8,14 @@ all N estimates and after discarding the k smallest ones (the runs that
 terminate at the lower box edge become extreme outliers; dropping them is
 what makes the non-robust columns informative).
 
-Only a study run on several workers imports ``concurrent.futures``; serial
-studies and the other commands do without it.
+Only a study run on several workers imports ``concurrent.futures``, and
+only ``normal_plot_data`` imports ``statistics``; serial studies and the
+other commands do without them.
 """
 
 import math
 import time
 from dataclasses import dataclass, field
-from statistics import NormalDist
 
 import numpy as np
 
@@ -189,6 +189,7 @@ def normal_plot_data(values) -> np.ndarray:
     n = len(v)
     if n < 2:
         raise DomainError("need at least 2 values")
+    from statistics import NormalDist
     inv_cdf = NormalDist().inv_cdf
     q = np.array([inv_cdf((i - 0.5) / n) for i in range(1, n + 1)])
     return np.stack([q, v], axis=1)

@@ -12,9 +12,10 @@ are built for a chunk of blocks at once, each from the inverses of its
 two half-blocks, which share one Toeplitz system.  The chunks lie on one
 grid from step 0, and the path comes in pieces cut where the caller asks
 (:func:`_pieces`), each with the bits of the same steps of the whole path:
-the whole path for ``simulate``, one averaging block after its J lags for
-an ergodic average.  The tests keep the step-by-step recursion and the
-chain expansion of the stationary solution as its oracles.
+the whole path for ``simulate``, a stretch of at most max(2 J, 2048)
+steps of an averaging block after its J lags for an ergodic average.  The
+tests keep the step-by-step recursion and the chain expansion of the
+stationary solution as its oracles.
 """
 
 import math

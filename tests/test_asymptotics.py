@@ -86,13 +86,18 @@ class TestSandwich:
             with pytest.raises(DomainError):
                 limit_h0(spec, CASE1, path_length=n, burn_in=2100)
 
-    @pytest.mark.parametrize("family", ["power", "farima"])
-    def test_blocks_match_whole_path_formula(self, family, nm):
-        # sigma and its gradient are formed block by block; the sums
-        # agree with one whole-path sigma_and_gradient sliced at the same
-        # bounds (40001 points: blocks of 1250 and 1251)
-        spec = CoeffSpec(family, 2000)
-        n, eps = 40_001, 0.01
+    @pytest.mark.parametrize("family, J, n", [
+        pytest.param("power", 2000, 40_001, id="power"),
+        pytest.param("farima", 2000, 40_001, id="farima"),
+        pytest.param("power", 200, 200_001, id="power-J200")])
+    def test_blocks_match_whole_path_formula(self, family, J, n, nm):
+        # sigma and its gradient are formed piece by piece and summed per
+        # block; the sums agree with one whole-path sigma_and_gradient
+        # sliced at the same bounds (40001 points: blocks of 1250 and 1251,
+        # one piece each; 200001 points at J = 200: blocks of 6250 and
+        # 6251, four pieces each)
+        spec = CoeffSpec(family, J)
+        eps = 0.01
         res = sandwich(spec, CASE1, eps, nm, path_length=n, burn_in=2000,
                        seed=4)
         s = simulate(spec, CASE1, SimConfig(n=n, burn_in=2000, seed=4))
@@ -241,11 +246,12 @@ class TestSandwich:
 
 
 def blocks_of(sigma, S):
-    """A stand-in for asymptotics._blocks that yields sigma and S split at
-    the bounds of the 32 blocks of a path of their length (at least 32)."""
+    """A stand-in for asymptotics._blocks that yields (i, sigma, S) for
+    block i of the 32 blocks of a path of their length (at least 32), each
+    block as one piece."""
     bounds = np.linspace(0, len(sigma), 33).astype(int)
-    return lambda *args: ((sigma[lo:hi], S[lo:hi])
-                          for lo, hi in zip(bounds[:-1], bounds[1:]))
+    return lambda *args: ((i, sigma[lo:hi], S[lo:hi]) for i, (lo, hi)
+                          in enumerate(zip(bounds[:-1], bounds[1:])))
 
 
 # (family, J, theta, path length, burn-in): where the monitor settles and
@@ -341,6 +347,26 @@ class TestLimitH0:
         monkeypatch.setattr(asymptotics, "_blocks",
                             blocks_of(sigma, np.ones((1000, 3))))
         assert limit_h0(spec, CASE1, path_length=1000, burn_in=2000).diverged
+
+
+@pytest.mark.parametrize("run", [
+    lambda spec, n: sandwich(spec, CASE1, 0.01, gaussian_moments(4),
+                             path_length=n, burn_in=10_000, seed=1),
+    lambda spec, n: limit_h0(spec, CASE1, path_length=n, burn_in=10_000,
+                             seed=1)], ids=["sandwich", "limit_h0"])
+def test_traced_peak_does_not_grow_with_path(run, spec):
+    # a block is summed over pieces of at most max(2 J, 2048) points, so
+    # the peak is set by J: blocks of 1562 points are one piece each at
+    # 50k points, blocks of 12500 points four pieces each at 400k
+    peaks = []
+    for n in (50_000, 400_000):
+        tracemalloc.start()
+        try:
+            run(spec, n)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.1 * peaks[0]
 
 
 class TestPredictedRate:

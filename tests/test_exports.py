@@ -64,3 +64,13 @@ print(sorted(m for m in sys.modules
     out = subprocess.run([sys.executable, "-c", code], check=True,
                          capture_output=True, text=True)
     assert out.stdout.split() == ["[]"]
+
+
+def test_import_skips_polynomial_and_statistics():
+    # import time and memory: the Chebyshev derivative maps are built
+    # without numpy.polynomial, and only normal_plot_data reads statistics
+    code = ("import sys, larchpmle; print(sorted(m for m in sys.modules if "
+            "m == 'statistics' or m.startswith('numpy.polynomial')))")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True)
+    assert out.stdout.split() == ["[]"]

@@ -19,7 +19,12 @@ from larchpmle import (
 )
 from larchpmle.coeffs import _scaled, _unit_rows
 from larchpmle.errors import DomainError, NumericError, WindowError
-from larchpmle.likelihood import PathEvaluator, _fft_size, _kernel_spectra
+from larchpmle.likelihood import (
+    _CHEB_DER,
+    PathEvaluator,
+    _fft_size,
+    _kernel_spectra,
+)
 
 from conftest import CASE1, CASE1_BETA, _simulate_loop
 from nelder_mead import minimize_box
@@ -235,6 +240,19 @@ class TestLossValue:
         for window in ((151, 300), (10, 99)):
             ev = _beta_window(spec, bad, *window)
             assert np.all(np.isfinite(ev.lag_sums(CASE1, 0)[0]))
+
+    def test_nonfinite_presample_history_rejected(self, spec):
+        # the stored history before t = 1 reaches the window's first J
+        # points: a bad value there is named by its step (t <= 0) when the
+        # evaluator is built, before any transform spreads it
+        s = simulate(spec, CASE1, SimConfig(n=300, burn_in=50, J=50, seed=8))
+        x = s.x.copy()
+        x[s.first_retained - 10] = np.inf
+        with pytest.raises(NumericError, match="t = -9"):
+            PathEvaluator(LossSpec("full", 0.01), spec, replace(s, x=x))
+        # a window whose lags stop short of it never reads that value
+        ev = _beta_window(spec, replace(s, x=x), 42, 300)
+        assert np.all(np.isfinite(ev.lag_sums(CASE1, 0)[0]))
 
     def test_farima_score_available(self, farima_spec):
         rng = np.random.default_rng(5)
@@ -610,6 +628,15 @@ class TestKernelSpectra:
 
 class TestChebyshevTable:
     """The d-interval lag-sum table against the FFT path as oracle."""
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_derivative_maps_are_numpy_chebder(self, m):
+        # the package ports chebder's recurrence rather than import
+        # numpy.polynomial: the maps agree bit for bit, zero-padded
+        from numpy.polynomial.chebyshev import chebder
+        K = _CHEB_DER.shape[1]
+        assert np.array_equal(_CHEB_DER[m, :K - m], chebder(np.eye(K), m))
+        assert not _CHEB_DER[m, K - m:].any()
 
     @pytest.mark.parametrize("n", [1000, 10_000])
     @pytest.mark.parametrize("lspec", TABLE_SPECS, ids=TABLE_IDS)
