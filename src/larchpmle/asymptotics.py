@@ -4,11 +4,17 @@ The limiting covariance combines the score outer-product matrix
 G = (E eps^4 - 1) E[4 sigma^6 / (sigma^2 + eps)^4 sdot sdot^T] and the
 expected Hessian H = E[4 sigma^2 / (sigma^2 + eps)^2 sdot sdot^T], both
 evaluated at the true parameter by an ergodic average along one long
-simulated path.  ``sandwich`` and ``limit_h0`` read that path from the
-simulator in pieces of at most max(2 J, 2048) points, J the truncation,
-and add up each of their 32 standard-error blocks over its pieces, so
-neither keeps an array that grows with the path.  Reported standard
-deviations come in two flavors:
+simulated path.  ``sandwich`` and ``limit_h0`` read the n points of that
+path from the simulator in pieces cut once, at k n // (B p), k = 0..B p,
+and add up each of their B = 32 standard-error blocks over its p pieces,
+p = ceil((n // B) / max(2 J, 2048)) for J lags and the simulator's
+2048-step chunk (at least 2 J, so that a piece holds as many points as
+the lags it reads): every block bound is a cut, piece k lies in block
+k // p, and a piece holds at most max(2 J, 2048) + 1 points, so no array
+grows with the path.  At 500k points and J = 2000 a block of 15625 points
+is four pieces of 3906 or 3907, each one 6144-point transform, and
+``sandwich`` peaks at 1.84 MB (``tracemalloc``; 1.88 MB at 2M points).
+Reported standard deviations come in two flavors:
 
 * ``sd``       : per-component values sqrt(G_ii) / H_ii, the asymptotic sd
   when that parameter alone is estimated and the others are known.  This
@@ -26,7 +32,8 @@ from .coeffs import CoeffSpec, NoiseMoments, Theta
 from .errors import DomainError, HistoryError, SingularityError
 from .likelihood import LossSpec, PathEvaluator
 # simulate is not called here; bench/tracing.py wraps it by this name
-from .simulate import Sample, SimConfig, _checked, _pieces, simulate
+from .simulate import (_BLOCK, _CHUNK, Sample, SimConfig, _checked, _pieces,
+                       simulate)
 
 __all__ = ["SandwichResult", "LimitH0Result", "RatePrediction",
            "sandwich", "limit_h0", "predicted_rate", "sigma_and_gradient"]
@@ -34,11 +41,6 @@ __all__ = ["SandwichResult", "LimitH0Result", "RatePrediction",
 # consecutive blocks, covering the path, whose means give the standard
 # errors of G and H
 _SE_BLOCKS = 32
-# a block is summed over pieces of at most max(2 J, _PIECE) points, so the
-# lag sums' transforms and the simulator's array are bounded by J and not
-# by the path; at least 2 J, so that a piece cut from a longer block holds
-# at least J points, as many as the lags it reads before it
-_PIECE = 2048
 # divergence monitor of limit_h0: largest relative span of the prefix
 # averages of the trace, and largest share of one time point in its sum
 _H0_SPAN_TOL = 0.05
@@ -56,7 +58,6 @@ class SandwichResult:
     sd_joint: np.ndarray
     se_G: np.ndarray
     se_H: np.ndarray
-    cond_H: float
 
 
 @dataclass(frozen=True)
@@ -101,7 +102,7 @@ def sigma_and_gradient(spec: CoeffSpec, theta: Theta, sample: Sample):
     (d, c, a) order and in column-major layout, for the sample's n points.
     """
     ev = PathEvaluator(LossSpec("full", 0.0), spec, sample)
-    v0, v1, _ = ev.lag_sums(theta, derivatives=1)
+    v0, v1, _ = ev.lag_sums(theta.d, derivatives=1)
     sig = theta.a + theta.c * v0
     # column-major: the weighted sums S^T diag(w) S read contiguous rows of
     # S^T, twice as fast as strided ones
@@ -139,28 +140,24 @@ def _path_config(spec: CoeffSpec, theta0: Theta, path_length: int,
 
 
 def _bounds(n: int) -> np.ndarray:
-    """Bounds of the blocks of (near) equal length that cover n points."""
-    return np.linspace(0, n, max(2, min(_SE_BLOCKS, n)) + 1).astype(int)
+    """Bounds i n // B, i = 0..B, of B near-equal blocks that cover n."""
+    B = max(2, min(_SE_BLOCKS, n))
+    return np.arange(B + 1) * n // B
 
 
 def _blocks(spec: CoeffSpec, theta0: Theta, cfg: SimConfig):
-    """(i, sigma, S), sigma and S of :func:`sigma_and_gradient`, for the
-    pieces of the path of ``cfg`` (from :func:`_path_config`) that make up
-    block i of :func:`_bounds`: each block in the fewest pieces of (near)
-    equal length of at most max(2 J, _PIECE) points, each one piece of the
-    simulator with its J lags, so no array grows with the path."""
-    J, bounds = cfg.J, _bounds(cfg.n)
-    longest = max(2 * J, _PIECE)
-    cuts, block = [bounds[:1]], []
-    for i, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
-        p = -(-(hi - lo) // longest)
-        cuts.append(lo + np.arange(1, p + 1) * (hi - lo) // p)
-        block += [i] * p
-    pieces = _pieces(spec, theta0, cfg, cfg.burn_in + np.concatenate(cuts))
-    for i, piece in zip(block, pieces):
+    """(i, sigma, S), sigma and S of :func:`sigma_and_gradient`, for each
+    piece of the path of ``cfg`` (from :func:`_path_config`), cut as the
+    module docstring says, i the block of :func:`_bounds` it lies in."""
+    J, n = cfg.J, cfg.n
+    B = len(_bounds(n)) - 1
+    p = -(-(n // B) // max(2 * J, _CHUNK * _BLOCK))
+    cuts = np.arange(B * p + 1) * n // (B * p)
+    pieces = _pieces(spec, theta0, cfg, cfg.burn_in + cuts)
+    for k, piece in enumerate(pieces):
         sample = Sample(*piece, config=replace(
-            cfg, n=len(piece[0]) - J, burn_in=J), first_retained=J)
-        yield i, *sigma_and_gradient(spec, theta0, sample)
+            cfg, n=len(piece[0]) - J, burn_in=J))
+        yield k // p, *sigma_and_gradient(spec, theta0, sample)
 
 
 def sandwich(spec: CoeffSpec, theta0: Theta, epsilon: float,
@@ -172,7 +169,7 @@ def sandwich(spec: CoeffSpec, theta0: Theta, epsilon: float,
     and the defining expectations are replaced by ergodic averages;
     ``se_G`` and ``se_H`` are the standard errors of those averages from
     the means of 32 consecutive blocks that cover the path.  Sigma, its
-    gradient and the sums of G and H are formed one piece of at most
+    gradient and the sums of G and H are formed one piece of about
     max(2 J, 2048) points at a time and added up per block
     (:func:`_blocks`), so no array grows with the path.  H is
     factorized by Cholesky; failure raises :class:`SingularityError` with
@@ -216,7 +213,7 @@ def sandwich(spec: CoeffSpec, theta0: Theta, epsilon: float,
     sd_joint = np.sqrt(np.diag(cov))
     return SandwichResult(G=kG / k / k / k / k, H=kH / k / k, cov=cov, sd=sd,
                           sd_joint=sd_joint, se_G=se_kG / k / k / k / k,
-                          se_H=se_kH / k / k, cond_H=cond)
+                          se_H=se_kH / k / k)
 
 
 def limit_h0(spec: CoeffSpec, theta0: Theta, path_length: int = 500_000,
@@ -241,7 +238,7 @@ def limit_h0(spec: CoeffSpec, theta0: Theta, path_length: int = 500_000,
         if not np.all(np.isfinite(sums[i])):
             return LimitH0Result(matrix=None, diverged=True, checkpoints=())
     traces = np.cumsum(np.trace(sums, axis1=1, axis2=2))
-    # the prefixes end on block bounds: n/32 is exact in binary
+    # the prefixes end on block bounds i n // B, B = 32 or n
     checkpoints = tuple(float(traces[np.searchsorted(bounds, p) - 1] / p)
                         for p in (max(1, n // k) for k in (8, 4, 2, 1)))
     span = ((max(checkpoints) - min(checkpoints))

@@ -24,6 +24,7 @@ file that cannot be read or written included).
 import argparse
 import math
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +36,8 @@ from .errors import DataError, LarchError
 from .estimator import estimate
 from .likelihood import LossSpec, landscape
 from .montecarlo import (
+    ReplicateRow,
+    StatRow,
     StudyConfig,
     acf,
     case_study,
@@ -225,14 +228,15 @@ _FLAGS = {
     "eps": dict(type=float, help="regularization epsilon"),
     "beta": dict(type=_beta, help="window exponent beta in (0, 1]"),
     "n": dict(type=_int_from(2), default=1000, help="sample size"),
-    "burn-in": dict(type=_int_from(0), default=10_000,
+    "burn-in": dict(type=_int_from(0), default=SimConfig.burn_in,
                     help="pre-sample length"),
-    "trunc": dict(type=_int_from(1), default=2000, help="truncation order J"),
-    "seed": dict(type=_int_from(0), default=0, help="base seed"),
+    "trunc": dict(type=_int_from(1), default=CoeffSpec.J,
+                  help="truncation order J"),
+    "seed": dict(type=_int_from(0), default=SimConfig.seed, help="base seed"),
     "out": dict(default=".", help="output directory"),
     "case": dict(type=int, choices=(1, 2),
                  help="preset for the d, c, a, eps and beta not given"),
-    "family": dict(default="power", choices=("power", "farima"),
+    "family": dict(default=CoeffSpec.family, choices=("power", "farima"),
                    help="coefficient family"),
 }
 
@@ -274,7 +278,7 @@ def _build_parser() -> _Parser:
                    help="sample sizes, comma separated")
     p.add_argument("--replicates", type=_int_from(1), default=100,
                    help="Monte-Carlo replicates per sample size")
-    p.add_argument("--trim", type=_int_from(0), default=10,
+    p.add_argument("--trim", type=_int_from(0), default=StudyConfig.trim,
                    help="smallest estimates dropped in the trimmed summary")
     p.add_argument("--threads", type=_int_from(1), default=1,
                    help="worker processes")
@@ -415,21 +419,19 @@ def _cmd_mc(args):
     except LarchError as exc:       # the study's own checks of the flags
         raise _UsageError(str(exc)) from None
     report = run_study(cfg, workers=args.threads)
-    rows = [(label, r.n, r.replicate, r.seed, r.d_hat, r.c_hat, r.a_hat,
-             r.loss, r.converged, r.at_boundary, r.evals)
-            for r in report.rows]
+    # the row fields that compare: the timings would make reruns differ
+    columns = [f.name for f in fields(ReplicateRow) if f.compare]
+    rows = [(label, *(getattr(r, k) for k in columns)) for r in report.rows]
     stat_rows = []
     for n in cfg.n_values:
         summ = report.summaries[n]
         if summ is None:
             continue
         for trimmed, sr in ((0, summ.all), (1, summ.trimmed)):
-            for stat in ("count", "mean", "median", "s", "s_tilde",
-                         "s_scaled", "s_tilde_scaled", "skewness",
-                         "q_skewness"):
-                stat_rows.append((label, n, trimmed, stat, getattr(sr, stat)))
-    files = {"rows.csv": ("case,n,replicate,seed,d_hat,c_hat,a_hat,loss,"
-                          "converged,at_boundary,evals", rows),
+            for stat in fields(StatRow):
+                stat_rows.append((label, n, trimmed, stat.name,
+                                  getattr(sr, stat.name)))
+    files = {"rows.csv": (",".join(["case", *columns]), rows),
              "summary.csv": ("case,n,trimmed,stat,value", stat_rows)}
     for n in cfg.n_values:
         d_hats = [r.d_hat for r in report.rows if r.n == n]
@@ -496,7 +498,7 @@ def _cmd_asymcov(args):
 def _cmd_check_moments(args):
     theta = Theta(args.d, args.c, args.a)
     report = check_moment_conditions(
-        CoeffSpec(args.family, 2000), theta,
+        CoeffSpec(args.family), theta,
         gaussian_moments(max(args.orders + (3,))), ps=args.orders)
     print(f"theta = (d={_fmt(theta.d)}, c={_fmt(theta.c)}, a={_fmt(theta.a)})")
     print(f"M3      : lhs={_fmt(report.m3.lhs)} holds={report.m3.holds}")
@@ -515,7 +517,7 @@ def _cmd_rates(args):
           f"rate_exponent={_fmt(pred.rate_exponent)} regime={pred.regime}")
     if args.replicates == 0:
         return None
-    gap = score_gap(CoeffSpec("power", 2000), theta, args.eps, args.n,
+    gap = score_gap(CoeffSpec(), theta, args.eps, args.n,
                     args.beta, args.replicates, base_seed=args.seed,
                     burn_in=args.burn_in)
     print(f"empirical_gap={_fmt(gap.empirical)} "

@@ -103,7 +103,8 @@ class ParamSpace:
     """Box of admissible parameters.
 
     d in [0, d_u] with d_u < 1/2, c in [0, c_max(d)] where c_max keeps
-    sum(b_j^2) <= C^2 < 1, and a in [a_d, a_u].
+    sum(b_j^2) <= C^2 < 1 for the weight family of a :class:`CoeffSpec`,
+    and a in [a_d, a_u].
     """
 
     d_u: float = 0.45
@@ -119,14 +120,14 @@ class ParamSpace:
         if not 0.0 < self.a_d < self.a_u < math.inf:
             raise ValidationError("require 0 < a_d < a_u < inf")
 
-    def c_max(self, d: float, spec: CoeffSpec | None = None) -> float:
-        """Largest admissible c at exponent d for the given family (the
-        power family by default): C over the 2-norm of the weights at c = 1,
-        infinite where the weights vanish."""
-        s2 = sum_sq(spec or CoeffSpec(), Theta(d, 1.0, 1.0))
+    def c_max(self, d: float, spec: CoeffSpec) -> float:
+        """Largest admissible c at exponent d for the family of ``spec``:
+        C over the 2-norm of the weights at c = 1, infinite where the
+        weights vanish."""
+        s2 = sum_sq(spec, Theta(d, 1.0, 1.0))
         return self.C / math.sqrt(s2) if s2 > 0.0 else math.inf
 
-    def contains(self, theta: Theta, spec: CoeffSpec | None = None) -> bool:
+    def contains(self, theta: Theta, spec: CoeffSpec) -> bool:
         tol = _CONTAINS_TOL
         if not 0.0 - tol <= theta.d <= self.d_u + tol:
             return False
@@ -135,7 +136,7 @@ class ParamSpace:
         cmax = self.c_max(theta.d, spec)
         return -tol <= theta.c <= cmax * (1.0 + tol) + tol
 
-    def validate(self, theta: Theta, spec: CoeffSpec | None = None) -> None:
+    def validate(self, theta: Theta, spec: CoeffSpec) -> None:
         if not self.contains(theta, spec):
             raise ValidationError(f"{theta} outside parameter space {self}")
 

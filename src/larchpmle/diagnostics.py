@@ -9,14 +9,14 @@ truncated estimator's central limit theorem.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .coeffs import CoeffSpec, Theta
 from .errors import DomainError, InsufficientDataError
 from .likelihood import LossSpec, PathEvaluator, m_of_n
-from .simulate import SimConfig, derive_seed, simulate
+from .simulate import Sample, SimConfig, derive_seed, simulate
 
 __all__ = ["DecayFit", "fit_decay", "ScoreGapResult", "score_gap"]
 
@@ -74,28 +74,31 @@ def score_gap(spec: CoeffSpec, theta0: Theta, epsilon: float, n: int,
 
     Per replicate, the d-component of the score is evaluated at theta0
     twice on the window that beta gives both variants, the last
-    m(n) + 1 = floor(n^beta) points: once by ``"full"`` with sigma
-    reconstructed from the whole generated history (every value before
-    the window's first point, burn-in included, so J = burn_in + n - m(n)
-    - 1 lags) and once by ``"trunc"`` from the observed past only; the
-    absolute difference is scaled by the square root of the window size.
-    The d-component is the one whose central limit theorem the gap
-    decides, and with c = 0 both reconstructions have identically zero
-    d-score, so the gap is exactly zero.  The predicted order of the gap is
+    m(n) + 1 = floor(n^beta) points: once by ``"full"`` with sigma_t
+    reconstructed from all burn_in + t - 1 values before t (J = burn_in +
+    n - 1 lags of the path after m zeros, the simulated empty past) and
+    once by ``"trunc"`` from the observed past only; the absolute
+    difference is scaled by the square root of the window size.  The
+    d-component is the one whose central limit theorem the gap decides.
+    The gap is exactly zero with c = 0, where both d-scores vanish, and
+    with burn_in = 0, where both read the same history.  Its order is
     :func:`larchpmle.asymptotics.predicted_rate`.  Fewer than one replicate
     raises :class:`DomainError` before any work.
     """
     if replicates < 1:
         raise DomainError(f"replicates {replicates} must be >= 1")
     m = m_of_n(n, beta)
-    full = LossSpec("full", epsilon, beta=beta, J=burn_in + n - m - 1)
+    full = LossSpec("full", epsilon, beta=beta, J=burn_in + n - 1)
     trunc = LossSpec("trunc", epsilon, beta=beta)
     gaps = []
     for r in range(replicates):
         seed = derive_seed(base_seed, r)
         sample = simulate(spec, theta0,
                           SimConfig(n=n, burn_in=burn_in, seed=seed))
-        evs = (PathEvaluator(full, spec, sample),
+        past = Sample(*(np.concatenate([np.zeros(m), v]) for v in
+                        (sample.x, sample.sigma, sample.eps)),
+                      config=replace(sample.config, burn_in=burn_in + m))
+        evs = (PathEvaluator(full, spec, past),
                PathEvaluator(trunc, spec, sample.x_obs))
         s_full, s_bar = (ev(theta0, derivatives=1).score[0] for ev in evs)
         gaps.append(math.sqrt(m + 1) * abs(s_full - s_bar))

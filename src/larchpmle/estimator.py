@@ -212,7 +212,7 @@ def estimate(lspec: LossSpec, spec: CoeffSpec, data,
         raise WindowError(f"window of {ev.w} points is too small to estimate")
     if not d_free:
         # taken once; the d-rows of the score and Hessian are never read
-        v0 = ev.lag_sums(Theta(fix["d"], 0.0, 1.0), 0)[0]
+        v0 = ev.lag_sums(fix["d"], 0)[0]
         fixed_sums = (v0, np.zeros_like(v0), np.zeros_like(v0))
 
     # grid: one lag-sum row per d, all (c, a) pairs of that d at once
@@ -222,7 +222,7 @@ def estimate(lspec: LossSpec, spec: CoeffSpec, data,
     a_axis = axes.get("a", [fix.get("a")])
     c_axes = [axes["c"] * c_max(d) if "c" in axes else [fix["c"]]
               for d in d_axis]
-    rows = (ev.lag_sums(Theta(d, 0.0, 1.0), 0)[0] if d_free else v0
+    rows = (ev.lag_sums(d, 0)[0] if d_free else v0
             for d in d_axis)
     vals = np.array([ev.values(row, np.repeat(cs, len(a_axis)),
                                np.tile(a_axis, len(cs)))

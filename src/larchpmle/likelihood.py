@@ -220,7 +220,7 @@ class PathEvaluator:
 
         if lspec.variant == "full":
             self.J = lspec.J if lspec.J is not None else data.config.J
-            history, first = data.x, data.first_retained
+            history, first = data.x, data.config.burn_in
         else:
             self.J = n - 1
             history, first = np.concatenate([np.zeros(self.J), x_obs]), self.J
@@ -285,15 +285,15 @@ class PathEvaluator:
         conv = np.fft.irfft(self._spectrum * kernel_spectrum, self._nfft)
         return conv[self.J - 1: self.J - 1 + self.w]
 
-    def lag_sums(self, theta: Theta, derivatives: int):
+    def lag_sums(self, d: float, derivatives: int):
         """Window lag sums (v0, v1, v2) of the data against the unit-scale
-        kernel b_j / c and its first and second d-derivatives; entries
-        beyond ``derivatives`` are None.  Requests with d inside
-        ``d_range`` come from the Chebyshev table."""
+        kernel b_j / c at exponent d and its first and second
+        d-derivatives; entries beyond ``derivatives`` are None.  Requests
+        with d inside ``d_range`` come from the Chebyshev table."""
         if derivatives not in (0, 1, 2):
             raise DomainError(f"derivatives = {derivatives!r} must be 0, 1 "
                               f"or 2")
-        d, family = theta.d, self.spec.family
+        family = self.spec.family
         if self.d_range is not None and self.d_range[0] <= d <= self.d_range[1]:
             rows = self._interpolate(d, derivatives)
         else:
@@ -305,7 +305,7 @@ class PathEvaluator:
         return tuple(_scaled(family, d, rows)) + (None,) * (2 - derivatives)
 
     def __call__(self, theta: Theta, derivatives: int = 2) -> LossEval:
-        return self.evaluate(theta, self.lag_sums(theta, derivatives))
+        return self.evaluate(theta, self.lag_sums(theta.d, derivatives))
 
     def values(self, v0: np.ndarray, c, a) -> np.ndarray:
         """Loss values at the scale pairs (c_i, a_i), all sharing the lag
@@ -396,7 +396,7 @@ def landscape(lspec: LossSpec, spec: CoeffSpec, c: float, a: float, x,
     by_d = []
     for d in d_grid:
         theta = Theta(d, c, a)
-        sums = evs[0].lag_sums(theta, 0)
+        sums = evs[0].lag_sums(d, 0)
         by_d.append([ev.evaluate(theta, sums).value for ev in evs])
     return [(ev.lspec.epsilon, d, values[i])
             for i, ev in enumerate(evs)

@@ -44,8 +44,8 @@ class StudyConfig:
     replicates: int
     base_seed: int = 42
     trim: int = 10
-    spec: CoeffSpec = CoeffSpec("power", 2000)
-    burn_in: int = 10_000
+    spec: CoeffSpec = CoeffSpec()
+    burn_in: int = SimConfig.burn_in
     J: int | None = None
     estimate_params: str = "d"
     space: ParamSpace = field(default_factory=ParamSpace)
@@ -242,10 +242,6 @@ def _run_replicate(cfg: StudyConfig, n: int, r: int) -> ReplicateRow:
 _CHUNKSIZE = 8
 
 
-def _task(args):
-    return _run_replicate(*args)
-
-
 def run_study(cfg: StudyConfig, workers: int = 1) -> McReport:
     """Run the full study: N replicates per sample size, then summarize.
 
@@ -258,14 +254,16 @@ def run_study(cfg: StudyConfig, workers: int = 1) -> McReport:
     """
     if workers < 1:
         raise DomainError(f"workers {workers} must be >= 1")
-    tasks = [(cfg, n, r) for n in cfg.n_values for r in range(cfg.replicates)]
-    workers = min(workers, -(-len(tasks) // _CHUNKSIZE))
+    cfgs, ns, rs = zip(*((cfg, n, r) for n in cfg.n_values
+                         for r in range(cfg.replicates)))
+    workers = min(workers, -(-len(ns) // _CHUNKSIZE))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_task, tasks, chunksize=_CHUNKSIZE))
+            rows = list(pool.map(_run_replicate, cfgs, ns, rs,
+                                 chunksize=_CHUNKSIZE))
     else:
-        rows = [_task(t) for t in tasks]
+        rows = list(map(_run_replicate, cfgs, ns, rs))
     rows.sort(key=lambda row: (row.n, row.replicate))
     summaries = {}
     for n in cfg.n_values:

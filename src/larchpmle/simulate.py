@@ -90,36 +90,32 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class Sample:
-    """A simulated path: burn-in plus analysis window.
-
-    Arrays cover the full generated range (length burn_in + n);
-    ``first_retained`` is the 0-based index of the first analysis-window
-    observation.  By construction x[t] = eps[t] * sigma[t] for every t.
-    ``config.J`` is the truncation order the path was generated with.
+    """A simulated path: ``config.burn_in`` steps of burn-in, then the n
+    points of the analysis window.  By construction x[t] = eps[t] *
+    sigma[t] for every t; ``config.J`` is the path's truncation order.
     """
 
     x: np.ndarray
     sigma: np.ndarray
     eps: np.ndarray
     config: SimConfig
-    first_retained: int
 
     @property
     def n(self) -> int:
-        return len(self.x) - self.first_retained
+        return len(self.x) - self.config.burn_in
 
     @property
     def x_obs(self) -> np.ndarray:
         """The n retained observations (analysis window)."""
-        return self.x[self.first_retained:]
+        return self.x[self.config.burn_in:]
 
     @property
     def sigma_obs(self) -> np.ndarray:
-        return self.sigma[self.first_retained:]
+        return self.sigma[self.config.burn_in:]
 
     @property
     def eps_obs(self) -> np.ndarray:
-        return self.eps[self.first_retained:]
+        return self.eps[self.config.burn_in:]
 
 
 def _inverses(L, E, X, W):
@@ -306,5 +302,4 @@ def simulate(spec: CoeffSpec, theta0: Theta, cfg: SimConfig,
     cfg = _checked(spec, theta0, cfg, space)
     path = next(_pieces(spec, theta0, cfg, [0, cfg.burn_in + cfg.n]))
     x, sig, eps = path[:, cfg.J:]
-    return Sample(x=x, sigma=sig, eps=eps, config=cfg,
-                  first_retained=cfg.burn_in)
+    return Sample(x=x, sigma=sig, eps=eps, config=cfg)

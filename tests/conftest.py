@@ -58,8 +58,7 @@ def _simulate_loop(spec, theta0, cfg):
         s = a + (b_rev[J - k:] @ x[t - k:t]) if k else a
         sig[t] = s
         x[t] = eps[t] * s
-    return Sample(x=x, sigma=sig, eps=eps, config=cfg,
-                  first_retained=cfg.burn_in)
+    return Sample(x=x, sigma=sig, eps=eps, config=cfg)
 
 
 def brute_zeta_tail(s, t0, terms=1_000_000):

@@ -29,7 +29,7 @@ def sigma_full(spec, theta, sample, t, J=None):
     if J is None:
         J = sample.config.J
     b_rev = coeff_weights(spec, theta, J)[::-1].copy()
-    pos = sample.first_retained + t - 1
+    pos = sample.config.burn_in + t - 1
     return theta.a + float(b_rev @ sample.x[pos - J: pos])
 
 

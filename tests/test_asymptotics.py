@@ -89,13 +89,15 @@ class TestSandwich:
     @pytest.mark.parametrize("family, J, n", [
         pytest.param("power", 2000, 40_001, id="power"),
         pytest.param("farima", 2000, 40_001, id="farima"),
-        pytest.param("power", 200, 200_001, id="power-J200")])
+        pytest.param("power", 200, 200_001, id="power-J200"),
+        pytest.param("power", 1000, 131_073, id="power-J1000")])
     def test_blocks_match_whole_path_formula(self, family, J, n, nm):
         # sigma and its gradient are formed piece by piece and summed per
         # block; the sums agree with one whole-path sigma_and_gradient
         # sliced at the same bounds (40001 points: blocks of 1250 and 1251,
         # one piece each; 200001 points at J = 200: blocks of 6250 and
-        # 6251, four pieces each)
+        # 6251, four pieces each; 131073 points at J = 1000: blocks of 4096
+        # and one of 4097, two pieces each, one of them 2049 points long)
         spec = CoeffSpec(family, J)
         eps = 0.01
         res = sandwich(spec, CASE1, eps, nm, path_length=n, burn_in=2000,
@@ -116,6 +118,31 @@ class TestSandwich:
             np.testing.assert_allclose(
                 se, means.std(axis=0, ddof=1) / math.sqrt(32),
                 rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("n, J, pieces", [
+        (500_000, 2000, 128), (131_073, 1000, 64), (131_104, 1024, 96),
+        (40, 40, 32), (5, 2000, 5)])
+    def test_path_cut_once(self, n, J, pieces, monkeypatch):
+        # one integer grid of cuts: every block bound is a cut, every block
+        # has the same number of pieces, and a piece holds at most one
+        # point more than max(2 J, 2048)
+        def lengths(spec, theta0, cfg, ends):
+            for lo, hi in zip(ends[:-1], ends[1:]):
+                yield np.zeros((3, cfg.J + hi - lo))
+
+        monkeypatch.setattr(asymptotics, "_pieces", lengths)
+        monkeypatch.setattr(asymptotics, "sigma_and_gradient",
+                            lambda spec, theta, sample: (sample.n, None))
+        spec = CoeffSpec("power", J)
+        cfg = asymptotics._path_config(spec, CASE1, n, J, 0)
+        blocks = [(i, m) for i, m, _ in asymptotics._blocks(spec, CASE1, cfg)]
+        bounds = asymptotics._bounds(n)
+        assert len(blocks) == pieces
+        assert [i for i, _ in blocks] == sorted(i for i, _ in blocks)
+        sizes = np.bincount([i for i, _ in blocks],
+                            weights=[m for _, m in blocks])
+        np.testing.assert_array_equal(sizes, np.diff(bounds))
+        assert max(m for _, m in blocks) <= max(2 * J, 2048) + 1
 
     def test_memory_beyond_sample_is_block_sized(self, spec, nm):
         # no path-length array exists: the path is streamed in pieces and

@@ -91,7 +91,8 @@ class TestRoundTrip:
                      "--trim", "1", "--seed", "11", "--out", str(tmp_path))
         assert rc == 0
         lines = (tmp_path / "rows.csv").read_text().splitlines()
-        assert lines[1].endswith(",at_boundary,evals")
+        assert lines[1] == ("case,n,replicate,seed,d_hat,c_hat,a_hat,loss,"
+                            "converged,at_boundary,evals")
         assert all(int(line.rsplit(",", 1)[1]) > 0 for line in lines[2:])
 
     def test_meta_sidecar_written(self, tmp_path):
@@ -284,6 +285,11 @@ class TestOtherCommands:
         assert rc == 0
         lines = (tmp_path / "summary.csv").read_text().strip().splitlines()
         assert lines[1] == "case,n,trimmed,stat,value"
+        stats = ["count", "mean", "median", "s", "s_tilde", "s_scaled",
+                 "s_tilde_scaled", "skewness", "q_skewness"]
+        # the untrimmed statistics, then the trimmed ones
+        assert [line.split(",")[2:4] for line in lines[2:]] == [
+            [trimmed, stat] for trimmed in "01" for stat in stats]
         assert (tmp_path / "normplot_all_n300.csv").exists()
         assert (tmp_path / "normplot_trimmed_n300.csv").exists()
 

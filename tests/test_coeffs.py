@@ -228,25 +228,25 @@ class TestZetaTail:
 
 
 class TestParamSpace:
-    def test_c_upper_value(self):
-        c = ParamSpace(C=0.9).c_max(0.0)
+    def test_c_upper_value(self, spec):
+        c = ParamSpace(C=0.9).c_max(0.0, spec)
         assert c == pytest.approx(0.9 / math.sqrt(math.pi ** 2 / 6), rel=1e-10)
         assert c == pytest.approx(0.70173, abs=5e-5)
 
-    def test_linear_in_C(self):
-        assert ParamSpace(C=0.4).c_max(0.3) == pytest.approx(
-            2 * ParamSpace(C=0.2).c_max(0.3), rel=1e-12)
+    def test_linear_in_C(self, spec):
+        assert ParamSpace(C=0.4).c_max(0.3, spec) == pytest.approx(
+            2 * ParamSpace(C=0.2).c_max(0.3, spec), rel=1e-12)
 
     def test_defining_identity_brute(self, spec):
         # at c = c_max(d), the squared weights sum to exactly C^2
         d, C = 0.17, 0.8
-        c = ParamSpace(C=C).c_max(d)
+        c = ParamSpace(C=C).c_max(d, spec)
         est, err = brute_zeta_tail(2.0 - 2.0 * d, 1)
         assert c * c * est == pytest.approx(C * C, rel=1e-9)
 
-    def test_divergence_at_half(self):
+    def test_divergence_at_half(self, spec):
         with pytest.raises(DivergenceError):
-            ParamSpace(C=0.9).c_max(0.5)
+            ParamSpace(C=0.9).c_max(0.5, spec)
 
     def test_validate(self, spec, space):
         space.validate(Theta(0.1, 0.2, 1.0), spec)
@@ -282,7 +282,7 @@ class TestNorms:
 
     def test_norm2_at_cupper_is_C(self, spec):
         d, C = 0.22, 0.9
-        th = Theta(d, ParamSpace(C=C).c_max(d), 1.0)
+        th = Theta(d, ParamSpace(C=C).c_max(d, spec), 1.0)
         assert norm_p(spec, th, 2.0) == pytest.approx(C, rel=1e-12)
 
     def test_norm2_value_brute(self, spec):

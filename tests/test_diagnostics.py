@@ -17,7 +17,7 @@ from larchpmle import (
 from larchpmle import diagnostics
 from larchpmle.errors import DomainError, InsufficientDataError
 
-from conftest import CASE2
+from conftest import CASE1, CASE2
 
 
 class TestFitDecay:
@@ -86,6 +86,15 @@ class TestScoreGap:
                           replicates=3, burn_in=2500)
             assert g.empirical == 0.0
             assert all(v == 0.0 for v in g.per_replicate)
+
+    @pytest.mark.parametrize("beta", [0.799, 1.0])
+    def test_no_burn_in_gap_is_exactly_zero(self, spec, beta):
+        # without a burn-in the whole history is the observed past: every
+        # window point of "full" reads its t - 1 observations after zeros,
+        # as "trunc" does, so both scores agree bit for bit
+        g = score_gap(spec, CASE1, 0.01, 500, beta, replicates=2,
+                      burn_in=0)
+        assert g.per_replicate == (0.0, 0.0)
 
     def test_short_memory_gap_shrinks(self, spec):
         th = Theta(0.0, 0.2, 1.0)

@@ -283,7 +283,7 @@ class TestEstimate:
         x = simulate(spec, CASE1, SimConfig(n=1000, burn_in=10_000, J=2000,
                                             seed=4)).x_obs
         calls, c_max = [], ParamSpace.c_max
-        monkeypatch.setattr(ParamSpace, "c_max", lambda self, d, spec=None:
+        monkeypatch.setattr(ParamSpace, "c_max", lambda self, d, spec:
                             calls.append(d) or c_max(self, d, spec))
         estimate(LSPEC, spec, x, fix=fix)
         assert len(calls) == len(set(calls))
@@ -326,7 +326,7 @@ class TestEstimate:
         fft = PathEvaluator(LSPEC, spec, case1_path.x_obs)
         grid = np.linspace(0.0, 1.0, 9)
         for d in np.linspace(0.0, space.d_u, 9):
-            v0 = fft.lag_sums(Theta(d, 0.0, 1.0), 0)[0]
+            v0 = fft.lag_sums(d, 0)[0]
             c = np.repeat(grid * space.c_max(d, spec), 9)
             a = np.tile(np.linspace(space.a_d, space.a_u, 9), 9)
             assert res.loss_at_opt <= fft.values(v0, c, a).min() + 1e-12

@@ -119,7 +119,7 @@ class TestSigmaReconstruction:
         spec = CoeffSpec(family, J)
         s = simulate(spec, CASE1, SimConfig(n=3000, burn_in=J, J=J, seed=16))
         data = s if variant == "full" else s.x_obs
-        v0 = PathEvaluator(LSPECS[variant], spec, data).lag_sums(CASE1, 0)[0]
+        v0 = PathEvaluator(LSPECS[variant], spec, data).lag_sums(CASE1.d, 0)[0]
         got = CASE1.a + CASE1.c * v0
         if variant == "full":
             want = [sigma_full(spec, CASE1, s, t) for t in range(1, 3001)]
@@ -198,7 +198,7 @@ class TestLossValue:
         ev = PathEvaluator(LossSpec("trunc", 0.01, beta=0.7), spec,
                            case1_path.x_obs)
         d = 0.15
-        v0 = ev.lag_sums(Theta(d, 0.2, 1.0), 0)[0]
+        v0 = ev.lag_sums(d, 0)[0]
         c = np.repeat([0.0, 0.1, 0.3], 3)
         a = np.tile([0.2, 1.0, 4.0], 3)
         ref = [ev(Theta(d, ci, ai), derivatives=2).value
@@ -208,7 +208,7 @@ class TestLossValue:
 
     def test_values_reject_nonfinite_term(self, spec):
         ev = PathEvaluator(replace(BAR, epsilon=0.0), spec, np.zeros(30))
-        v0 = ev.lag_sums(Theta(0.1, 0.0, 0.0), 0)[0]
+        v0 = ev.lag_sums(0.1, 0)[0]
         with pytest.raises(NumericError, match="t = 1"):
             ev.values(v0, [0.0, 0.2], [1.0, 0.0])
 
@@ -232,14 +232,14 @@ class TestLossValue:
         # its points and their J lags, and no others
         s = simulate(spec, CASE1, SimConfig(n=600, burn_in=50, J=50, seed=8))
         x = s.x.copy()
-        x[s.first_retained + 99] = np.inf
+        x[s.config.burn_in + 99] = np.inf
         bad = replace(s, x=x)
         for window in ((100, 300), (150, 300)):
             with pytest.raises(NumericError, match="t = 100"):
                 _beta_window(spec, bad, *window)
         for window in ((151, 300), (10, 99)):
             ev = _beta_window(spec, bad, *window)
-            assert np.all(np.isfinite(ev.lag_sums(CASE1, 0)[0]))
+            assert np.all(np.isfinite(ev.lag_sums(CASE1.d, 0)[0]))
 
     def test_nonfinite_presample_history_rejected(self, spec):
         # the stored history before t = 1 reaches the window's first J
@@ -247,12 +247,12 @@ class TestLossValue:
         # evaluator is built, before any transform spreads it
         s = simulate(spec, CASE1, SimConfig(n=300, burn_in=50, J=50, seed=8))
         x = s.x.copy()
-        x[s.first_retained - 10] = np.inf
+        x[s.config.burn_in - 10] = np.inf
         with pytest.raises(NumericError, match="t = -9"):
             PathEvaluator(LossSpec("full", 0.01), spec, replace(s, x=x))
         # a window whose lags stop short of it never reads that value
         ev = _beta_window(spec, replace(s, x=x), 42, 300)
-        assert np.all(np.isfinite(ev.lag_sums(CASE1, 0)[0]))
+        assert np.all(np.isfinite(ev.lag_sums(CASE1.d, 0)[0]))
 
     def test_farima_score_available(self, farima_spec):
         rng = np.random.default_rng(5)
@@ -463,7 +463,7 @@ def full_size_fft_sums(lspec, spec, sample, d, order=0):
                         nfft)
     n = sample.n
     t_first = n - m_of_n(n, lspec.beta) if lspec.variant == "trunc" else 1
-    idx = (sample.first_retained if full else 0) + np.arange(t_first, n + 1) - 2
+    idx = (sample.config.burn_in if full else 0) + np.arange(t_first, n + 1) - 2
     return np.where(idx >= 0, conv[np.maximum(idx, 0)], 0.0)
 
 
@@ -487,10 +487,10 @@ def _window_view(sample, t_first, t_last):
     """The sample's points t_first..t_last (1-based) as a sample of their
     own whose history is the simulation's J values before t_first, the way
     the sandwich cuts its blocks."""
-    J = sample.config.J
-    cut = slice(sample.first_retained + t_first - 1 - J,
-                sample.first_retained + t_last)
-    return replace(sample, first_retained=J,
+    J, burn_in = sample.config.J, sample.config.burn_in
+    cut = slice(burn_in + t_first - 1 - J, burn_in + t_last)
+    config = replace(sample.config, n=t_last - t_first + 1, burn_in=J)
+    return replace(sample, config=config,
                    **{name: getattr(sample, name)[cut]
                       for name in ("x", "sigma", "eps")})
 
@@ -499,7 +499,7 @@ def _beta_window(spec, sample, t_first, t_last):
     """A "full" evaluator of the sample's points t_first..t_last (1-based),
     as the last floor(t_last^beta) points of its first t_last points."""
     prefix = replace(sample, **{
-        name: getattr(sample, name)[: sample.first_retained + t_last]
+        name: getattr(sample, name)[: sample.config.burn_in + t_last]
         for name in ("x", "sigma", "eps")})
     # floor(t_last^beta) = t_last - t_first + 1, half a point clear of the
     # neighbouring counts
@@ -512,9 +512,9 @@ def _beta_window(spec, sample, t_first, t_last):
 def _zero_past(sample):
     """The sample's observations after n - 1 pre-sample zeros."""
     pad = np.zeros(sample.n - 1)
-    return replace(sample, first_retained=sample.n - 1,
+    return replace(sample, config=replace(sample.config, burn_in=len(pad)),
                    **{name: np.concatenate([pad, getattr(sample, name)[
-                       sample.first_retained:]])
+                       sample.config.burn_in:]])
                       for name in ("x", "sigma", "eps")})
 
 
@@ -543,7 +543,7 @@ class TestSegmentedTransform:
         ev = PathEvaluator(lspec, spec,
                            sample if variant == "full" else sample.x_obs)
         for d in (0.05, 0.25, 0.45):
-            rows = ev.lag_sums(Theta(d, 0.2, 1.0), 2)
+            rows = ev.lag_sums(d, 2)
             for order, got in enumerate(rows):
                 ref = full_size_fft_sums(lspec, spec, sample, d, order)
                 assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
@@ -562,7 +562,7 @@ class TestSegmentedTransform:
         if variant == "full":
             ev = PathEvaluator(lspec, spec, sample)
             J, t_first = sample.config.J, 1
-            history, first = sample.x, sample.first_retained
+            history, first = sample.x, sample.config.burn_in
         else:
             ev = PathEvaluator(lspec, spec, sample.x_obs)
             J = n - 1
@@ -582,7 +582,7 @@ class TestSegmentedTransform:
                 conv = np.fft.irfft(spectrum * kernel_spectrum, nfft)
                 rows.append(conv[J - 1: J - 1 + w])
             want = _scaled(family, d, np.array(rows))
-            got = ev.lag_sums(Theta(d, 0.2, 1.0), 2)
+            got = ev.lag_sums(d, 2)
             for k in range(3):
                 assert np.array_equal(got[k], want[k])
 
@@ -599,8 +599,7 @@ class TestSegmentedTransform:
         full = PathEvaluator(LossSpec("full", 0.01, beta=lspec.beta,
                                       J=n - 1), spec, _zero_past(sample))
         for d in (0.0, 0.1, 0.3):
-            th = Theta(d, 0.2, 1.0)
-            for got, want in zip(ev.lag_sums(th, 2), full.lag_sums(th, 2)):
+            for got, want in zip(ev.lag_sums(d, 2), full.lag_sums(d, 2)):
                 assert np.array_equal(got, want)
 
 
@@ -611,12 +610,12 @@ class TestKernelSpectra:
         first = PathEvaluator(lspec, spec, _window_view(s, 1, 2000))
         second = PathEvaluator(lspec, spec, _window_view(s, 2001, 4000))
         assert first._nfft == second._nfft
-        first.lag_sums(CASE1, 2)
+        first.lag_sums(CASE1.d, 2)
         hits = _kernel_spectra.cache_info().hits
-        rows = second.lag_sums(CASE1, 2)
+        rows = second.lag_sums(CASE1.d, 2)
         assert _kernel_spectra.cache_info().hits == hits + 1
         _kernel_spectra.cache_clear()
-        for got, want in zip(rows, second.lag_sums(CASE1, 2)):
+        for got, want in zip(rows, second.lag_sums(CASE1.d, 2)):
             assert np.array_equal(got, want)
         assert _kernel_spectra.cache_info().hits == 0
         spectra = _kernel_spectra(spec.family, CASE1.d, second.J, 2,
@@ -646,8 +645,7 @@ class TestChebyshevTable:
         x = table_paths[n]
         table = PathEvaluator(lspec, spec, x, d_range=(0.0, 0.45))
         fft = PathEvaluator(lspec, spec, x)
-        pairs = [(table.lag_sums(Theta(d, 0.2, 1.0), 0)[0],
-                  fft.lag_sums(Theta(d, 0.2, 1.0), 0)[0])
+        pairs = [(table.lag_sums(d, 0)[0], fft.lag_sums(d, 0)[0])
                  for d in np.linspace(0.0, 0.45, 41)]
         scale = max(np.linalg.norm(ref) for _, ref in pairs)
         for got, ref in pairs:
@@ -679,16 +677,14 @@ class TestChebyshevTable:
         table = PathEvaluator(lspec, spec, x, d_range=(0.05, 0.3))
         fft = PathEvaluator(lspec, spec, x)
         for order in (1, 2):
-            th = Theta(0.1, 0.2, 1.0)
-            got, ref = table.lag_sums(th, order), fft.lag_sums(th, order)
+            got, ref = table.lag_sums(0.1, order), fft.lag_sums(0.1, order)
             for k, tol in zip(range(order + 1), (1e-12, 1e-12, 1e-9)):
                 assert (np.linalg.norm(got[k] - ref[k])
                         <= tol * np.linalg.norm(ref[k]))
             assert got[order + 1:] == ref[order + 1:] == (None,) * (2 - order)
         for d, order in [(0.0, 0), (0.4, 0), (0.0, 1), (0.4, 1)]:
-            th = Theta(d, 0.2, 1.0)
-            for got, ref in zip(table.lag_sums(th, order),
-                                fft.lag_sums(th, order)):
+            for got, ref in zip(table.lag_sums(d, order),
+                                fft.lag_sums(d, order)):
                 assert (got is None) == (ref is None)
                 assert got is None or np.array_equal(got, ref)
         # the FFT rows are the transforms of the unit rows, scaled once
@@ -698,7 +694,7 @@ class TestChebyshevTable:
                     fft._convolve(np.fft.rfft(kernel, fft._nfft))
                     for kernel in _unit_rows(family, d, fft.J, order)])
                 want = _scaled(family, d, rows)
-                got = fft.lag_sums(Theta(d, 0.2, 1.0), order)
+                got = fft.lag_sums(d, order)
                 for k in range(order + 1):
                     assert np.array_equal(got[k], want[k])
 
@@ -718,9 +714,8 @@ class TestChebyshevTable:
         ds = [1e-6, 1e-4, 0.01125] + list(np.linspace(0.05, 0.45, 9))
         for d in ds:
             ref = full_size_fft_sums(lspec, spec, sample, d)
-            th = Theta(d, 0.2, 1.0)
             for ev in (table, fft):
-                got = ev.lag_sums(th, 0)[0]
+                got = ev.lag_sums(d, 0)[0]
                 assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
 
     @pytest.mark.parametrize("n", [1000, 10_000, 100_000])
@@ -738,8 +733,7 @@ class TestChebyshevTable:
             table = PathEvaluator(lspec, family_spec, x, d_range=(0.0, 0.45))
             fft = PathEvaluator(lspec, family_spec, x)
             for d in np.linspace(0.0, 0.45, 10):
-                th = Theta(d, 0.2, 1.0)
-                got, ref = table.lag_sums(th, 2), fft.lag_sums(th, 2)
+                got, ref = table.lag_sums(d, 2), fft.lag_sums(d, 2)
                 for k, tol in ((0, 1e-12), (1, v1_tol), (2, 1e-9)):
                     assert (np.linalg.norm(got[k] - ref[k])
                             <= tol * np.linalg.norm(ref[k]))
@@ -752,9 +746,9 @@ class TestChebyshevTable:
         fft = PathEvaluator(lspec, farima_spec, x)
         h = 1e-4
         for d in (0.05, 0.1, 0.2, 0.3, 0.4):
-            v2 = table.lag_sums(Theta(d, 0.2, 1.0), 2)[2]
-            fd = (fft.lag_sums(Theta(d + h, 0.2, 1.0), 1)[1]
-                  - fft.lag_sums(Theta(d - h, 0.2, 1.0), 1)[1]) / (2 * h)
+            v2 = table.lag_sums(d, 2)[2]
+            fd = (fft.lag_sums(d + h, 1)[1]
+                  - fft.lag_sums(d - h, 1)[1]) / (2 * h)
             assert np.linalg.norm(v2 - fd) <= 1e-6 * np.linalg.norm(fd)
 
     @pytest.mark.parametrize("family", ["power", "farima"])

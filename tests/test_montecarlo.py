@@ -163,8 +163,8 @@ class TestRunStudy:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, tasks, chunksize):
-                return map(fn, tasks)
+            def map(self, fn, *iterables, chunksize):
+                return map(fn, *iterables)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
         one_chunk = replace(tiny_cfg, replicates=4)
