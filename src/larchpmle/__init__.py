@@ -3,10 +3,8 @@ pseudo-maximum-likelihood estimation, asymptotic covariances, and a
 Monte-Carlo replication harness."""
 
 from .asymptotics import (
-    LimitH0Result,
     RatePrediction,
     SandwichResult,
-    limit_h0,
     predicted_rate,
     sandwich,
 )
@@ -49,13 +47,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CoeffSpec", "DecayFit", "EstimationResult", "LarchError",
-    "LimitH0Result", "LossEval", "LossSpec", "MAD_SCALE", "McReport",
-    "MomentReport", "NoiseMoments", "ParamSpace", "RatePrediction",
-    "Sample", "SandwichResult", "ScoreGapResult", "SimConfig",
-    "StudyConfig", "Summary", "Theta", "acf", "case_study",
-    "check_moment_conditions", "derive_seed", "estimate", "fit_decay",
-    "gaussian_moments", "landscape", "limit_h0", "loss", "m_of_n",
-    "norm_p", "normal_plot_data", "predicted_rate", "run_study",
-    "sandwich", "score_gap", "simulate", "summarize", "tail_variance",
-    "zeta_tail",
+    "LossEval", "LossSpec", "MAD_SCALE", "McReport", "MomentReport",
+    "NoiseMoments", "ParamSpace", "RatePrediction", "Sample",
+    "SandwichResult", "ScoreGapResult", "SimConfig", "StudyConfig",
+    "Summary", "Theta", "acf", "case_study", "check_moment_conditions",
+    "derive_seed", "estimate", "fit_decay", "gaussian_moments",
+    "landscape", "loss", "m_of_n", "norm_p", "normal_plot_data",
+    "predicted_rate", "run_study", "sandwich", "score_gap", "simulate",
+    "summarize", "tail_variance", "zeta_tail",
 ]

@@ -4,9 +4,9 @@ The limiting covariance combines the score outer-product matrix
 G = (E eps^4 - 1) E[4 sigma^6 / (sigma^2 + eps)^4 sdot sdot^T] and the
 expected Hessian H = E[4 sigma^2 / (sigma^2 + eps)^2 sdot sdot^T], both
 evaluated at the true parameter by an ergodic average along one long
-simulated path.  ``sandwich`` and ``limit_h0`` read the n points of that
-path from the simulator in pieces cut once, at k n // (B p), k = 0..B p,
-and add up each of their B = 32 standard-error blocks over its p pieces,
+simulated path.  ``sandwich`` reads the n points of that path from the
+simulator in pieces cut once, at k n // (B p), k = 0..B p, and adds up
+each of its B = 32 standard-error blocks over its p pieces,
 p = ceil((n // B) / max(2 J, 2048)) for J lags and the simulator's
 2048-step chunk (at least 2 J, so that a piece holds as many points as
 the lags it reads): every block bound is a cut, piece k lies in block
@@ -14,6 +14,9 @@ k // p, and a piece holds at most max(2 J, 2048) + 1 points, so no array
 grows with the path.  At 500k points and J = 2000 a block of 15625 points
 is four pieces of 3906 or 3907, each one 6144-point transform, and
 ``sandwich`` peaks at 1.84 MB (``tracemalloc``; 1.88 MB at 2M points).
+At a tiny eps (1e-300) H is the unregularized Hessian
+4 E[sdot sdot^T / sigma^2], whose expectation need not be finite: an
+se_H close to H itself shows that its average has not settled.
 Reported standard deviations come in two flavors:
 
 * ``sd``       : per-component values sqrt(G_ii) / H_ii, the asymptotic sd
@@ -35,16 +38,12 @@ from .likelihood import LossSpec, PathEvaluator
 from .simulate import (_BLOCK, _CHUNK, Sample, SimConfig, _checked, _pieces,
                        simulate)
 
-__all__ = ["SandwichResult", "LimitH0Result", "RatePrediction",
-           "sandwich", "limit_h0", "predicted_rate", "sigma_and_gradient"]
+__all__ = ["SandwichResult", "RatePrediction", "sandwich", "predicted_rate",
+           "sigma_and_gradient"]
 
 # consecutive blocks, covering the path, whose means give the standard
 # errors of G and H
 _SE_BLOCKS = 32
-# divergence monitor of limit_h0: largest relative span of the prefix
-# averages of the trace, and largest share of one time point in its sum
-_H0_SPAN_TOL = 0.05
-_H0_SHARE_TOL = 0.1
 
 
 @dataclass(frozen=True)
@@ -58,22 +57,6 @@ class SandwichResult:
     sd_joint: np.ndarray
     se_G: np.ndarray
     se_H: np.ndarray
-
-
-@dataclass(frozen=True)
-class LimitH0Result:
-    """Ergodic average of 4 sdot sdot^T / sigma^2, or a divergence flag.
-
-    ``matrix`` is None when the running average failed the convergence
-    monitor (the expectation may be infinite); ``checkpoints`` holds the
-    averages of the matrix trace over the first n/8, n/4, n/2 and n points
-    (block prefixes of the path) used by the monitor, and is empty when a
-    term is non-finite.
-    """
-
-    matrix: np.ndarray | None
-    diverged: bool
-    checkpoints: tuple
 
 
 @dataclass(frozen=True)
@@ -147,8 +130,9 @@ def _bounds(n: int) -> np.ndarray:
 
 def _blocks(spec: CoeffSpec, theta0: Theta, cfg: SimConfig):
     """(i, sigma, S), sigma and S of :func:`sigma_and_gradient`, for each
-    piece of the path of ``cfg`` (from :func:`_path_config`), cut as the
-    module docstring says, i the block of :func:`_bounds` it lies in."""
+    piece of the path of ``cfg`` (from :func:`_path_config`) that
+    :func:`sandwich` sums, cut as the module docstring says, i the block
+    of :func:`_bounds` it lies in."""
     J, n = cfg.J, cfg.n
     B = len(_bounds(n)) - 1
     p = -(-(n // B) // max(2 * J, _CHUNK * _BLOCK))
@@ -214,39 +198,6 @@ def sandwich(spec: CoeffSpec, theta0: Theta, epsilon: float,
     return SandwichResult(G=kG / k / k / k / k, H=kH / k / k, cov=cov, sd=sd,
                           sd_joint=sd_joint, se_G=se_kG / k / k / k / k,
                           se_H=se_kH / k / k)
-
-
-def limit_h0(spec: CoeffSpec, theta0: Theta, path_length: int = 500_000,
-             burn_in: int = 10_000, seed: int = 0) -> LimitH0Result:
-    """Monte-Carlo limit of the unregularized Hessian 4 E[sdot sdot^T / sigma^2].
-
-    Summed piece by piece (:func:`_blocks`), the average diverges when the
-    averages of its trace over the first n/8, n/4, n/2 and n points (block
-    bounds) span more than 0.05 of the last, when one time point holds
-    more than 0.1 of the trace sum, or when a term is non-finite: a valid
-    outcome, as E(sigma^-2) need not be finite.  A burn-in shorter than the
-    spec's J raises :class:`HistoryError` before anything is simulated.
-    """
-    cfg = _path_config(spec, theta0, path_length, burn_in, seed)
-    n, bounds, top = path_length, _bounds(path_length), 0.0
-    sums = np.zeros((len(bounds) - 1, 3, 3))
-    for i, sig, S in _blocks(spec, theta0, cfg):
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            w = 4.0 / (sig * sig)
-            sums[i] += (S.T * w) @ S
-            top = np.max(w * np.einsum("ij,ij->i", S, S), initial=top)
-        if not np.all(np.isfinite(sums[i])):
-            return LimitH0Result(matrix=None, diverged=True, checkpoints=())
-    traces = np.cumsum(np.trace(sums, axis1=1, axis2=2))
-    # the prefixes end on block bounds i n // B, B = 32 or n
-    checkpoints = tuple(float(traces[np.searchsorted(bounds, p) - 1] / p)
-                        for p in (max(1, n // k) for k in (8, 4, 2, 1)))
-    span = ((max(checkpoints) - min(checkpoints))
-            / max(abs(checkpoints[-1]), 1e-300))
-    share = float(top / max(traces[-1], 1e-300))
-    diverged = span > _H0_SPAN_TOL or share > _H0_SHARE_TOL
-    return LimitH0Result(matrix=None if diverged else sums.sum(axis=0) / n,
-                         diverged=diverged, checkpoints=checkpoints)
 
 
 def predicted_rate(beta: float, d: float) -> RatePrediction:

@@ -79,6 +79,7 @@ def case_study(case: int, n_values=(1000, 2500, 5000, 10_000),
 
     Case 1: d = 0.1, c = 0.2, a = 1, epsilon = 0.01, beta = 0.799.
     Case 2: d = 0.2, c = 0.2, a = 1, epsilon = 0.01, beta = 0.599.
+    An override of any :class:`StudyConfig` field replaces the preset's.
     """
     if case == 1:
         theta0, beta = Theta(0.1, 0.2, 1.0), 0.799
@@ -86,9 +87,9 @@ def case_study(case: int, n_values=(1000, 2500, 5000, 10_000),
         theta0, beta = Theta(0.2, 0.2, 1.0), 0.599
     else:
         raise DomainError("case must be 1 or 2")
-    return StudyConfig(theta0=theta0, epsilon=0.01, beta=beta,
-                       n_values=tuple(n_values), replicates=replicates,
-                       base_seed=base_seed, **overrides)
+    preset = dict(theta0=theta0, epsilon=0.01, beta=beta)
+    return StudyConfig(**(preset | overrides), n_values=tuple(n_values),
+                       replicates=replicates, base_seed=base_seed)
 
 
 @dataclass(frozen=True)

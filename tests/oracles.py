@@ -3,13 +3,10 @@ time, from the observed past (sigma_bar) or from the stored history
 (sigma_full), and the chain expansion of the stationary solution
 (volterra_sigma).  The package forms sigma only in the simulator's
 recursion and in ``PathEvaluator``'s lag sums; these hold both to direct
-sums.  h0_from_arrays is the whole-path form of ``limit_h0``, which sums
-its path block by block.  Inputs are the tests' own and are not
-checked."""
+sums.  Inputs are the tests' own and are not checked."""
 
 import numpy as np
 
-from larchpmle.asymptotics import LimitH0Result
 from larchpmle.coeffs import coeff_weights
 
 
@@ -60,27 +57,3 @@ def volterra_sigma(spec, theta0, eps_prefix, t, K_max):
         if not prev.any():
             break
     return float(theta0.a * (1.0 + total))
-
-
-def h0_from_arrays(sigma, S):
-    """Average of 4 sdot sdot^T / sigma^2 over whole-path arrays with the
-    divergence monitor of ``limit_h0``: divergent when the prefix averages
-    of the trace over the first n/8, n/4, n/2 and n points span more than
-    0.05 of the last, when one time point holds more than 0.1 of the trace
-    sum, or when a term is non-finite (then without checkpoints)."""
-    n = len(sigma)
-    with np.errstate(divide="ignore", over="ignore"):
-        w = 4.0 / (sigma * sigma)
-        trace_terms = w * np.einsum("ij,ij->i", S, S)
-    if not np.all(np.isfinite(trace_terms)):
-        return LimitH0Result(matrix=None, diverged=True, checkpoints=())
-    checkpoints = tuple(
-        float(np.mean(trace_terms[: max(1, n // k)])) for k in (8, 4, 2, 1))
-    span = ((max(checkpoints) - min(checkpoints))
-            / max(abs(checkpoints[-1]), 1e-300))
-    share = float(trace_terms.max() / max(trace_terms.sum(), 1e-300))
-    if span > 0.05 or share > 0.1:
-        return LimitH0Result(matrix=None, diverged=True,
-                             checkpoints=checkpoints)
-    return LimitH0Result(matrix=(S.T * w) @ S / n, diverged=False,
-                         checkpoints=checkpoints)

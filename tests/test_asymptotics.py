@@ -10,7 +10,6 @@ from larchpmle import (
     SimConfig,
     Theta,
     gaussian_moments,
-    limit_h0,
     predicted_rate,
     sandwich,
     simulate,
@@ -25,7 +24,6 @@ from larchpmle.errors import (
 )
 
 from conftest import CASE1, CASE2
-from oracles import h0_from_arrays
 
 
 @pytest.fixture(scope="module")
@@ -66,13 +64,11 @@ class TestSandwich:
         def no_simulate(*args, **kwargs):
             raise AssertionError("simulated a path too short for J lags")
 
-        # both read their path from the simulator's pieces
+        # it reads its path from the simulator's pieces
         monkeypatch.setattr(asymptotics, "_pieces", no_simulate)
         with pytest.raises(HistoryError):
             sandwich(spec, CASE1, 0.01, nm, path_length=5000,
                      burn_in=spec.J - 1)
-        with pytest.raises(HistoryError):
-            limit_h0(spec, CASE1, path_length=5000, burn_in=spec.J - 1)
 
     def test_short_path_fails_before_simulating(self, spec, nm,
                                                 monkeypatch):
@@ -83,23 +79,23 @@ class TestSandwich:
         for n in (1, 0):
             with pytest.raises(DomainError):
                 sandwich(spec, CASE1, 0.01, nm, path_length=n, burn_in=2100)
-            with pytest.raises(DomainError):
-                limit_h0(spec, CASE1, path_length=n, burn_in=2100)
 
-    @pytest.mark.parametrize("family, J, n", [
-        pytest.param("power", 2000, 40_001, id="power"),
-        pytest.param("farima", 2000, 40_001, id="farima"),
-        pytest.param("power", 200, 200_001, id="power-J200"),
-        pytest.param("power", 1000, 131_073, id="power-J1000")])
-    def test_blocks_match_whole_path_formula(self, family, J, n, nm):
+    @pytest.mark.parametrize("family, J, n, eps", [
+        pytest.param("power", 2000, 40_001, 0.01, id="power"),
+        pytest.param("farima", 2000, 40_001, 0.01, id="farima"),
+        pytest.param("farima", 2000, 40_001, 1e-300, id="farima-eps1e-300"),
+        pytest.param("power", 200, 200_001, 0.01, id="power-J200"),
+        pytest.param("power", 1000, 131_073, 0.01, id="power-J1000")])
+    def test_blocks_match_whole_path_formula(self, family, J, n, eps, nm):
         # sigma and its gradient are formed piece by piece and summed per
         # block; the sums agree with one whole-path sigma_and_gradient
         # sliced at the same bounds (40001 points: blocks of 1250 and 1251,
         # one piece each; 200001 points at J = 200: blocks of 6250 and
         # 6251, four pieces each; 131073 points at J = 1000: blocks of 4096
-        # and one of 4097, two pieces each, one of them 2049 points long)
+        # and one of 4097, two pieces each, one of them 2049 points long).
+        # At eps = 1e-300 the weight of H is 4 / sigma^2: H is the
+        # unregularized Hessian
         spec = CoeffSpec(family, J)
-        eps = 0.01
         res = sandwich(spec, CASE1, eps, nm, path_length=n, burn_in=2000,
                        seed=4)
         s = simulate(spec, CASE1, SimConfig(n=n, burn_in=2000, seed=4))
@@ -272,116 +268,43 @@ class TestSandwich:
         assert np.abs(res.G - G_emp).max() <= 0.10 * np.abs(res.G).max()
 
 
-def blocks_of(sigma, S):
-    """A stand-in for asymptotics._blocks that yields (i, sigma, S) for
-    block i of the 32 blocks of a path of their length (at least 32), each
-    block as one piece."""
-    bounds = np.linspace(0, len(sigma), 33).astype(int)
-    return lambda *args: ((i, sigma[lo:hi], S[lo:hi]) for i, (lo, hi)
-                          in enumerate(zip(bounds[:-1], bounds[1:])))
+# (family, J, theta, path length, burn-in): at and around the path lengths
+# where the blocks are single points, with lags reaching back across many
+# blocks, at c = 0, and with blocks of one or two points after a burn-in
+# of many unyielded pieces
+BLOCK_PATHS = ([("power", 2000, CASE1, n, 2000)
+                for n in (2, 3, 20, 31, 32, 33, 40, 63, 40_001, 200_000)]
+               + [("power", 2000, CASE2, 40_001, 2000),
+                  ("farima", 2000, Theta(0.2, 0.3, 1.0), 40_001, 2000),
+                  ("power", 2000, Theta(0.1, 0.0, 1.3), 40_001, 2000),
+                  ("power", 20_000, CASE1, 40_001, 20_000),
+                  ("power", 40, CASE1, 40_001, 40),
+                  ("power", 40, CASE1, 40, 200_000)])
 
 
-# (family, J, theta, path length, burn-in): where the monitor settles and
-# where it does not, at and around the path lengths where the blocks are
-# single points, with lags reaching back across many blocks, and with
-# blocks of one or two points after a burn-in of many unyielded pieces
-H0_PATHS = ([("power", 2000, CASE1, n, 2000)
-             for n in (2, 3, 20, 31, 32, 33, 40, 63, 40_001, 200_000)]
-            + [("power", 2000, CASE2, 40_001, 2000),
-               ("farima", 2000, Theta(0.2, 0.3, 1.0), 40_001, 2000),
-               ("power", 2000, Theta(0.1, 0.0, 1.3), 40_001, 2000),
-               ("power", 20_000, CASE1, 40_001, 20_000),
-               ("power", 40, CASE1, 40_001, 40),
-               ("power", 40, CASE1, 40, 200_000)])
-
-
-class TestLimitH0:
-    def test_constant_sigma_closed_form(self, spec):
-        th = Theta(0.1, 0.0, 1.3)
-        res = limit_h0(spec, th, path_length=200_000, burn_in=2100, seed=2)
-        assert not res.diverged
-        assert res.matrix[2, 2] == pytest.approx(4.0 / th.a ** 2, rel=0.02)
-        assert res.matrix[0, 0] == 0.0
-
-    @pytest.mark.parametrize("family, J, theta, n, burn_in", H0_PATHS)
-    def test_blocks_match_whole_path_oracle(self, family, J, theta, n,
-                                            burn_in):
-        # summed block by block, the average and its monitor agree with
-        # the same monitor over one whole-path sigma_and_gradient
+class TestBlocks:
+    @pytest.mark.parametrize("family, J, theta, n, burn_in", BLOCK_PATHS)
+    def test_pieces_match_whole_path(self, family, J, theta, n, burn_in):
+        # the pieces, put end to end, are one whole-path
+        # sigma_and_gradient, and each point comes with its block of
+        # B = max(2, min(32, n)) near-equal blocks
         spec = CoeffSpec(family, J)
-        res = limit_h0(spec, theta, path_length=n, burn_in=burn_in, seed=4)
+        cfg = asymptotics._path_config(spec, theta, n, burn_in, 4)
+        blocks, sig, S = zip(*asymptotics._blocks(spec, theta, cfg))
         s = simulate(spec, theta, SimConfig(n=n, burn_in=burn_in, seed=4))
-        want = h0_from_arrays(*sigma_and_gradient(spec, theta, s))
-        assert res.diverged == want.diverged
-        np.testing.assert_allclose(res.checkpoints, want.checkpoints,
+        want_sig, want_S = sigma_and_gradient(spec, theta, s)
+        np.testing.assert_allclose(np.concatenate(sig), want_sig,
                                    rtol=1e-13, atol=0.0)
-        if want.diverged:
-            assert res.matrix is None
-        else:
-            np.testing.assert_allclose(res.matrix, want.matrix, rtol=1e-13,
-                                       atol=1e-13 * np.abs(want.matrix).max())
-
-    def test_matrix_is_sandwich_H_at_zero_epsilon(self, farima_spec, nm):
-        # 4 sdot sdot^T / sigma^2 is the weight of H at eps = 0
-        th = Theta(0.2, 0.3, 1.0)
-        res = limit_h0(farima_spec, th, path_length=40_001, burn_in=2000,
-                       seed=4)
-        assert not res.diverged
-        H = sandwich(farima_spec, th, 1e-300, nm, path_length=40_001,
-                     burn_in=2000, seed=4).H
-        np.testing.assert_allclose(res.matrix, H, rtol=1e-13,
-                                   atol=1e-13 * np.abs(H).max())
-
-    def test_memory_beyond_sample_is_block_sized(self, spec):
-        # as the sandwich's: no path-length array exists, so the traced
-        # peak is at most half that of simulating the path alone
-        n, burn_in = 200_000, 10_000
-        tracemalloc.start()
-        try:
-            simulate(spec, CASE1, SimConfig(n=n, burn_in=burn_in, seed=1))
-            sim_peak = tracemalloc.get_traced_memory()[1]
-            tracemalloc.reset_peak()
-            limit_h0(spec, CASE1, path_length=n, burn_in=burn_in, seed=1)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= sim_peak / 2
-
-    def test_synthetic_heavy_tail_diverges(self, spec, monkeypatch):
-        rng = np.random.default_rng(0)
-        sigma = np.abs(rng.standard_normal(200_000))
-        S = np.ones((200_000, 3))
-        monkeypatch.setattr(asymptotics, "_blocks", blocks_of(sigma, S))
-        assert limit_h0(spec, CASE1, path_length=200_000,
-                        burn_in=2000).diverged
-
-    def test_finite_average_is_plain_mean(self, spec, monkeypatch):
-        # a settled, non-diverging average: the matrix is the mean of
-        # 4 S_t S_t^T / sigma_t^2 (the plain einsum as oracle)
-        rng = np.random.default_rng(7)
-        n = 100_000
-        sigma = 1.0 + 0.5 * rng.random(n)
-        S = rng.standard_normal((n, 3))
-        monkeypatch.setattr(asymptotics, "_blocks", blocks_of(sigma, S))
-        res = limit_h0(spec, CASE1, path_length=n, burn_in=2000)
-        assert not res.diverged
-        want = np.einsum("i,ij,ik->jk", 4.0 / sigma ** 2, S, S) / n
-        assert np.max(np.abs(res.matrix - want)) <= 1e-13 * np.max(np.abs(want))
-
-    def test_exact_zero_sigma_diverges(self, spec, monkeypatch):
-        sigma = np.ones(1000)
-        sigma[500] = 0.0
-        monkeypatch.setattr(asymptotics, "_blocks",
-                            blocks_of(sigma, np.ones((1000, 3))))
-        assert limit_h0(spec, CASE1, path_length=1000, burn_in=2000).diverged
+        np.testing.assert_allclose(np.concatenate(S), want_S, rtol=0.0,
+                                   atol=1e-13 * np.abs(want_S).max())
+        B = max(2, min(32, n))
+        bounds = [i * n // B for i in range(B + 1)]
+        want_block = np.searchsorted(bounds, np.arange(n), side="right") - 1
+        np.testing.assert_array_equal(
+            np.repeat(blocks, [len(x) for x in sig]), want_block)
 
 
-@pytest.mark.parametrize("run", [
-    lambda spec, n: sandwich(spec, CASE1, 0.01, gaussian_moments(4),
-                             path_length=n, burn_in=10_000, seed=1),
-    lambda spec, n: limit_h0(spec, CASE1, path_length=n, burn_in=10_000,
-                             seed=1)], ids=["sandwich", "limit_h0"])
-def test_traced_peak_does_not_grow_with_path(run, spec):
+def test_traced_peak_does_not_grow_with_path(spec):
     # a block is summed over pieces of at most max(2 J, 2048) points, so
     # the peak is set by J: blocks of 1562 points are one piece each at
     # 50k points, blocks of 12500 points four pieces each at 400k
@@ -389,7 +312,8 @@ def test_traced_peak_does_not_grow_with_path(run, spec):
     for n in (50_000, 400_000):
         tracemalloc.start()
         try:
-            run(spec, n)
+            sandwich(spec, CASE1, 0.01, gaussian_moments(4), path_length=n,
+                     burn_in=10_000, seed=1)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()

@@ -27,15 +27,14 @@ def test_public_surface():
     # change
     assert larchpmle.__all__ == [
         "CoeffSpec", "DecayFit", "EstimationResult", "LarchError",
-        "LimitH0Result", "LossEval", "LossSpec", "MAD_SCALE", "McReport",
-        "MomentReport", "NoiseMoments", "ParamSpace", "RatePrediction",
-        "Sample", "SandwichResult", "ScoreGapResult", "SimConfig",
-        "StudyConfig", "Summary", "Theta", "acf", "case_study",
-        "check_moment_conditions", "derive_seed", "estimate", "fit_decay",
-        "gaussian_moments", "landscape", "limit_h0", "loss", "m_of_n",
-        "norm_p", "normal_plot_data", "predicted_rate", "run_study",
-        "sandwich", "score_gap", "simulate", "summarize", "tail_variance",
-        "zeta_tail"]
+        "LossEval", "LossSpec", "MAD_SCALE", "McReport", "MomentReport",
+        "NoiseMoments", "ParamSpace", "RatePrediction", "Sample",
+        "SandwichResult", "ScoreGapResult", "SimConfig", "StudyConfig",
+        "Summary", "Theta", "acf", "case_study", "check_moment_conditions",
+        "derive_seed", "estimate", "fit_decay", "gaussian_moments",
+        "landscape", "loss", "m_of_n", "norm_p", "normal_plot_data",
+        "predicted_rate", "run_study", "sandwich", "score_gap", "simulate",
+        "summarize", "tail_variance", "zeta_tail"]
 
 
 def test_runs_without_scipy_or_process_pool():
@@ -54,7 +53,6 @@ lp.run_study(lp.case_study(1, n_values=(300,), replicates=4, trim=1,
                            burn_in=500), workers=1)
 lp.sandwich(spec, theta, 0.01, lp.gaussian_moments(4), path_length=3000,
             burn_in=2000)
-lp.limit_h0(spec, theta, path_length=3000, burn_in=2000)
 lp.normal_plot_data(np.arange(10.0))
 lp.check_moment_conditions(lp.CoeffSpec("farima", 2000),
                            lp.Theta(0.2, 0.3, 1.0), lp.gaussian_moments())

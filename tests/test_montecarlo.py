@@ -227,6 +227,14 @@ class TestRunStudy:
         with pytest.raises(DomainError):
             case_study(3)
 
+    def test_overrides_replace_the_preset(self):
+        # any field may be overridden, the preset's own ones too
+        assert (case_study(2, beta=0.5, epsilon=0.1)
+                == replace(case_study(2), beta=0.5, epsilon=0.1))
+        theta0 = Theta(0.3, 0.1, 1.0)
+        assert case_study(1, theta0=theta0) == replace(case_study(1),
+                                                       theta0=theta0)
+
     def test_config_validation(self):
         with pytest.raises(DomainError):
             case_study(1, replicates=5, trim=5)
