@@ -32,7 +32,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .coeffs import CoeffSpec, NoiseMoments, Theta
-from .errors import DomainError, HistoryError, SingularityError
+from .errors import DomainError, SingularityError
 from .likelihood import LossSpec, PathEvaluator
 # simulate is not called here; bench/tracing.py wraps it by this name
 from .simulate import (_BLOCK, _CHUNK, Sample, SimConfig, _checked, _pieces,
@@ -79,10 +79,12 @@ def sigma_and_gradient(spec: CoeffSpec, theta: Theta, sample: Sample):
     """sigma_t(theta) and its theta-gradient over the analysis window.
 
     Both are built from the full-history lag sums of
-    :class:`~larchpmle.likelihood.PathEvaluator` (J lags into the
-    pre-sample, J the sample's simulation truncation), so the sample's
-    burn-in must be at least J.  Returns (sigma, S), S of shape (n, 3) in
-    (d, c, a) order and in column-major layout, for the sample's n points.
+    :class:`~larchpmle.likelihood.PathEvaluator`: J lags of the stored
+    path, J the sample's simulation truncation, which read zero before its
+    first step as the simulator did, so at the simulation's theta sigma is
+    the simulated one for any burn-in.  Returns (sigma, S), S of shape
+    (n, 3) in (d, c, a) order and in column-major layout, for the sample's
+    n points.
     """
     ev = PathEvaluator(LossSpec("full", 0.0), spec, sample)
     v0, v1, _ = ev.lag_sums(theta.d, derivatives=1)
@@ -109,19 +111,6 @@ def _block_sums(sig: np.ndarray, S: np.ndarray,
     return np.stack([(S.T * wG) @ S, (S.T * wH) @ S])
 
 
-def _path_config(spec: CoeffSpec, theta0: Theta, path_length: int,
-                 burn_in: int, seed: int) -> SimConfig:
-    """The path of an ergodic average, with its length (2 at least), its
-    burn-in (J lags of sigma at least) and theta0 checked up front."""
-    if path_length < 2:
-        raise DomainError(f"path length {path_length} must be at least 2")
-    if burn_in < spec.J:
-        raise HistoryError(
-            f"burn-in {burn_in} is shorter than the {spec.J} lags of sigma")
-    return _checked(spec, theta0,
-                    SimConfig(n=path_length, burn_in=burn_in, seed=seed))
-
-
 def _bounds(n: int) -> np.ndarray:
     """Bounds i n // B, i = 0..B, of B near-equal blocks that cover n."""
     B = max(2, min(_SE_BLOCKS, n))
@@ -130,8 +119,8 @@ def _bounds(n: int) -> np.ndarray:
 
 def _blocks(spec: CoeffSpec, theta0: Theta, cfg: SimConfig):
     """(i, sigma, S), sigma and S of :func:`sigma_and_gradient`, for each
-    piece of the path of ``cfg`` (from :func:`_path_config`) that
-    :func:`sandwich` sums, cut as the module docstring says, i the block
+    piece of the path of ``cfg`` (from :func:`larchpmle.simulate._checked`)
+    that :func:`sandwich` sums, cut as the module docstring says, i the block
     of :func:`_bounds` it lies in."""
     J, n = cfg.J, cfg.n
     B = len(_bounds(n)) - 1
@@ -146,7 +135,8 @@ def _blocks(spec: CoeffSpec, theta0: Theta, cfg: SimConfig):
 
 def sandwich(spec: CoeffSpec, theta0: Theta, epsilon: float,
              nm: NoiseMoments, path_length: int = 500_000,
-             burn_in: int = 10_000, seed: int = 0) -> SandwichResult:
+             burn_in: int = SimConfig.burn_in,
+             seed: int = 0) -> SandwichResult:
     """Estimate G, H, and the sandwich covariance at theta0 by simulation.
 
     One long stationary path, truncated at the spec's J lags, is generated
@@ -158,13 +148,18 @@ def sandwich(spec: CoeffSpec, theta0: Theta, epsilon: float,
     (:func:`_blocks`), so no array grows with the path.  H is
     factorized by Cholesky; failure raises :class:`SingularityError` with
     eigenvalue diagnostics (this is the expected outcome for degenerate
-    parameters such as c = 0).  A burn-in shorter than the spec's J
-    raises :class:`HistoryError` before anything is simulated.
+    parameters such as c = 0).  Any burn-in runs, 0 included: the lags
+    before the path's first step read the zeros of the empty past that the
+    simulator started from, as every piece does.  A path of fewer than 2
+    points raises :class:`DomainError` before anything is simulated.
     """
     if not 0.0 < epsilon < math.inf:
         raise DomainError(f"epsilon {epsilon} must be in (0, inf)")
     mu4 = nm.moment(4)
-    cfg = _path_config(spec, theta0, path_length, burn_in, seed)
+    if path_length < 2:
+        raise DomainError(f"path length {path_length} must be at least 2")
+    cfg = _checked(spec, theta0,
+                   SimConfig(n=path_length, burn_in=burn_in, seed=seed))
     bounds = _bounds(path_length)
     sums = np.zeros((len(bounds) - 1, 2, 3, 3))
     for i, sig, S in _blocks(spec, theta0, cfg):

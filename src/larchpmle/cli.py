@@ -481,9 +481,6 @@ def _cmd_acf(args):
 
 
 def _cmd_asymcov(args):
-    if args.burn_in < args.trunc:
-        raise _UsageError(f"--burn-in {args.burn_in} must be at least "
-                          f"--trunc {args.trunc}")
     res = sandwich(CoeffSpec("power", args.trunc),
                    Theta(args.d, args.c, args.a), args.eps,
                    gaussian_moments(8), path_length=args.path_length,

@@ -9,14 +9,14 @@ truncated estimator's central limit theorem.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .coeffs import CoeffSpec, Theta
 from .errors import DomainError, InsufficientDataError
 from .likelihood import LossSpec, PathEvaluator, m_of_n
-from .simulate import Sample, SimConfig, derive_seed, simulate
+from .simulate import SimConfig, derive_seed, simulate
 
 __all__ = ["DecayFit", "fit_decay", "ScoreGapResult", "score_gap"]
 
@@ -69,15 +69,15 @@ class ScoreGapResult:
 
 def score_gap(spec: CoeffSpec, theta0: Theta, epsilon: float, n: int,
               beta: float, replicates: int, base_seed: int = 0,
-              burn_in: int = 10_000) -> ScoreGapResult:
+              burn_in: int = SimConfig.burn_in) -> ScoreGapResult:
     """Monte-Carlo estimate of the full-vs-observed-past score difference.
 
     Per replicate, the d-component of the score is evaluated at theta0
     twice on the window that beta gives both variants, the last
-    m(n) + 1 = floor(n^beta) points: once by ``"full"`` with sigma_t
-    reconstructed from all burn_in + t - 1 values before t (J = burn_in +
-    n - 1 lags of the path after m zeros, the simulated empty past) and
-    once by ``"trunc"`` from the observed past only; the absolute
+    m(n) + 1 = floor(n^beta) points: once by ``"full"`` on the simulated
+    sample with sigma_t reconstructed from all burn_in + t - 1 values
+    before t (J = burn_in + n - 1 lags, zeros before the path's first
+    step) and once by ``"trunc"`` from the observed past only; the absolute
     difference is scaled by the square root of the window size.  The
     d-component is the one whose central limit theorem the gap decides.
     The gap is exactly zero with c = 0, where both d-scores vanish, and
@@ -95,10 +95,7 @@ def score_gap(spec: CoeffSpec, theta0: Theta, epsilon: float, n: int,
         seed = derive_seed(base_seed, r)
         sample = simulate(spec, theta0,
                           SimConfig(n=n, burn_in=burn_in, seed=seed))
-        past = Sample(*(np.concatenate([np.zeros(m), v]) for v in
-                        (sample.x, sample.sigma, sample.eps)),
-                      config=replace(sample.config, burn_in=burn_in + m))
-        evs = (PathEvaluator(full, spec, past),
+        evs = (PathEvaluator(full, spec, sample),
                PathEvaluator(trunc, spec, sample.x_obs))
         s_full, s_bar = (ev(theta0, derivatives=1).score[0] for ev in evs)
         gaps.append(math.sqrt(m + 1) * abs(s_full - s_bar))

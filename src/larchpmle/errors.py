@@ -25,10 +25,6 @@ class UnsupportedError(LarchError):
     """A coefficient-family / derivative-order combination is not implemented."""
 
 
-class HistoryError(LarchError):
-    """Not enough past observations to evaluate the requested quantity."""
-
-
 class WindowError(LarchError):
     """The evaluation window is degenerate (too few time points)."""
 

@@ -5,10 +5,14 @@ l_t = (x_t^2 + eps) / (sigma_t^2(theta) + eps) + ln(sigma_t^2(theta) + eps)
 comes in two variants, which differ only in the past sigma_t(theta) is
 reconstructed from:
 
-* ``"full"``  : the extended history (pre-sample included), truncated at
+* ``"full"``  : the sample's stored path (burn-in included), truncated at
   J lags;
-* ``"trunc"`` : the observed past x_1..x_{t-1} only, i.e. the
-  full-history sum with the unobserved past set to zero.
+* ``"trunc"`` : the observed past x_1..x_{t-1} only, J = n - 1.
+
+Both read a lag that reaches before the first step of their path as zero:
+that is the empty past the simulator starts from, so "trunc" is the
+infinite-past sum with the unobserved past set to zero, and "full" on a
+burn-in shorter than J reads the zeros the simulator read there.
 
 Both average the last floor(n^beta) points t = n - m(n)..n, where
 m(n) = floor(n^beta) - 1; beta = 1, like ``"full"`` without beta, averages
@@ -16,8 +20,7 @@ all n points, and ``"trunc"`` requires beta.
 
 The analytic score and Hessian are exact derivatives of the loss in
 theta = (d, c, a).  Every variant convolves the J + w - 1 history values
-that reach its window of w points (for "trunc" J = n - 1 and the history
-before t = 1 is zeros) in one transform of at least J + w - 1
+that reach its window of w points in one transform of at least J + w - 1
 points; the transform of the data is cached so repeated evaluation on one
 path (as in estimation or landscape sweeps) costs one kernel transform per
 lag-sum row, and the kernel transforms of the last d are kept for the next
@@ -37,7 +40,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .coeffs import CoeffSpec, Theta, _scaled, _unit_rows
-from .errors import DomainError, HistoryError, NumericError, WindowError
+from .errors import DomainError, NumericError, WindowError
 from .simulate import Sample
 
 __all__ = ["LossSpec", "LossEval", "m_of_n", "loss", "landscape",
@@ -164,9 +167,9 @@ def m_of_n(n: int, beta: float) -> int:
 class PathEvaluator:
     """Evaluates one loss variant repeatedly on a fixed data path.
 
-    Every variant sums J lags of a history: the sample's stored one for
-    ``"full"``; for ``"trunc"`` J = n - 1 lags of the observations
-    preceded by n - 1 zeros, the unobserved past.  The J + w - 1
+    Every variant sums J lags of a path: the sample's stored one for
+    ``"full"``, the observations with J = n - 1 for ``"trunc"``; a lag
+    before the path's first step reads zero, the empty past.  The J + w - 1
     values that reach the window are transformed once, at the length
     L = :func:`_fft_size` (J + w - 1); each parameter point then costs one
     (value only) to three (score/Hessian) kernel transforms and as many
@@ -180,7 +183,7 @@ class PathEvaluator:
     The window is the last floor(n^beta) points, t = ``t_first``..n with
     ``w`` points, or all n points for ``"full"`` without beta.  Only the
     values that reach the window, its points and their J lags (stored
-    pre-sample steps t <= 0 included), are checked to be finite, so
+    burn-in steps t <= 0 included), are checked to be finite, so
     construction costs O(J + w) and not O(n); a non-finite one raises
     :class:`NumericError` naming its step.
 
@@ -218,21 +221,22 @@ class PathEvaluator:
         self.t_first = 1 if lspec.beta is None else n - m_of_n(n, lspec.beta)
         self.w = n - self.t_first + 1
 
+        # path[first] is t = 1
         if lspec.variant == "full":
             self.J = lspec.J if lspec.J is not None else data.config.J
-            history, first = data.x, data.config.burn_in
+            path, first = data.x, data.config.burn_in
         else:
             self.J = n - 1
-            history, first = np.concatenate([np.zeros(self.J), x_obs]), self.J
-        start = first + self.t_first - 1 - self.J
-        if start < 0:
-            raise HistoryError(
-                f"full variant needs burn-in >= {self.J - self.t_first + 1}")
+            path, first = x_obs, 0
         # only the J + w - 1 values from the first window point's J-th lag
-        # to the last point's first lag reach the window; they and the
-        # window's last point, t = t_first - J..n (t <= 0: the stored
-        # pre-sample), must be finite
-        series = history[start: start + self.J + self.w - 1]
+        # to the last point's first lag reach the window, zeros before the
+        # path's first step; they and the window's last point,
+        # t = t_first - J..n (t <= 0: the burn-in and the empty past), must
+        # be finite
+        start = first + self.t_first - 1 - self.J
+        series = path[max(start, 0): first + n - 1]
+        if start < 0:
+            series = np.concatenate([np.zeros(-start), series])
         self.xw = x_obs[self.t_first - 1:]
         for values, t in ((series, self.t_first - self.J), (self.xw[-1:], n)):
             finite = np.isfinite(values)
@@ -372,7 +376,8 @@ def loss(lspec: LossSpec, spec: CoeffSpec, theta: Theta, data,
     """Evaluate the selected loss variant at theta on the given data.
 
     ``data`` is a plain series for the "trunc" variant or a
-    :class:`Sample` (whose pre-sample supplies the history) for "full".
+    :class:`Sample` (whose stored path, burn-in included, is the history)
+    for "full".
     ``derivatives`` = 0, 1 or 2 selects value only, value + score, or
     value + score + Hessian.
     """

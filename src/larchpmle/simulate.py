@@ -91,8 +91,10 @@ class SimConfig:
 @dataclass(frozen=True)
 class Sample:
     """A simulated path: ``config.burn_in`` steps of burn-in, then the n
-    points of the analysis window.  By construction x[t] = eps[t] *
-    sigma[t] for every t; ``config.J`` is the path's truncation order.
+    points of the analysis window.  x[0] is the path's first step, and
+    before it lies the empty past, which a lag reaching there reads as
+    zero.  By construction x[t] = eps[t] * sigma[t] for every t;
+    ``config.J`` is the path's truncation order.
     """
 
     x: np.ndarray

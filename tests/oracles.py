@@ -1,5 +1,5 @@
 """Slow oracles for sigma: the lag sums written out one time point at a
-time, from the observed past (sigma_bar) or from the stored history
+time, from the observed past (sigma_bar) or from the stored path
 (sigma_full), and the chain expansion of the stationary solution
 (volterra_sigma).  The package forms sigma only in the simulator's
 recursion and in ``PathEvaluator``'s lag sums; these hold both to direct
@@ -20,14 +20,15 @@ def sigma_bar(spec, theta, x, t):
 
 
 def sigma_full(spec, theta, sample, t, J=None):
-    """sigma_t of the sample's window (t 1-based) from its stored history,
-    truncated at J lags (by default the sample's simulation truncation),
-    all of which must exist."""
+    """sigma_t of the sample's window (t 1-based) from its stored path,
+    truncated at J lags (by default the sample's simulation truncation);
+    the lags before the path's first step are zero, the empty past."""
     if J is None:
         J = sample.config.J
     b_rev = coeff_weights(spec, theta, J)[::-1].copy()
     pos = sample.config.burn_in + t - 1
-    return theta.a + float(b_rev @ sample.x[pos - J: pos])
+    k = min(J, pos)
+    return theta.a + float(b_rev[J - k:] @ sample.x[pos - k: pos])
 
 
 def volterra_sigma(spec, theta0, eps_prefix, t, K_max):

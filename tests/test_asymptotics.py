@@ -16,14 +16,10 @@ from larchpmle import (
 )
 from larchpmle import asymptotics
 from larchpmle.asymptotics import sigma_and_gradient
-from larchpmle.errors import (
-    DomainError,
-    HistoryError,
-    MissingMomentError,
-    SingularityError,
-)
+from larchpmle.errors import DomainError, MissingMomentError, SingularityError
+from larchpmle.simulate import _checked
 
-from conftest import CASE1, CASE2
+from conftest import CASE1, CASE2, _simulate_loop
 
 
 @pytest.fixture(scope="module")
@@ -51,25 +47,17 @@ class TestSigmaGradient:
                   - sigma_and_gradient(spec, dn, s)[0]) / (2 * h)
             assert S[:, i] == pytest.approx(fd, rel=1e-6, abs=1e-9)
 
-    def test_burn_in_too_short(self, spec):
-        s = simulate(spec, CASE1, SimConfig(n=100, burn_in=500, J=2000,
-                                            seed=5))
-        with pytest.raises(HistoryError):
-            sigma_and_gradient(spec, CASE1, s)
+    @pytest.mark.parametrize("burn_in", [0, 1, 1999])
+    def test_short_burn_in_reads_empty_past(self, spec, burn_in):
+        # the lags before the path's first step read zero, as the
+        # simulator's did, so sigma is the simulated one at any burn-in
+        s = _simulate_loop(spec, CASE1, SimConfig(n=100, burn_in=burn_in,
+                                                  J=2000, seed=5))
+        sig, _ = sigma_and_gradient(spec, CASE1, s)
+        np.testing.assert_allclose(sig, s.sigma_obs, rtol=1e-12, atol=0.0)
 
 
 class TestSandwich:
-    def test_short_burn_in_fails_before_simulating(self, spec, nm,
-                                                   monkeypatch):
-        def no_simulate(*args, **kwargs):
-            raise AssertionError("simulated a path too short for J lags")
-
-        # it reads its path from the simulator's pieces
-        monkeypatch.setattr(asymptotics, "_pieces", no_simulate)
-        with pytest.raises(HistoryError):
-            sandwich(spec, CASE1, 0.01, nm, path_length=5000,
-                     burn_in=spec.J - 1)
-
     def test_short_path_fails_before_simulating(self, spec, nm,
                                                 monkeypatch):
         def no_simulate(*args, **kwargs):
@@ -80,13 +68,18 @@ class TestSandwich:
             with pytest.raises(DomainError):
                 sandwich(spec, CASE1, 0.01, nm, path_length=n, burn_in=2100)
 
-    @pytest.mark.parametrize("family, J, n, eps", [
-        pytest.param("power", 2000, 40_001, 0.01, id="power"),
-        pytest.param("farima", 2000, 40_001, 0.01, id="farima"),
-        pytest.param("farima", 2000, 40_001, 1e-300, id="farima-eps1e-300"),
-        pytest.param("power", 200, 200_001, 0.01, id="power-J200"),
-        pytest.param("power", 1000, 131_073, 0.01, id="power-J1000")])
-    def test_blocks_match_whole_path_formula(self, family, J, n, eps, nm):
+    @pytest.mark.parametrize("family, J, n, eps, burn_in", [
+        pytest.param("power", 2000, 40_001, 0.01, 2000, id="power"),
+        pytest.param("farima", 2000, 40_001, 0.01, 2000, id="farima"),
+        pytest.param("farima", 2000, 40_001, 1e-300, 2000,
+                     id="farima-eps1e-300"),
+        pytest.param("power", 200, 200_001, 0.01, 2000, id="power-J200"),
+        pytest.param("power", 1000, 131_073, 0.01, 2000, id="power-J1000"),
+        pytest.param("power", 2000, 40_001, 0.01, 0, id="power-burn0"),
+        pytest.param("power", 2000, 40_001, 0.01, 1999,
+                     id="power-burn1999")])
+    def test_blocks_match_whole_path_formula(self, family, J, n, eps,
+                                             burn_in, nm):
         # sigma and its gradient are formed piece by piece and summed per
         # block; the sums agree with one whole-path sigma_and_gradient
         # sliced at the same bounds (40001 points: blocks of 1250 and 1251,
@@ -94,11 +87,12 @@ class TestSandwich:
         # 6251, four pieces each; 131073 points at J = 1000: blocks of 4096
         # and one of 4097, two pieces each, one of them 2049 points long).
         # At eps = 1e-300 the weight of H is 4 / sigma^2: H is the
-        # unregularized Hessian
+        # unregularized Hessian.  A burn-in shorter than J reads the empty
+        # past before the path's first step in both
         spec = CoeffSpec(family, J)
-        res = sandwich(spec, CASE1, eps, nm, path_length=n, burn_in=2000,
+        res = sandwich(spec, CASE1, eps, nm, path_length=n, burn_in=burn_in,
                        seed=4)
-        s = simulate(spec, CASE1, SimConfig(n=n, burn_in=2000, seed=4))
+        s = simulate(spec, CASE1, SimConfig(n=n, burn_in=burn_in, seed=4))
         sig, S = sigma_and_gradient(spec, CASE1, s)
         s2e = sig ** 2 + eps
         wG = (nm.moment(4) - 1.0) * 4.0 * sig ** 6 / s2e ** 4
@@ -130,7 +124,7 @@ class TestSandwich:
         monkeypatch.setattr(asymptotics, "sigma_and_gradient",
                             lambda spec, theta, sample: (sample.n, None))
         spec = CoeffSpec("power", J)
-        cfg = asymptotics._path_config(spec, CASE1, n, J, 0)
+        cfg = _checked(spec, CASE1, SimConfig(n=n, burn_in=J, seed=0))
         blocks = [(i, m) for i, m, _ in asymptotics._blocks(spec, CASE1, cfg)]
         bounds = asymptotics._bounds(n)
         assert len(blocks) == pieces
@@ -289,7 +283,7 @@ class TestBlocks:
         # sigma_and_gradient, and each point comes with its block of
         # B = max(2, min(32, n)) near-equal blocks
         spec = CoeffSpec(family, J)
-        cfg = asymptotics._path_config(spec, theta, n, burn_in, 4)
+        cfg = _checked(spec, theta, SimConfig(n=n, burn_in=burn_in, seed=4))
         blocks, sig, S = zip(*asymptotics._blocks(spec, theta, cfg))
         s = simulate(spec, theta, SimConfig(n=n, burn_in=burn_in, seed=4))
         want_sig, want_S = sigma_and_gradient(spec, theta, s)

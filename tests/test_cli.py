@@ -357,7 +357,6 @@ REJECTED = [
     "acf --fit 9,3 --out {out}",                             # empty range
     "acf --fit 1,3 --out {out}",                             # 3 lags
     "acf --max-lag 4 --fit 1,50 --out {out}",                # 4 lags
-    "asymcov --burn-in 100 --out {out}",                     # below --trunc
     "asymcov --path-length 1 --out {out}",
     "asymcov --trunc 0 --burn-in 0 --out {out}",
     "simulate --case 1 --out {input}",                       # a file
@@ -420,8 +419,10 @@ HONOURED = [
     ("landscape --n 300 --burn-in 200 --eps-list 0.01 --d-grid 0,0.4,3",
      "--d-grid 0,0.25,3 --beta 0.5", "landscape.csv",
      dict(d_grid="0,0.25,3", beta=0.5)),
+    # --burn-in 0: the lags before the path's first step read the empty past
     ("asymcov --case 1 --path-length 4000 --burn-in 2100",
-     "--eps 0.05 --d 0.2", "asymcov.csv", dict(eps=0.05, d=0.2, trunc=2000)),
+     "--eps 0.05 --d 0.2 --burn-in 0", "asymcov.csv",
+     dict(eps=0.05, d=0.2, trunc=2000, burn_in=0)),
     ("rates --case 2 --n 300 --replicates 2 --burn-in 100",
      "--beta 0.5 --eps 0.1", "rates.csv", dict(beta=0.5, eps=0.1, d=0.2)),
 ]

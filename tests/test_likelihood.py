@@ -111,13 +111,19 @@ class TestSigmaReconstruction:
         assert sigma_full(spec, th, s, 5, J=1000) == 1.4
 
     @pytest.mark.parametrize("J", [2000, 700])
-    @pytest.mark.parametrize("variant", ["bar", "full"])
+    @pytest.mark.parametrize("variant, burn_in", [
+        pytest.param("bar", None, id="bar"),
+        pytest.param("full", None, id="full"),
+        pytest.param("full", 1, id="full-burn1")])
     @pytest.mark.parametrize("family", ["power", "farima"])
-    def test_evaluator_sigma_matches_direct_sums(self, family, variant, J):
+    def test_evaluator_sigma_matches_direct_sums(self, family, variant,
+                                                 burn_in, J):
         # sigma = a + c v0 from the evaluator's lag sums at every point of
-        # a path whose burn-in holds exactly the J lags of its first point
+        # a path whose burn-in holds exactly the J lags of its first point,
+        # or one of them (full-burn1), the others reading the empty past
         spec = CoeffSpec(family, J)
-        s = simulate(spec, CASE1, SimConfig(n=3000, burn_in=J, J=J, seed=16))
+        s = simulate(spec, CASE1, SimConfig(
+            n=3000, burn_in=J if burn_in is None else burn_in, J=J, seed=16))
         data = s if variant == "full" else s.x_obs
         v0 = PathEvaluator(LSPECS[variant], spec, data).lag_sums(CASE1.d, 0)[0]
         got = CASE1.a + CASE1.c * v0
@@ -510,11 +516,10 @@ def _beta_window(spec, sample, t_first, t_last):
 
 
 def _zero_past(sample):
-    """The sample's observations after n - 1 pre-sample zeros."""
-    pad = np.zeros(sample.n - 1)
-    return replace(sample, config=replace(sample.config, burn_in=len(pad)),
-                   **{name: np.concatenate([pad, getattr(sample, name)[
-                       sample.config.burn_in:]])
+    """The sample's observations alone, burn-in 0: before them lies the
+    empty past."""
+    return replace(sample, config=replace(sample.config, burn_in=0),
+                   **{name: getattr(sample, name)[sample.config.burn_in:]
                       for name in ("x", "sigma", "eps")})
 
 
@@ -590,8 +595,9 @@ class TestSegmentedTransform:
     @pytest.mark.parametrize("family", ["power", "farima"])
     def test_observed_past_is_zero_filled_full(self, family, variant,
                                                table_samples):
-        # "trunc" is the "full" variant with J = n - 1 lags of a history
-        # whose pre-sample values are zero, bit for bit, t = 1 included
+        # "trunc" is the "full" variant with J = n - 1 lags of the
+        # observations alone, whose lags before t = 1 read the empty past,
+        # bit for bit, t = 1 included
         spec, lspec = CoeffSpec(family, 2000), LSPECS[variant]
         sample = table_samples[10_000]
         n = sample.n
