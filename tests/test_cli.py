@@ -257,6 +257,16 @@ class TestOtherCommands:
         assert "entry_i,entry_j,G,H,cov" in text
         assert text.strip().splitlines()[-1].startswith("# sd_d=")
 
+    def test_asymcov_burn_in_below_trunc(self, tmp_path):
+        # lags before the path's first step read the empty past
+        rc = run_cli("asymcov", "--case", "1", "--path-length", "4000",
+                     "--burn-in", "100", "--out", str(tmp_path))
+        assert rc == 0
+        text = (tmp_path / "asymcov.csv").read_text()
+        assert "entry_i,entry_j,G,H,cov" in text
+        meta = (tmp_path / "asymcov_meta.txt").read_text().splitlines()
+        assert "burn_in = 100" in meta and "trunc = 2000" in meta
+
     def test_check_moments_output(self, capsys):
         assert run_cli("check-moments", "--case", "1") == 0
         out = capsys.readouterr().out
@@ -419,10 +429,8 @@ HONOURED = [
     ("landscape --n 300 --burn-in 200 --eps-list 0.01 --d-grid 0,0.4,3",
      "--d-grid 0,0.25,3 --beta 0.5", "landscape.csv",
      dict(d_grid="0,0.25,3", beta=0.5)),
-    # --burn-in 0: the lags before the path's first step read the empty past
     ("asymcov --case 1 --path-length 4000 --burn-in 2100",
-     "--eps 0.05 --d 0.2 --burn-in 0", "asymcov.csv",
-     dict(eps=0.05, d=0.2, trunc=2000, burn_in=0)),
+     "--eps 0.05 --d 0.2", "asymcov.csv", dict(eps=0.05, d=0.2, trunc=2000)),
     ("rates --case 2 --n 300 --replicates 2 --burn-in 100",
      "--beta 0.5 --eps 0.1", "rates.csv", dict(beta=0.5, eps=0.1, d=0.2)),
 ]
