@@ -211,9 +211,8 @@ def estimate(lspec: LossSpec, spec: CoeffSpec, data,
     if ev.w < _MIN_WINDOW:
         raise WindowError(f"window of {ev.w} points is too small to estimate")
     if not d_free:
-        # taken once; the d-rows of the score and Hessian are never read
-        v0 = ev.lag_sums(fix["d"], 0)[0]
-        fixed_sums = (v0, np.zeros_like(v0), np.zeros_like(v0))
+        # taken once: the grid and every Newton point read these sums
+        fixed = ev.lag_sums(fix["d"], 2)
 
     # grid: one lag-sum row per d, all (c, a) pairs of that d at once
     t0 = time.perf_counter()
@@ -222,8 +221,7 @@ def estimate(lspec: LossSpec, spec: CoeffSpec, data,
     a_axis = axes.get("a", [fix.get("a")])
     c_axes = [axes["c"] * c_max(d) if "c" in axes else [fix["c"]]
               for d in d_axis]
-    rows = (ev.lag_sums(d, 0)[0] if d_free else v0
-            for d in d_axis)
+    rows = (ev.lag_sums(d, 0)[0] if d_free else fixed[0] for d in d_axis)
     vals = np.array([ev.values(row, np.repeat(cs, len(a_axis)),
                                np.tile(a_axis, len(cs)))
                      for row, cs in zip(rows, c_axes)])
@@ -254,7 +252,7 @@ def estimate(lspec: LossSpec, spec: CoeffSpec, data,
         nonlocal evaluations
         evaluations += 1
         theta = to_theta(x)
-        le = ev(theta) if d_free else ev.evaluate(theta, fixed_sums)
+        le = ev(theta) if d_free else ev.evaluate(theta, fixed)
         return le.value, le.score[idx], le.hessian[np.ix_(idx, idx)]
 
     runs = [(f, to_theta(x), conv) for x, f, conv in

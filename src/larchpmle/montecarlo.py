@@ -73,7 +73,7 @@ class StudyConfig:
 
 
 def case_study(case: int, n_values=(1000, 2500, 5000, 10_000),
-               replicates: int = 1000, base_seed: int = 42,
+               replicates: int = 1000, base_seed: int = StudyConfig.base_seed,
                **overrides) -> StudyConfig:
     """Built-in study presets.
 
@@ -255,7 +255,7 @@ def run_study(cfg: StudyConfig, workers: int = 1) -> McReport:
     """
     if workers < 1:
         raise DomainError(f"workers {workers} must be >= 1")
-    cfgs, ns, rs = zip(*((cfg, n, r) for n in cfg.n_values
+    cfgs, ns, rs = zip(*((cfg, n, r) for n in sorted(cfg.n_values)
                          for r in range(cfg.replicates)))
     workers = min(workers, -(-len(ns) // _CHUNKSIZE))
     if workers > 1:
@@ -265,7 +265,6 @@ def run_study(cfg: StudyConfig, workers: int = 1) -> McReport:
                                  chunksize=_CHUNKSIZE))
     else:
         rows = list(map(_run_replicate, cfgs, ns, rs))
-    rows.sort(key=lambda row: (row.n, row.replicate))
     summaries = {}
     for n in cfg.n_values:
         d_hats = [row.d_hat for row in rows if row.n == n]

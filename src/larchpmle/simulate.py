@@ -160,8 +160,9 @@ def _advance(path, b_rev, L, a, t, n, work):
     to step n of ``path``, whose rows x, sigma and eps each hold J lags and
     then whole blocks; x is still zero from step t on and the steps past n
     get zero innovations.  A chunk's in-block inverses are built from eps
-    once, before its blocks run, in ``work`` = (X, E, W) of
-    :func:`_inverses`.  Returns the first non-finite step, or None."""
+    once, in ``work`` = (X, E, W) of :func:`_inverses`, and its blocks run
+    once; a chunk that is not finite finishes step by step.  Returns the
+    first non-finite step, or None."""
     J, B = len(b_rev), len(L)
     X, E, W = work
     buf, sig, eps = path[0], path[1, J:], path[2, J:J + n]
@@ -175,27 +176,21 @@ def _advance(path, b_rev, L, a, t, n, work):
         _inverses(L, E, X, W)
         # X (h + a) = X h + a X 1
         u = (X @ np.full(B, a)).T
-        k = k0
-        while k < k1:
-            for Xk, uk, w, ek, s, x in zip(
-                    X.transpose(1, 0, 2)[k - k0:], u[k - k0:], lags[k:k1],
-                    E[k - k0:], sig_b[k:k1], x_b[k:k1]):
-                np.matmul(Xk, np.correlate(w, b_rev), out=s)
-                s += uk
-                np.multiply(ek, s, out=x)
-            x = buf[J + k * B:J + min(k1 * B, n)]
-            # min and max show nan and inf without an array of flags
-            if math.isfinite(x.min()) and math.isfinite(x.max()):
-                break
-            # the blocks before the first non-finite x are exact: replay its
-            # block, and if that is finite run the chunk's later blocks again
-            t0 = k * B + int(np.argmin(np.isfinite(x)))
-            t0 -= t0 % B
-            bad = _replay(buf, sig, eps, b_rev, a, t0, min(t0 + B, n))
+        for Xk, uk, w, ek, s, x in zip(X.transpose(1, 0, 2), u, lags[k0:k1],
+                                       E, sig_b[k0:k1], x_b[k0:k1]):
+            np.matmul(Xk, np.correlate(w, b_rev), out=s)
+            s += uk
+            np.multiply(ek, s, out=x)
+        x = buf[J + k0 * B:J + min(k1 * B, n)]
+        # min and max show nan and inf without an array of flags
+        if not (math.isfinite(x.min()) and math.isfinite(x.max())):
+            # the blocks before the first non-finite x are exact; the chunk
+            # finishes step by step from its block, and a step reads only
+            # the J steps before it, never the pass's values after it
+            t0 = k0 * B + int(np.argmin(np.isfinite(x))) // B * B
+            bad = _replay(buf, sig, eps, b_rev, a, t0, min(k1 * B, n))
             if bad is not None:
                 return bad
-            k = t0 // B + 1
-            x_b[k:k1] = 0.0
     return None
 
 
@@ -296,10 +291,10 @@ def simulate(spec: CoeffSpec, theta0: Theta, cfg: SimConfig,
     from eps for a chunk of ``_CHUNK`` blocks at once (:func:`_inverses`;
     the chunks lie on one grid from step 0).  Results agree with the
     step-by-step recursion to rounding (the sums run in another order).
-    A block that is not finite is replayed step by step, which keeps its
-    values if they are finite and otherwise locates the first non-finite
-    step.  The sample's arrays are the one piece of :func:`_pieces`, the
-    whole path; any cut of it into pieces keeps these bits.
+    A chunk that is not finite finishes step by step from its first
+    non-finite block, keeping the finite values and locating the first
+    non-finite step.  The sample's arrays are the one piece of
+    :func:`_pieces`, the whole path; any cut of it keeps these bits.
     """
     cfg = _checked(spec, theta0, cfg, space)
     path = next(_pieces(spec, theta0, cfg, [0, cfg.burn_in + cfg.n]))

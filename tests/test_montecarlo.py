@@ -198,6 +198,12 @@ class TestRunStudy:
         rows = run_study(tiny_cfg).rows
         assert [r.replicate for r in rows] == list(range(6))
         assert all(r.n == 400 for r in rows)
+        # sample sizes given out of order still come out in (n, replicate)
+        # order
+        rows = run_study(replace(tiny_cfg, n_values=(400, 300),
+                                 replicates=2)).rows
+        assert [(r.n, r.replicate) for r in rows] == [
+            (300, 0), (300, 1), (400, 0), (400, 1)]
 
     def test_profile_freezes_c_and_a(self, tiny_cfg):
         rows = run_study(tiny_cfg).rows

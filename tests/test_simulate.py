@@ -171,16 +171,16 @@ class TestBlockedKernel:
             simulate(spec, CASE1, cfg)
 
     # a block's inverse is not finite, so the chunk's pass runs on to its
-    # end on non-finite values; that block is replayed step by step and the
-    # chunk's blocks after it (four after the third block, none after the
-    # last) run again with the inverses already built for the path's one
-    # chunk of 7 blocks.  The fault goes into the inverse's upper-left
+    # end on non-finite values; the chunk then finishes step by step from
+    # the start of that block (all of the path's one chunk of 7 blocks when
+    # it is the first, the last block alone when it is the last), and no
+    # block runs twice.  The fault goes into the inverse's upper-left
     # quadrant, which every chunk rewrites (the upper-right one stays
     # zero).  Nothing in the kernel raises, so a non-finite block is the
     # only failure a pass can meet.
     @pytest.mark.parametrize("block, fault", [
-        (2, np.nan), (2, np.inf), (6, np.nan)],
-        ids=["third-nan", "third-inf", "last-nan"])
+        (0, np.nan), (2, np.nan), (2, np.inf), (6, np.nan)],
+        ids=["first-nan", "third-nan", "third-inf", "last-nan"])
     def test_nonfinite_block_is_replayed(self, spec, monkeypatch, block,
                                          fault):
         cfg = SimConfig(n=150, burn_in=50, J=2000, seed=12)
@@ -201,7 +201,7 @@ class TestBlockedKernel:
         monkeypatch.setattr(sim_mod, "_inverses", flaky)
         monkeypatch.setattr(sim_mod, "_replay", spy)
         got = simulate(spec, CASE1, cfg)
-        assert replayed == [(32 * block, min(32 * block + 32, 200))]
+        assert replayed == [(32 * block, 200)]
         assert [len(E) for E in chunks] == [7]
         ref = _simulate_loop(spec, CASE1, cfg)
         np.testing.assert_allclose(got.sigma, ref.sigma, rtol=1e-12, atol=0.0)
@@ -348,8 +348,8 @@ class TestPieces:
     def test_nonfinite_block_in_later_piece_is_replayed(self, spec,
                                                         monkeypatch):
         # the fault hits the third block of the path's fourth chunk, which
-        # the second piece reaches; that block alone is replayed and the
-        # chunk's inverses are not built again
+        # the second piece reaches; the chunk finishes step by step from
+        # that block and its inverses are not built again
         cfg = SimConfig(n=9000, burn_in=0, J=2000, seed=5)
         ends = [0, 5000, cfg.n]
         expect = simulate(spec, CASE1, cfg)
@@ -370,7 +370,7 @@ class TestPieces:
         monkeypatch.setattr(sim_mod, "_replay", spy)
         (x, sig, eps), sizes = _joined(spec, CASE1, cfg, ends)
         assert sizes == [5000, 4000]
-        assert replayed == [32] and len(calls) == 5
+        assert replayed == [2048 - 64] and len(calls) == 5
         np.testing.assert_allclose(sig, expect.sigma, rtol=1e-12, atol=0.0)
         np.testing.assert_allclose(sig, _simulate_loop(spec, CASE1, cfg).sigma,
                                    rtol=1e-12, atol=0.0)
