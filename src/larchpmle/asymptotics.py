@@ -134,7 +134,7 @@ def _blocks(spec: CoeffSpec, theta0: Theta, cfg: SimConfig):
 
 
 def sandwich(spec: CoeffSpec, theta0: Theta, epsilon: float,
-             nm: NoiseMoments, path_length: int = 500_000,
+             nm: NoiseMoments, path_length: int,
              burn_in: int = SimConfig.burn_in,
              seed: int = 0) -> SandwichResult:
     """Estimate G, H, and the sandwich covariance at theta0 by simulation.

@@ -61,31 +61,17 @@ _CHEB_NODES = 20
 _CHEB_REACH = 0.05
 
 
-def _chebder(c: np.ndarray) -> np.ndarray:
-    """Coefficients of the derivative of the Chebyshev series with
-    coefficient rows c, one row fewer, by the recurrence (and rounding) of
-    numpy's ``chebder``, which the package does not import."""
-    c = c.copy()
-    n = len(c) - 1
-    der = np.empty((n,) + c.shape[1:])
-    for j in range(n, 2, -1):
-        der[j - 1] = (2 * j) * c[j]
-        c[j - 2] += (j * c[j]) / (j - 2)
-    if n > 1:
-        der[1] = 4 * c[2]
-    der[0] = c[1]
-    return der
-
-
 # node angles, the cosine transform from node values to coefficients, and
 # the maps from coefficients on [-1, 1] to those of the first and second
-# derivatives (zero-padded to K rows), shared by every table
+# derivatives (zero-padded to K rows), shared by every table.  T_m' has
+# coefficient 2m on T_j for j < m with m - j odd (half that on T_0), so the
+# maps hold integers and halves and are exact in doubles.
 _CHEB_ANGLES = np.pi * (np.arange(_CHEB_NODES) + 0.5) / _CHEB_NODES
 _CHEB_COS = np.cos(np.outer(np.arange(_CHEB_NODES), _CHEB_ANGLES))
-_CHEB_DER = np.zeros((3, _CHEB_NODES, _CHEB_NODES))
-_CHEB_DER[0] = np.eye(_CHEB_NODES)
-_CHEB_DER[1, :-1] = _chebder(_CHEB_DER[0])
-_CHEB_DER[2, :-2] = _chebder(_CHEB_DER[1, :-1])
+_j, _m = np.indices((_CHEB_NODES, _CHEB_NODES))
+_D1 = np.where((_m > _j) & ((_m - _j) % 2 == 1), 2.0 * _m, 0.0)
+_D1[0] /= 2
+_CHEB_DER = np.stack([np.eye(_CHEB_NODES), _D1, _D1 @ _D1])
 
 
 def _fft_size(m: int) -> int:

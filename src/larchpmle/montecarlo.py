@@ -73,8 +73,7 @@ class StudyConfig:
 
 
 def case_study(case: int, n_values=(1000, 2500, 5000, 10_000),
-               replicates: int = 1000, base_seed: int = StudyConfig.base_seed,
-               **overrides) -> StudyConfig:
+               replicates: int = 1000, **overrides) -> StudyConfig:
     """Built-in study presets.
 
     Case 1: d = 0.1, c = 0.2, a = 1, epsilon = 0.01, beta = 0.799.
@@ -89,7 +88,7 @@ def case_study(case: int, n_values=(1000, 2500, 5000, 10_000),
         raise DomainError("case must be 1 or 2")
     preset = dict(theta0=theta0, epsilon=0.01, beta=beta)
     return StudyConfig(**(preset | overrides), n_values=tuple(n_values),
-                       replicates=replicates, base_seed=base_seed)
+                       replicates=replicates)
 
 
 @dataclass(frozen=True)

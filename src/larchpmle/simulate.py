@@ -294,7 +294,10 @@ def simulate(spec: CoeffSpec, theta0: Theta, cfg: SimConfig,
     A chunk that is not finite finishes step by step from its first
     non-finite block, keeping the finite values and locating the first
     non-finite step.  The sample's arrays are the one piece of
-    :func:`_pieces`, the whole path; any cut of it keeps these bits.
+    :func:`_pieces`, the whole path; any cut of it keeps these bits.  The
+    correlation with the weights runs in BLAS, which splits long vectors
+    across its threads, so a seeded path with J >= 16000 repeats bit for
+    bit only at a fixed BLAS thread count (``OPENBLAS_NUM_THREADS``).
     """
     cfg = _checked(spec, theta0, cfg, space)
     path = next(_pieces(spec, theta0, cfg, [0, cfg.burn_in + cfg.n]))

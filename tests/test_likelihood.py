@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -635,13 +636,27 @@ class TestChebyshevTable:
     """The d-interval lag-sum table against the FFT path as oracle."""
 
     @pytest.mark.parametrize("m", [1, 2])
-    def test_derivative_maps_are_numpy_chebder(self, m):
-        # the package ports chebder's recurrence rather than import
-        # numpy.polynomial: the maps agree bit for bit, zero-padded
+    def test_derivative_maps_are_exact(self, m):
+        # chebder's recurrence in rational arithmetic is the oracle: the
+        # maps equal it exactly, zero-padded, and numpy's chebder (which
+        # rounds) within 1e-12
         from numpy.polynomial.chebyshev import chebder
         K = _CHEB_DER.shape[1]
-        assert np.array_equal(_CHEB_DER[m, :K - m], chebder(np.eye(K), m))
+        c = [[Fraction(int(i == k)) for k in range(K)] for i in range(K)]
+        for _ in range(m):
+            n = len(c) - 1
+            der = [None] * n
+            for j in range(n, 0, -1):
+                der[j - 1] = [2 * j * x for x in c[j]]
+                if j > 2:
+                    c[j - 2] = [a + Fraction(j, j - 2) * b
+                                for a, b in zip(c[j - 2], c[j])]
+            der[0] = [x / 2 for x in der[0]]
+            c = der
+        exact = np.array(c, dtype=float)
+        assert np.array_equal(_CHEB_DER[m, :K - m], exact)
         assert not _CHEB_DER[m, K - m:].any()
+        assert np.abs(chebder(np.eye(K), m) - exact).max() <= 1e-12
 
     @pytest.mark.parametrize("n", [1000, 10_000])
     @pytest.mark.parametrize("lspec", TABLE_SPECS, ids=TABLE_IDS)
