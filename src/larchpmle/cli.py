@@ -34,7 +34,7 @@ from .coeffs import CoeffSpec, Theta, check_moment_conditions, gaussian_moments
 from .diagnostics import fit_decay, score_gap
 from .errors import DataError, LarchError
 from .estimator import estimate
-from .likelihood import LossSpec, landscape
+from .likelihood import LossSpec, landscape, m_of_n
 from .montecarlo import (
     ReplicateRow,
     StatRow,
@@ -442,10 +442,20 @@ def _cmd_mc(args):
     return files, {"case": label}
 
 
+def _check_window(args):
+    """The loss window of --n and --beta, checked before any work."""
+    try:
+        m_of_n(args.n, args.beta)
+    except LarchError as exc:
+        raise _UsageError(
+            f"--n {args.n} --beta {args.beta:g}: {exc}") from None
+
+
 def _cmd_landscape(args):
     for eps in args.eps_list:
         if not 0.0 <= eps < math.inf:
             raise _UsageError(f"--eps-list entry {eps} must be >= 0 and finite")
+    _check_window(args)
     spec = CoeffSpec("power", args.trunc)
     x = _simulated(args, spec, args.true_d).x_obs
     lo, hi, count = args.d_grid
@@ -508,6 +518,8 @@ def _cmd_check_moments(args):
 def _cmd_rates(args):
     if args.beta is None:
         raise _UsageError("rates requires --beta or --case")
+    if args.replicates > 0:
+        _check_window(args)
     theta = Theta(args.d, args.c, args.a)
     pred = predicted_rate(args.beta, args.d)
     print(f"score_gap_order={_fmt(pred.score_gap_order)} "

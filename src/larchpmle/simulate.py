@@ -222,15 +222,15 @@ def _pieces(spec: CoeffSpec, theta0: Theta, cfg: SimConfig, ends):
     ends an (x, sigma, eps) triple of views of one array that the next
     piece overwrites, each the J steps before the stretch (zeros for the
     empty past) and the stretch.  Whatever the cuts, the path runs on one
-    grid of chunks of min(_CHUNK, blocks of the path) blocks from step 0,
-    each drawn from the path's one generator and its inverses built once,
-    so every piece has the bits of the same steps of ``simulate``.  The
-    array holds the longest piece and a chunk; steps before ends[0] run
-    unyielded, in pieces of whole chunks that fill it.  Steps in errors
-    count from the path's start.
+    grid of chunks of _CHUNK blocks from step 0, each drawn from the path's
+    one generator and its inverses built once, so every piece has the bits
+    of the same steps of ``simulate``.  The chunk does not depend on the
+    path's length either, so the first k steps of a path have the same
+    bits at any length from k on.  The array holds the longest piece and a
+    chunk; steps before ends[0] run unyielded, in pieces of whole chunks
+    that fill it.  Steps in errors count from the path's start.
     """
-    J, B, a, total = cfg.J, _BLOCK, theta0.a, ends[-1]
-    K = min(_CHUNK, -(-total // B))
+    J, B, K, a, total = cfg.J, _BLOCK, _CHUNK, theta0.a, ends[-1]
     C = K * B
     size = -(-np.diff(ends).max() // B) * B + C
     cuts = [*range(0, ends[0], size // C * C), *ends]
@@ -294,7 +294,8 @@ def simulate(spec: CoeffSpec, theta0: Theta, cfg: SimConfig,
     A chunk that is not finite finishes step by step from its first
     non-finite block, keeping the finite values and locating the first
     non-finite step.  The sample's arrays are the one piece of
-    :func:`_pieces`, the whole path; any cut of it keeps these bits.  The
+    :func:`_pieces`, the whole path; any cut of it keeps these bits, and
+    so does a longer path from the same seed over its first steps.  The
     correlation with the weights runs in BLAS, which splits long vectors
     across its threads, so a seeded path with J >= 16000 repeats bit for
     bit only at a fixed BLAS thread count (``OPENBLAS_NUM_THREADS``).

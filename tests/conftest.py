@@ -1,4 +1,5 @@
 from dataclasses import replace
+from importlib import import_module
 
 import numpy as np
 import pytest
@@ -11,6 +12,20 @@ CASE1 = Theta(0.1, 0.2, 1.0)
 CASE2 = Theta(0.2, 0.2, 1.0)
 CASE1_BETA = 0.799
 CASE2_BETA = 0.599
+
+
+def scipy_oracle(module):
+    """The scipy module named ``module``, which a test reads as its oracle.
+
+    The package runs on numpy alone, so the test skips where scipy is not
+    installed; any other import error, such as a broken scipy, fails it.
+    """
+    try:
+        return import_module(module)
+    except ModuleNotFoundError as exc:
+        if exc.name != "scipy":
+            raise
+        pytest.skip("scipy is not installed")
 
 
 @pytest.fixture(scope="session")

@@ -361,6 +361,7 @@ REJECTED = [
     "landscape --eps-list 0.01, --out {out}",
     "landscape --eps-list -1 --out {out}",
     "landscape --eps-list 0.01,inf --out {out}",
+    "landscape --n 3 --out {out}",                          # degenerate window
     "acf --fit 2 --out {out}",
     "acf --max-lag -1 --out {out}",
     "acf --n 500 --max-lag 500 --out {out}",
@@ -378,6 +379,7 @@ REJECTED = [
     "rates --case 1 --beta 1.5 --out {out}",
     "rates --case 1 --replicates -1 --out {out}",
     "rates --case 1 --seed -2 --replicates 2 --out {out}",
+    "rates --case 1 --n 2 --replicates 2 --out {out}",      # degenerate window
 ]
 
 
@@ -496,3 +498,62 @@ def test_one_writer(argv, writes, tmp_path, series, monkeypatch, capsys):
     names, _, outdir = stdout[-1].removeprefix("wrote ").partition(" to ")
     assert stdout[-1].startswith("wrote ") and outdir == "."
     assert set(names.split(", ")) == written
+
+
+@pytest.fixture(scope="module")
+def series_500(tmp_path_factory):
+    out = tmp_path_factory.mktemp("series_500")
+    assert run_cli("simulate", "--case", "1", "--n", "500", "--burn-in",
+                   "1000", "--out", str(out)) == 0
+    return out / "simulate.csv"
+
+
+# (command line, a line it must print or None): commands on numeric paths
+# that the tests above do not reach; each must exit 0
+COMPLETES = [
+    # estimate and mc through the d-table's derivative rows: a FARIMA
+    # profile fit (its weights' product rule) and joint fits, where c is free
+    ("estimate --input {input} --beta 1 --fix-c 0.2 --fix-a 1 --out run",
+     None),
+    ("estimate --input {input} --beta 1 --fix-d 0.1 --out run", None),
+    ("estimate --input {input} --beta 1 --family farima --fix-c 0.2 "
+     "--fix-a 1 --out run", None),
+    ("mc --case 2 --n 300 --replicates 4 --trim 1 --estimate-all --out run",
+     None),
+    ("landscape --n 500 --d-grid 0,0.45,10 --out run", None),
+    # rates: the predictions alone, and the score gap with and without
+    # burn-in; without it both scores read the same past, so the gap is 0
+    ("rates --case 2 --n 2000", None),
+    ("rates --case 2 --n 2000 --replicates 2 --burn-in 3000 --out run", None),
+    ("rates --case 1 --n 500 --beta 1 --burn-in 0 --replicates 2 --out run",
+     "empirical_gap=0 (replicates=2)"),
+    ("rates --case 2 --n 2000 --burn-in 0 --replicates 2 --out run",
+     "empirical_gap=0 (replicates=2)"),
+    # asymcov: paths of one piece to many, J from 40 to 20000, a tiny and a
+    # huge epsilon, and a burn-in of 0, whose lags before the path read the
+    # empty past
+    ("asymcov --case 1 --path-length 40001 --burn-in 2100 --out run", None),
+    ("asymcov --case 1 --trunc 20000 --burn-in 20000 --path-length 40001 "
+     "--out run", None),
+    ("asymcov --case 1 --trunc 200 --burn-in 300 --path-length 200000 "
+     "--out run", None),
+    ("asymcov --case 1 --trunc 5000 --burn-in 5000 --path-length 400000 "
+     "--out run", None),
+    ("asymcov --case 1 --trunc 40 --burn-in 200000 --path-length 40 "
+     "--out run", None),
+    ("asymcov --case 1 --path-length 40 --burn-in 20000 --out run", None),
+    ("asymcov --case 1 --eps 1e200 --path-length 4000 --burn-in 2100 "
+     "--out run", None),
+    ("asymcov --case 1 --trunc 20000 --burn-in 20000 --path-length 40001 "
+     "--eps 1e-300 --out run", None),
+    ("asymcov --case 1 --path-length 4000 --burn-in 0 --out run", None),
+]
+
+
+@pytest.mark.parametrize("argv,line", COMPLETES,
+                         ids=[argv for argv, _ in COMPLETES])
+def test_completes(argv, line, tmp_path, series_500, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(*argv.format(input=series_500).split()) == 0
+    if line is not None:
+        assert line in capsys.readouterr().out.splitlines()

@@ -17,7 +17,7 @@ from larchpmle import estimator
 from larchpmle.likelihood import PathEvaluator
 from larchpmle.errors import DomainError, ValidationError, WindowError
 
-from conftest import CASE1, CASE1_BETA
+from conftest import CASE1, CASE1_BETA, scipy_oracle
 from nelder_mead import minimize_box
 
 LSPEC = LossSpec("trunc", 0.01, beta=CASE1_BETA)
@@ -140,7 +140,7 @@ def edge_box(spec, space):
 def slsqp_oracle(at, x0, spec, space):
     """The box-and-edge minimizer by scipy's SLSQP, an independent oracle;
     c's box bound is c_max(0), its constraint c <= c_max(d)."""
-    from scipy.optimize import minimize
+    minimize = scipy_oracle("scipy.optimize").minimize
     lo, upper = edge_box(spec, space)
     edge = {"type": "ineq", "fun": lambda x: upper(x)[1] - x[1]}
     res = minimize(lambda x: at(x)[0], x0, jac=lambda x: at(x)[1],

@@ -1,5 +1,3 @@
-import subprocess
-import sys
 from importlib import import_module
 
 import numpy as np
@@ -172,12 +170,12 @@ class TestBlockedKernel:
 
     # a block's inverse is not finite, so the chunk's pass runs on to its
     # end on non-finite values; the chunk then finishes step by step from
-    # the start of that block (all of the path's one chunk of 7 blocks when
-    # it is the first, the last block alone when it is the last), and no
-    # block runs twice.  The fault goes into the inverse's upper-left
-    # quadrant, which every chunk rewrites (the upper-right one stays
-    # zero).  Nothing in the kernel raises, so a non-finite block is the
-    # only failure a pass can meet.
+    # the start of that block (all of the path's 7 blocks when it is the
+    # first, the last block alone when it is the last), and no block runs
+    # twice.  The fault goes into the inverse's upper-left quadrant, which
+    # every chunk rewrites (the upper-right one stays zero).  Nothing in
+    # the kernel raises, so a non-finite block is the only failure a pass
+    # can meet.
     @pytest.mark.parametrize("block, fault", [
         (0, np.nan), (2, np.nan), (2, np.inf), (6, np.nan)],
         ids=["first-nan", "third-nan", "third-inf", "last-nan"])
@@ -202,29 +200,12 @@ class TestBlockedKernel:
         monkeypatch.setattr(sim_mod, "_replay", spy)
         got = simulate(spec, CASE1, cfg)
         assert replayed == [(32 * block, 200)]
-        assert [len(E) for E in chunks] == [7]
+        assert [len(E) for E in chunks] == [sim_mod._CHUNK]
         ref = _simulate_loop(spec, CASE1, cfg)
         np.testing.assert_allclose(got.sigma, ref.sigma, rtol=1e-12, atol=0.0)
         np.testing.assert_allclose(got.sigma, expect.sigma, rtol=1e-12,
                                    atol=0.0)
         assert np.all(got.x == got.eps * got.sigma)
-
-    def test_no_scipy_linalg_import(self):
-        # neither the simulator nor a fit pulls in scipy.linalg or
-        # scipy.optimize (start-up time and peak memory)
-        code = ("import sys, larchpmle\n"
-                "spec = larchpmle.CoeffSpec('power', 2000)\n"
-                "s = larchpmle.simulate(spec, larchpmle.Theta(0.1, 0.2, 1.0),\n"
-                "    larchpmle.SimConfig(n=100, burn_in=100, seed=1))\n"
-                "print('scipy.linalg' in sys.modules)\n"
-                "larchpmle.estimate(\n"
-                "    larchpmle.LossSpec('trunc', 0.01, beta=1.0), spec,\n"
-                "    s.x_obs)\n"
-                "print('scipy.linalg' in sys.modules,\n"
-                "      'scipy.optimize' in sys.modules)\n")
-        out = subprocess.run([sys.executable, "-c", code], check=True,
-                             capture_output=True, text=True)
-        assert out.stdout.split() == ["False", "False", "False"]
 
 
 def _cut(spec, theta0, cfg, ends):
@@ -281,6 +262,20 @@ class TestPieces:
                 *np.unique(rng.integers(CHUNK_STEPS + 10, total, 10)), total]
         _assert_pieces_equal(spec, CASE1, cfg, ends,
                              simulate(spec, CASE1, cfg))
+
+    # lengths inside the first chunk and on both sides of its end
+    @pytest.mark.parametrize("noise", ["gaussian", "table"])
+    def test_prefix_of_longer_path(self, spec, noise):
+        noise = _unit_table(1000, 9) if noise == "table" else noise
+        longest = simulate(spec, CASE1, SimConfig(n=3000, burn_in=0, seed=9,
+                                                  noise=noise))
+        for n in [*range(1, 200), CHUNK_STEPS - 1, CHUNK_STEPS,
+                  CHUNK_STEPS + 1]:
+            s = simulate(spec, CASE1, SimConfig(n=n, burn_in=0, seed=9,
+                                                noise=noise))
+            for got, whole in zip((s.x, s.sigma, s.eps),
+                                  (longest.x, longest.sigma, longest.eps)):
+                assert np.array_equal(got, whole[:n]), n
 
     @pytest.mark.parametrize("J", [31, 2000])
     def test_chunk_cuts_equal_whole_path(self, J):
