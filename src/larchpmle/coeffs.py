@@ -28,7 +28,6 @@ from .errors import (
     DivergenceError,
     DomainError,
     MissingMomentError,
-    UnsupportedError,
     ValidationError,
 )
 
@@ -44,7 +43,6 @@ __all__ = [
     "zeta_tail",
     "norm_p",
     "tail_variance",
-    "sum_sq",
     "gaussian_moments",
     "check_moment_conditions",
 ]
@@ -124,7 +122,7 @@ class ParamSpace:
         """Largest admissible c at exponent d for the family of ``spec``:
         C over the 2-norm of the weights at c = 1, infinite where the
         weights vanish."""
-        s2 = sum_sq(spec, Theta(d, 1.0, 1.0))
+        s2 = tail_variance(spec, Theta(d, 1.0, 1.0), 1)
         return self.C / math.sqrt(s2) if s2 > 0.0 else math.inf
 
     def contains(self, theta: Theta, spec: CoeffSpec) -> bool:
@@ -233,7 +231,7 @@ def _unit_rows(family: str, d: float, J: int, order: int) -> np.ndarray:
             np.multiply(logj ** k, rows[0], out=rows[k])
         return rows
     if order > 2:
-        raise UnsupportedError(
+        raise DomainError(
             "farima d-derivatives beyond order 2 are not supported")
     num = j - 1.0 + d                    # factor i of pi_j is num_i / i
     factors = num / j
@@ -286,11 +284,6 @@ def norm_p(spec: CoeffSpec, theta: Theta, p: float) -> float:
     tail = g * (zeta_tail(s, t0)
                 + 0.5 * p * theta.d * (theta.d - 1.0) * zeta_tail(s + 1.0, t0))
     return abs(theta.c) * (head + tail) ** (1.0 / p)
-
-
-def sum_sq(spec: CoeffSpec, theta: Theta) -> float:
-    """sum_j b_j^2 over the full (untruncated) weight sequence."""
-    return tail_variance(spec, theta, 1)
 
 
 def tail_variance(spec: CoeffSpec, theta: Theta, t: int) -> float:

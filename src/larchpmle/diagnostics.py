@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coeffs import CoeffSpec, Theta
-from .errors import DomainError, InsufficientDataError
+from .errors import DomainError
 from .likelihood import LossSpec, PathEvaluator, m_of_n
 from .simulate import SimConfig, derive_seed, simulate
 
@@ -41,12 +41,12 @@ def fit_decay(pairs, k_min: float, k_max: float) -> DecayFit:
     """
     arr = np.asarray(pairs, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 2:
-        raise InsufficientDataError("pairs must be a sequence of (k, value)")
+        raise DomainError("pairs must be a sequence of (k, value)")
     k, v = arr[:, 0], arr[:, 1]
     keep = ((k >= k_min) & (k <= k_max) & (k > 0.0) & (v > 0.0)
             & np.isfinite(k) & np.isfinite(v))
     if keep.sum() < 5:
-        raise InsufficientDataError(
+        raise DomainError(
             f"only {int(keep.sum())} usable pairs in range, need >= 5")
     lk, lv = np.log(k[keep]), np.log(v[keep])
     slope, intercept = np.polyfit(lk, lv, 1)

@@ -21,10 +21,6 @@ class ValidationError(LarchError, ValueError):
     """A parameter vector violates the parameter-space constraints."""
 
 
-class UnsupportedError(LarchError):
-    """A coefficient-family / derivative-order combination is not implemented."""
-
-
 class WindowError(LarchError):
     """The evaluation window is degenerate (too few time points)."""
 
@@ -43,7 +39,3 @@ class SingularityError(LarchError):
 
 class DataError(LarchError, ValueError):
     """An input file or series could not be parsed or is invalid."""
-
-
-class InsufficientDataError(LarchError):
-    """Too few usable data points for the requested fit or summary."""

@@ -93,11 +93,12 @@ def case_study(case: int, n_values=(1000, 2500, 5000, 10_000),
 
 @dataclass(frozen=True)
 class ReplicateRow:
-    """One simulate/estimate run.
+    """One fit of one replicate at one sample size.
 
     ``evals`` counts the fit's loss evaluations; ``sim_s`` and ``fit_s``
     are the wall times of simulation and fit, left out of comparisons so
-    that rows of identical runs compare equal.
+    that rows of identical runs compare equal. Every row of a replicate
+    carries the ``sim_s`` of its one path, drawn at the largest n.
     """
 
     n: int
@@ -219,23 +220,31 @@ def acf(x, max_lag: int, on_squares: bool = False) -> np.ndarray:
     return out
 
 
-def _run_replicate(cfg: StudyConfig, n: int, r: int) -> ReplicateRow:
+def _run_replicate(cfg: StudyConfig, r: int) -> list:
+    """Replicate r's rows, smallest n first, each fitted on the first n
+    points of one path drawn at the largest n: the path at n, bit for bit."""
     seed = derive_seed(cfg.base_seed, r)
-    sim = SimConfig(n=n, burn_in=cfg.burn_in, J=cfg.J, seed=seed)
+    sim = SimConfig(n=max(cfg.n_values), burn_in=cfg.burn_in, J=cfg.J,
+                    seed=seed)
     t0 = time.perf_counter()
-    sample = simulate(cfg.spec, cfg.theta0, sim, space=cfg.space)
-    t1 = time.perf_counter()
+    x_obs = simulate(cfg.spec, cfg.theta0, sim, space=cfg.space).x_obs
+    sim_s = time.perf_counter() - t0
     lspec = LossSpec("trunc", cfg.epsilon, beta=cfg.beta)
     fix = None
     if cfg.estimate_params == "d":
         fix = {"c": cfg.theta0.c, "a": cfg.theta0.a}
-    res = estimate(lspec, cfg.spec, sample.x_obs, space=cfg.space, fix=fix)
-    t2 = time.perf_counter()
-    th = res.theta_hat
-    return ReplicateRow(n=n, replicate=r, seed=seed, d_hat=th.d, c_hat=th.c,
-                        a_hat=th.a, loss=res.loss_at_opt,
-                        converged=res.converged, at_boundary=res.at_boundary,
-                        evals=res.evaluations, sim_s=t1 - t0, fit_s=t2 - t1)
+    rows = []
+    for n in sorted(cfg.n_values):
+        t1 = time.perf_counter()
+        res = estimate(lspec, cfg.spec, x_obs[:n], space=cfg.space, fix=fix)
+        t2 = time.perf_counter()
+        th = res.theta_hat
+        rows.append(ReplicateRow(
+            n=n, replicate=r, seed=seed, d_hat=th.d, c_hat=th.c, a_hat=th.a,
+            loss=res.loss_at_opt, converged=res.converged,
+            at_boundary=res.at_boundary, evals=res.evaluations, sim_s=sim_s,
+            fit_s=t2 - t1))
+    return rows
 
 
 # replicates a worker process takes from the pool at a time
@@ -245,31 +254,30 @@ _CHUNKSIZE = 8
 def run_study(cfg: StudyConfig, workers: int = 1) -> McReport:
     """Run the full study: N replicates per sample size, then summarize.
 
-    Replicate r always uses the seed derived from (base_seed, r), so the
-    report is identical whether replicates run serially or on any number
-    of workers; rows are emitted in (n, replicate) order either way.
+    Replicate r uses the seed derived from (base_seed, r) and draws one
+    path; its sample sizes are prefixes of that path, so its estimates
+    across n are paired. The report is identical whether replicates run
+    serially or on any number of workers; rows are emitted in
+    (n, replicate) order either way.
     Workers take the replicates in chunks of ``_CHUNKSIZE``, and a pool
     starts all its processes at once, so no more workers start than there
     are chunks; a study of one chunk runs serially.
     """
     if workers < 1:
         raise DomainError(f"workers {workers} must be >= 1")
-    cfgs, ns, rs = zip(*((cfg, n, r) for n in sorted(cfg.n_values)
-                         for r in range(cfg.replicates)))
-    workers = min(workers, -(-len(ns) // _CHUNKSIZE))
+    cfgs, rs = [cfg] * cfg.replicates, range(cfg.replicates)
+    workers = min(workers, -(-cfg.replicates // _CHUNKSIZE))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_run_replicate, cfgs, ns, rs,
-                                 chunksize=_CHUNKSIZE))
+            per_replicate = list(pool.map(_run_replicate, cfgs, rs,
+                                          chunksize=_CHUNKSIZE))
     else:
-        rows = list(map(_run_replicate, cfgs, ns, rs))
-    summaries = {}
-    for n in cfg.n_values:
-        d_hats = [row.d_hat for row in rows if row.n == n]
-        # summaries need at least 4 estimates; tiny studies keep rows only
-        if len(d_hats) >= 4:
-            summaries[n] = summarize(d_hats, n, cfg.beta, trim_k=cfg.trim)
-        else:
-            summaries[n] = None
-    return McReport(rows=tuple(rows), summaries=summaries)
+        per_replicate = list(map(_run_replicate, cfgs, rs))
+    at_n = dict(zip(sorted(cfg.n_values), zip(*per_replicate)))
+    # summaries need at least 4 estimates; tiny studies keep rows only
+    summaries = {n: summarize([row.d_hat for row in at_n[n]], n, cfg.beta,
+                              trim_k=cfg.trim)
+                 if cfg.replicates >= 4 else None for n in cfg.n_values}
+    return McReport(rows=tuple(row for rows in at_n.values() for row in rows),
+                    summaries=summaries)

@@ -24,7 +24,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .coeffs import CoeffSpec, ParamSpace, Theta, coeff_weights, sum_sq
+from .coeffs import (CoeffSpec, ParamSpace, Theta, coeff_weights,
+                     tail_variance)
 from .errors import DomainError, NumericError, ValidationError
 
 __all__ = ["SimConfig", "Sample", "derive_seed", "simulate"]
@@ -211,7 +212,7 @@ def _checked(spec: CoeffSpec, theta0: Theta, cfg: SimConfig,
     """cfg with J resolved, once theta0 is checked (see simulate)."""
     space = space or ParamSpace()
     space.validate(theta0, spec)
-    if sum_sq(spec, theta0) >= 1.0:
+    if tail_variance(spec, theta0, 1) >= 1.0:
         raise ValidationError("sum of squared weights must be < 1")
     return cfg if cfg.J is not None else replace(cfg, J=spec.J)
 

@@ -21,13 +21,11 @@ from larchpmle.coeffs import (
     _scaled,
     _unit_rows,
     coeff_weights,
-    sum_sq,
 )
 from larchpmle.errors import (
     DivergenceError,
     DomainError,
     MissingMomentError,
-    UnsupportedError,
     ValidationError,
 )
 
@@ -157,7 +155,7 @@ class TestFarima:
                   - deriv_weights(farima_spec, Theta(d - h, 0.5, 1.0), 500, 1)
                   ) / (2 * h)
             assert np.linalg.norm(got - fd) <= 1e-8 * np.linalg.norm(got)
-        with pytest.raises(UnsupportedError):
+        with pytest.raises(DomainError, match="beyond order 2"):
             _unit_rows("farima", 0.2, 5, 3)
 
     def test_norm_vs_brute_sum(self, farima_spec):
@@ -273,7 +271,7 @@ class TestParamSpace:
         space = ParamSpace()
         th = Theta(d, u * space.c_max(d, spec), a)
         assert norm_p(spec, th, 2.0) ** 2 < 1.0
-        assert sum_sq(spec, th) < 1.0
+        assert tail_variance(spec, th, 1) < 1.0
 
 
 class TestNorms:
@@ -326,7 +324,7 @@ class TestTailVariance:
         (0.45, 2.642429629126853663966696146621446059504),
     ])
     def test_farima_full_sum(self, farima_spec, d, exact):
-        got = sum_sq(farima_spec, Theta(d, 1.0, 1.0))
+        got = tail_variance(farima_spec, Theta(d, 1.0, 1.0), 1)
         assert abs(got - exact) <= 1e-14 * exact
 
     def test_loglog_slope(self, spec):

@@ -15,7 +15,7 @@ from larchpmle import (
     tail_variance,
 )
 from larchpmle import diagnostics
-from larchpmle.errors import DomainError, InsufficientDataError
+from larchpmle.errors import DomainError
 
 from conftest import CASE1, CASE2
 
@@ -58,10 +58,12 @@ class TestFitDecay:
 
     def test_insufficient_data(self):
         pairs = [(k, 1.0 / k) for k in range(1, 5)]
-        with pytest.raises(InsufficientDataError):
+        with pytest.raises(DomainError, match="only 4 usable pairs"):
             fit_decay(pairs, 1, 10)
-        with pytest.raises(InsufficientDataError):
+        with pytest.raises(DomainError, match="only 0 usable pairs"):
             fit_decay([(k, 1.0) for k in range(1, 30)], 50, 60)
+        with pytest.raises(DomainError, match="sequence of"):
+            fit_decay([1.0, 2.0, 3.0, 4.0, 5.0], 1, 10)
 
     def test_tail_variance_slope_case2(self, spec):
         ts = np.unique(np.round(np.logspace(2, 4, 25)).astype(int))

@@ -13,12 +13,14 @@ from larchpmle import (
     Theta,
     acf,
     case_study,
+    derive_seed,
     estimate,
     normal_plot_data,
     run_study,
     simulate,
     summarize,
 )
+from larchpmle import montecarlo
 from larchpmle.errors import DomainError, ValidationError, WindowError
 
 from conftest import CASE1, scipy_oracle
@@ -141,8 +143,9 @@ class TestRunStudy:
         assert r1.summaries == r2.summaries
 
     def test_scheduling_independent(self, tiny_cfg):
-        # two chunks of replicates, so two worker processes run
-        cfg = replace(tiny_cfg, replicates=9)
+        # two chunks of replicates, so two worker processes run, each
+        # fitting its replicates at both sample sizes
+        cfg = replace(tiny_cfg, n_values=(400, 300), replicates=9)
         r1 = run_study(cfg, workers=1)
         r2 = run_study(cfg, workers=2)
         assert r1.rows == r2.rows
@@ -199,11 +202,50 @@ class TestRunStudy:
         assert [r.replicate for r in rows] == list(range(6))
         assert all(r.n == 400 for r in rows)
         # sample sizes given out of order still come out in (n, replicate)
-        # order
-        rows = run_study(replace(tiny_cfg, n_values=(400, 300),
-                                 replicates=2)).rows
-        assert [(r.n, r.replicate) for r in rows] == [
+        # order, and the summaries keep the order the study lists
+        report = run_study(replace(tiny_cfg, n_values=(400, 300),
+                                   replicates=2))
+        assert [(r.n, r.replicate) for r in report.rows] == [
             (300, 0), (300, 1), (400, 0), (400, 1)]
+        assert list(report.summaries) == [400, 300]
+
+    def test_one_path_per_replicate(self, tiny_cfg, monkeypatch):
+        # each replicate draws its path once, at the largest n
+        lengths = []
+
+        def counting(spec, theta0, cfg, space=None):
+            lengths.append(cfg.n)
+            return simulate(spec, theta0, cfg, space=space)
+
+        monkeypatch.setattr(montecarlo, "simulate", counting)
+        run_study(replace(tiny_cfg, n_values=(400, 300), replicates=4))
+        assert lengths == [400] * 4
+
+    @pytest.mark.parametrize("params", ["d", "dca"])
+    def test_rows_equal_one_path_per_size(self, tiny_cfg, params):
+        # the smaller size's rows are those of a path drawn at that size
+        cfg = replace(tiny_cfg, n_values=(400, 300), replicates=3,
+                      estimate_params=params)
+        lspec = LossSpec("trunc", cfg.epsilon, beta=cfg.beta)
+        fix = {"c": cfg.theta0.c, "a": cfg.theta0.a} if params == "d" \
+            else None
+        expected = []
+        for n in (300, 400):
+            for r in range(cfg.replicates):
+                seed = derive_seed(cfg.base_seed, r)
+                sim = SimConfig(n=n, burn_in=cfg.burn_in, J=cfg.J, seed=seed)
+                x = simulate(cfg.spec, cfg.theta0, sim).x_obs
+                res = estimate(lspec, cfg.spec, x, fix=fix)
+                th = res.theta_hat
+                expected.append(montecarlo.ReplicateRow(
+                    n, r, seed, th.d, th.c, th.a, res.loss_at_opt,
+                    res.converged, res.at_boundary, res.evaluations,
+                    sim_s=0.0, fit_s=0.0))
+        # equality compares every field but the timings
+        rows = run_study(cfg).rows
+        assert rows == tuple(expected)
+        # both rows of a replicate carry its one path's simulation time
+        assert [r.sim_s for r in rows[:3]] == [r.sim_s for r in rows[3:]]
 
     def test_profile_freezes_c_and_a(self, tiny_cfg):
         rows = run_study(tiny_cfg).rows
