@@ -7,7 +7,8 @@ flags win.  ``--case 1|2`` then fills each of ``--d --c --a --eps --beta``
 left unset from :func:`~larchpmle.montecarlo.case_study`.  Malformed or
 out-of-range values and conflicting flags are usage errors, raised before
 any work, and so is an ``--out`` that is, or lies under, a file other than
-a directory.
+a directory.  So is a :class:`~larchpmle.errors.ValidationError`, a value
+off the parameter space, raised before any file is written.
 
 A command returns the tables it computed and :func:`_write` emits them
 all: into ``--out``, each CSV starts with a ``#`` comment recording the
@@ -32,7 +33,7 @@ import numpy as np
 from .asymptotics import predicted_rate, sandwich
 from .coeffs import CoeffSpec, Theta, check_moment_conditions, gaussian_moments
 from .diagnostics import fit_decay, score_gap
-from .errors import DataError, LarchError
+from .errors import DataError, LarchError, ValidationError
 from .estimator import estimate
 from .likelihood import LossSpec, landscape, m_of_n
 from .montecarlo import (
@@ -91,24 +92,24 @@ def load_series(path) -> np.ndarray:
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        fields = [f.strip() for f in line.split(",")]
+        cells = [f.strip() for f in line.split(",")]
         if not header_seen and any(
-                not _is_number(f) for f in fields if f != ""):
-            if "x" not in fields:
+                not _is_number(f) for f in cells if f != ""):
+            if "x" not in cells:
                 raise DataError(f"{path}:{lineno}: header has no 'x' column")
-            x_col = fields.index("x")
+            x_col = cells.index("x")
             header_seen = True
             continue
         header_seen = True
         col = x_col if x_col is not None else 0
-        if col >= len(fields):
+        if col >= len(cells):
             raise DataError(f"{path}:{lineno}: missing column {col + 1}")
         try:
-            v = float(fields[col])
+            v = float(cells[col])
         except ValueError:
             raise DataError(
                 f"{path}:{lineno}: column {col + 1} is not numeric: "
-                f"{fields[col]!r}")
+                f"{cells[col]!r}")
         if not math.isfinite(v):
             raise DataError(f"{path}:{lineno}: non-finite value")
         rows.append(v)
@@ -548,7 +549,7 @@ def main(argv=None) -> int:
         if output is not None:
             _write(args, *output)
         return 0
-    except _UsageError as exc:
+    except (_UsageError, ValidationError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except LarchError as exc:

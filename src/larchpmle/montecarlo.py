@@ -149,7 +149,7 @@ class McReport:
 
 def _stat_row(v: np.ndarray, n: int, beta: float) -> StatRow:
     med = float(np.median(v))
-    s = float(np.std(v, ddof=1)) if len(v) > 1 else 0.0
+    s = float(np.std(v, ddof=1)) if len(v) > 1 else math.nan
     s_tilde = float(np.median(np.abs(v - med))) / MAD_SCALE
     scale = n ** (beta / 2.0)
     m2 = float(np.mean((v - v.mean()) ** 2))
@@ -173,7 +173,8 @@ def summarize(values, n: int, beta: float, trim_k: int = 10) -> Summary:
     MAD divided by the 75% normal quantile; the scaled columns multiply by
     n**(beta/2); skewness is the biased central-moment ratio; quartile
     skewness uses linearly interpolated quantiles at positions 1 + (N-1)p.
-    Undefined statistics (zero variance, equal quartiles) come back as nan.
+    Undefined statistics (the spread of one value, the skewness at zero
+    variance, equal quartiles) come back as nan.
     """
     v = np.sort(np.asarray(values, dtype=float))
     if len(v) < 4:
@@ -247,10 +248,6 @@ def _run_replicate(cfg: StudyConfig, r: int) -> list:
     return rows
 
 
-# replicates a worker process takes from the pool at a time
-_CHUNKSIZE = 8
-
-
 def run_study(cfg: StudyConfig, workers: int = 1) -> McReport:
     """Run the full study: N replicates per sample size, then summarize.
 
@@ -259,19 +256,19 @@ def run_study(cfg: StudyConfig, workers: int = 1) -> McReport:
     across n are paired. The report is identical whether replicates run
     serially or on any number of workers; rows are emitted in
     (n, replicate) order either way.
-    Workers take the replicates in chunks of ``_CHUNKSIZE``, and a pool
-    starts all its processes at once, so no more workers start than there
-    are chunks; a study of one chunk runs serially.
+    Each worker takes one contiguous share of ceil(N / min(workers, N))
+    replicates; a study of one share runs serially.
     """
     if workers < 1:
         raise DomainError(f"workers {workers} must be >= 1")
-    cfgs, rs = [cfg] * cfg.replicates, range(cfg.replicates)
-    workers = min(workers, -(-cfg.replicates // _CHUNKSIZE))
-    if workers > 1:
+    reps = cfg.replicates
+    cfgs, rs = [cfg] * reps, range(reps)
+    share = -(-reps // min(workers, reps))
+    if share < reps:
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=-(-reps // share)) as pool:
             per_replicate = list(pool.map(_run_replicate, cfgs, rs,
-                                          chunksize=_CHUNKSIZE))
+                                          chunksize=share))
     else:
         per_replicate = list(map(_run_replicate, cfgs, rs))
     at_n = dict(zip(sorted(cfg.n_values), zip(*per_replicate)))

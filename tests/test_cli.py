@@ -402,6 +402,29 @@ def test_rejected_before_any_work(argv, tmp_path, series, capsys,
     assert not out.exists()
 
 
+# parameter values off the parameter space, which the library refuses with
+# ValidationError inside the command (so no stand-in simulator here)
+OFF_THE_SPACE = [
+    "simulate --d 0.6 --out {out}",
+    "acf --c 5 --out {out}",
+    "landscape --a 20 --out {out}",
+    "asymcov --d 0.47 --out {out}",
+    "rates --case 1 --c 5 --replicates 2 --out {out}",
+    "estimate --input {input} --fix-d 0.9 --out {out}",
+    "estimate --input {input} --eps 0 --out {out}",
+]
+
+
+@pytest.mark.parametrize("argv", OFF_THE_SPACE)
+def test_off_the_space_is_a_usage_error(argv, tmp_path, series, capsys):
+    out = tmp_path / "out"
+    assert run_cli(*argv.format(out=out, input=series).split()) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_failed_acf_fit_leaves_no_output(tmp_path, capsys):
     # the decay fit has too few positive pairs in 1..7 on this path
     out = tmp_path / "out"

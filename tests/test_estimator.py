@@ -293,6 +293,26 @@ class TestEstimate:
         elif "d" in fix:
             assert 0.2 in calls
 
+    @pytest.mark.parametrize("seed", [2, 4])
+    @pytest.mark.parametrize("fix", [{"c": 0.5}, {"c": 0.5, "a": 1.0}],
+                             ids=["c", "ca"])
+    def test_fixed_c_cuts_the_d_range(self, spec, space, seed, fix):
+        # c_max(0.45) < 0.5 < c_max(0): d runs up to d*, c_max(d*) = 0.5,
+        # and as c_max decreases, d_hat <= d* reads c_max(d_hat) >= 0.5
+        assert space.c_max(space.d_u, spec) < 0.5 < space.c_max(0.0, spec)
+        x = simulate(spec, Theta(0.4, 0.2, 1.0), SimConfig(
+            n=2000, burn_in=4000, seed=seed)).x_obs
+        res = estimate(LSPEC, spec, x, space=space, fix=fix)
+        th = res.theta_hat
+        space.validate(th, spec)
+        assert res.converged and th.c == 0.5
+        assert space.c_max(th.d, spec) >= 0.5
+        if seed == 2 and "a" in fix:
+            # this path's optimum lies past the cut: the fit ends on it
+            assert res.at_boundary
+            assert space.c_max(th.d, spec) == pytest.approx(0.5, abs=1e-12)
+            assert space.c_max(th.d + 1e-9, spec) < 0.5
+
     @pytest.mark.parametrize("fix", [{"c": CASE1.c, "a": CASE1.a}, None],
                              ids=["d-only", "joint"])
     def test_evaluations_and_stage_timings(self, spec, case1_path, fix,

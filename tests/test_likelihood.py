@@ -474,10 +474,10 @@ def full_size_fft_sums(lspec, spec, sample, d, order=0):
     return np.where(idx >= 0, conv[np.maximum(idx, 0)], 0.0)
 
 
-# "full" paths of length k P + extra, P = _fft_size(16 J) - J + 1, that
-# span k stretches of P points, or k + 1 with extra = 1 (the last id field):
-# the windows that overlap-save once split into segments of about 16 J
-# points.  The table paths' windows are shorter than that.
+# long "full" windows, each summed by one transform of the J + w - 1 values
+# that reach it: paths of k P + extra points, P = _fft_size(16 J) - J + 1
+# (ids J-k-extra-(k + extra)), up to 11701 points at J = 50 and 61539 at
+# J = 2000.  The table paths' windows are shorter.
 LONG_CASES = [
     pytest.param("full", J, k * (_fft_size(16 * J) - J + 1) + extra,
                  id=f"{J}-{k}-{extra}-{k + extra}")

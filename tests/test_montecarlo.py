@@ -67,6 +67,13 @@ class TestSummarize:
         assert s.trimmed.mean == pytest.approx(np.mean([0.9, 1.0, 1.1, 1.2]))
         assert s.trimmed.s <= s.all.s
 
+    def test_one_trimmed_value(self):
+        # the spread of a single value is undefined, and no warning is raised
+        s = summarize([1.0, 2.0, 3.0, 4.0], n=10, beta=0.5, trim_k=3)
+        assert s.trimmed.count == 1 and s.trimmed.mean == 4.0
+        assert math.isnan(s.trimmed.s) and math.isnan(s.trimmed.s_scaled)
+        assert s.trimmed.s_tilde == 0.0
+
     def test_validation(self):
         with pytest.raises(DomainError):
             summarize([1.0, 2.0, 3.0], n=10, beta=0.5, trim_k=0)
@@ -143,22 +150,26 @@ class TestRunStudy:
         assert r1.summaries == r2.summaries
 
     def test_scheduling_independent(self, tiny_cfg):
-        # two chunks of replicates, so two worker processes run, each
-        # fitting its replicates at both sample sizes
+        # two and three shares of replicates, so two and three worker
+        # processes run, each fitting its replicates at both sample sizes
         cfg = replace(tiny_cfg, n_values=(400, 300), replicates=9)
-        r1 = run_study(cfg, workers=1)
-        r2 = run_study(cfg, workers=2)
-        assert r1.rows == r2.rows
+        serial = run_study(cfg, workers=1).rows
+        assert run_study(cfg, workers=2).rows == serial
+        assert run_study(cfg, workers=3).rows == serial
 
-    def test_no_more_workers_than_chunks(self, tiny_cfg, monkeypatch):
-        # a pool forks all its workers at its first task: a recording
-        # stand-in, which runs the tasks here, shows how many it was asked
-        # for, and no process starts
+    @pytest.mark.parametrize("replicates, workers, pool", [
+        (24, 2, (2, 12)), (5, 2, (2, 3)), (10, 3, (3, 4)), (17, 64, (17, 1)),
+        (4, 1, None), (1, 8, None)])
+    def test_one_share_per_worker(self, tiny_cfg, replicates, workers, pool,
+                                  monkeypatch):
+        # a recording stand-in for the pool, which runs the tasks here,
+        # shows the processes and the share it was asked for, and no
+        # process starts; a stub replicate keeps the study cheap
         asked = []
 
         class Pool:
             def __init__(self, max_workers):
-                asked.append(max_workers)
+                self.max_workers = max_workers
 
             def __enter__(self):
                 return self
@@ -167,17 +178,22 @@ class TestRunStudy:
                 return False
 
             def map(self, fn, *iterables, chunksize):
+                asked.append((self.max_workers, chunksize))
                 return map(fn, *iterables)
 
+        def stub(cfg, r):
+            return [montecarlo.ReplicateRow(
+                n, r, 0, r / 10, 0.2, 1.0, 0.0, True, False, 1,
+                sim_s=0.0, fit_s=0.0) for n in sorted(cfg.n_values)]
+
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
-        one_chunk = replace(tiny_cfg, replicates=4)
-        assert run_study(one_chunk, workers=64).rows == run_study(
-            one_chunk).rows
-        assert asked == []
-        three_chunks = replace(tiny_cfg, n_values=(300,), replicates=17)
-        assert run_study(three_chunks, workers=64).rows == run_study(
-            three_chunks).rows
-        assert asked == [3]
+        monkeypatch.setattr(montecarlo, "_run_replicate", stub)
+        cfg = replace(tiny_cfg, n_values=(400, 300), replicates=replicates,
+                      trim=0)
+        rows = run_study(cfg, workers=workers).rows
+        assert asked == ([] if pool is None else [pool])
+        assert [(r.n, r.replicate) for r in rows] == [
+            (n, r) for n in (300, 400) for r in range(replicates)]
 
     @pytest.mark.parametrize("workers", [0, -1])
     def test_rejects_workers_below_one(self, tiny_cfg, workers):
